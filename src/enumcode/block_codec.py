@@ -144,44 +144,40 @@ class CodecParams:
 
 @dataclass(frozen=True)
 class Block:
-    """One factor of the input plus its derived metadata.
+    """One factor of the input plus its symbol counts.
 
     ``freq`` spans the full alphabet; ``reduced_freq`` (variable mode) drops
     the delimiter dimension. ``pad_count`` delimiters were appended to
-    ``content`` and is non-zero only on a final block.
+    ``content`` and is non-zero only on a final block. A block carries no
+    rank: :func:`encode` ranks ``content`` when it writes the field, so
+    accounting and sweeps never pay for ranks they do not pack.
     """
 
     content: bytes
     length: int
     freq: tuple[int, ...]
-    perm_rank: int
     pad_count: int = 0
     reduced_freq: tuple[int, ...] | None = None
 
 
-def _position_table(alphabet: bytes) -> list[int]:
-    table = [-1] * 256
-    for pos, byte in enumerate(alphabet):
-        table[byte] = pos
-    return table
+def _check_input(data: bytes, params: CodecParams) -> None:
+    if len(data) != params.n:
+        raise ValueError(f"data length {len(data)} != declared n {params.n}")
+    foreign = data.translate(None, params.alphabet)
+    if foreign:
+        raise AlphabetError(foreign[0], data.index(foreign[0]))
 
 
-def _make_block(
-    content: bytes,
-    freq: list[int],
-    params: CodecParams,
-    pad_count: int = 0,
-) -> Block:
-    rank = sequence_to_perm_index(content, params.alphabet)
+def _make_block(content: bytes, params: CodecParams, pad_count: int = 0) -> Block:
+    freq = tuple(content.count(symbol) for symbol in params.alphabet)
     reduced = None
     if params.mode == MODE_VARIABLE:
         apos = params.alpha_index - 1
-        reduced = tuple(c for i, c in enumerate(freq) if i != apos)
+        reduced = freq[:apos] + freq[apos + 1 :]
     return Block(
         content=content,
         length=len(content),
-        freq=tuple(freq),
-        perm_rank=rank,
+        freq=freq,
         pad_count=pad_count,
         reduced_freq=reduced,
     )
@@ -196,35 +192,27 @@ def factorize_variable(data: bytes, params: CodecParams) -> list[Block]:
     """
     if params.mode != MODE_VARIABLE:
         raise ValueError("params are not variable-mode")
-    if len(data) != params.n:
-        raise ValueError(f"data length {len(data)} != declared n {params.n}")
-    table = _position_table(params.alphabet)
+    _check_input(data, params)
+    if not data:
+        return []
     alpha = params.alpha_byte
-    apos = params.alpha_index - 1
     r = params.r
 
     blocks: list[Block] = []
-    freq = [0] * params.sigma
+    find = data.find
     start = 0
-    for offset, byte in enumerate(data):
-        pos = table[byte]
-        if pos < 0:
-            raise AlphabetError(byte, offset)
-        if byte == alpha and freq[apos] == r:
-            blocks.append(_make_block(data[start:offset], freq, params))
-            start = offset + 1
-            freq = [0] * params.sigma
-        else:
-            freq[pos] += 1
+    # each full block ends at the (r+1)-th delimiter from its start
+    for _ in range(data.count(alpha) // (r + 1)):
+        end = start - 1
+        for _ in range(r + 1):
+            end = find(alpha, end + 1)
+        blocks.append(_make_block(data[start:end], params))
+        start = end + 1
 
     residue = data[start:]
-    if params.n == 0:
-        return []
-    if not residue and blocks:
-        return blocks
-    pad = r - freq[apos]
-    freq[apos] = r
-    blocks.append(_make_block(residue + bytes([alpha]) * pad, freq, params, pad_count=pad))
+    if residue:
+        pad = r - residue.count(alpha)
+        blocks.append(_make_block(residue + bytes([alpha]) * pad, params, pad_count=pad))
     return blocks
 
 
@@ -232,21 +220,11 @@ def factorize_fixed(data: bytes, params: CodecParams) -> list[Block]:
     """Split ``data`` into ceil(n / fixed_len) blocks; only the last may be short."""
     if params.mode != MODE_FIXED:
         raise ValueError("params are not fixed-mode")
-    if len(data) != params.n:
-        raise ValueError(f"data length {len(data)} != declared n {params.n}")
-    table = _position_table(params.alphabet)
-    for offset, byte in enumerate(data):
-        if table[byte] < 0:
-            raise AlphabetError(byte, offset)
-
-    blocks = []
-    for start in range(0, params.n, params.fixed_len):
-        chunk = data[start : start + params.fixed_len]
-        freq = [0] * params.sigma
-        for byte in chunk:
-            freq[table[byte]] += 1
-        blocks.append(_make_block(chunk, freq, params))
-    return blocks
+    _check_input(data, params)
+    return [
+        _make_block(data[start : start + params.fixed_len], params)
+        for start in range(0, params.n, params.fixed_len)
+    ]
 
 
 def factorize(data: bytes, params: CodecParams) -> list[Block]:
@@ -255,29 +233,48 @@ def factorize(data: bytes, params: CodecParams) -> list[Block]:
     return factorize_fixed(data, params)
 
 
-def _freq_field(block: Block, params: CodecParams, ctx: CombinatoricsContext) -> tuple[int, int]:
-    """(rank, width) of the block's frequency-vector field."""
-    if params.mode == MODE_VARIABLE:
-        reduced = block.reduced_freq
-        if not reduced:  # single-symbol alphabet: nothing left to enumerate
-            return 0, 0
-        count = ctx.k_count(len(reduced), sum(reduced))
-        return vector_to_index(reduced, ctx), ceil_log2(count)
-    count = ctx.k_count(params.sigma, block.length)
-    return vector_to_index(block.freq, ctx), ceil_log2(count)
+def _vector_count(length: int, sigma: int, r: int | None, ctx: CombinatoricsContext) -> int:
+    """How many count vectors the frequency field of a ``length``-symbol block chooses from.
+
+    ``r`` is None in fixed mode, which ranks the full vector: K(sigma, length).
+    Variable mode ranks the reduced vector, whose delimiter count is always
+    ``r``: K(sigma - 1, length - r), and a single vector over a 1-symbol
+    alphabet. The field is ceil(log2(count)) bits wide.
+    """
+    if r is None:
+        return ctx.k_count(sigma, length)
+    if sigma == 1:
+        return 1
+    return ctx.k_count(sigma - 1, length - r)
 
 
 def encode(data: bytes, params: CodecParams, ctx: CombinatoricsContext) -> "EncodedContainer":
     """Factorize ``data`` and serialize every block into a container."""
     blocks = factorize(data, params)
     writer = BitWriter()
+    variable = params.mode == MODE_VARIABLE
     for block in blocks:
-        if params.mode == MODE_VARIABLE:
+        if variable:
             writer.write_elias_delta(block.length)
-        rank, width = _freq_field(block, params, ctx)
-        writer.write(rank, width)
-        writer.write(block.perm_rank, ceil_log2(multinomial(block.freq)))
+        vector = block.reduced_freq if variable else block.freq
+        writer.write(
+            vector_to_index(vector, ctx) if vector else 0,
+            ceil_log2(_vector_count(block.length, params.sigma, params.r, ctx)),
+        )
+        writer.write(
+            sequence_to_perm_index(block.content, params.alphabet),
+            ceil_log2(multinomial(block.freq)),
+        )
     return EncodedContainer(params=params, payload=writer.getvalue(), payload_bits=writer.bit_length)
+
+
+def _check_room(reader: BitReader, min_width: int, what: str) -> None:
+    """Reject a field whose width is known to be at least ``min_width`` bits
+    when fewer remain, before its exact (possibly huge) count is built."""
+    if min_width > reader.bits_remaining:
+        raise ValueError(
+            f"{what} needs at least {min_width} bits, only {reader.bits_remaining} remain"
+        )
 
 
 def _decode_block_fields(
@@ -286,29 +283,34 @@ def _decode_block_fields(
     params: CodecParams,
     ctx: CombinatoricsContext,
 ) -> tuple[tuple[int, ...], int]:
-    """Read (frequency vector, permutation rank) for a block of known length."""
-    if params.mode == MODE_VARIABLE:
-        reduced_sigma = params.sigma - 1
-        inner = length - params.r
-        if reduced_sigma:
-            count = ctx.k_count(reduced_sigma, inner)
-            rank = reader.read(ceil_log2(count))
-            if rank >= count:
-                raise ValueError(f"frequency rank {rank} out of range (< {count})")
-            reduced = index_to_vector(rank, inner, reduced_sigma, ctx)
-        else:
-            if inner:
-                raise ValueError(f"length {length} exceeds r over a 1-symbol alphabet")
-            reduced = ()
-        apos = params.alpha_index - 1
-        freq = reduced[:apos] + (params.r,) + reduced[apos:]
-    else:
-        count = ctx.k_count(params.sigma, length)
-        rank = reader.read(ceil_log2(count))
-        if rank >= count:
-            raise ValueError(f"frequency rank {rank} out of range (< {count})")
-        freq = index_to_vector(rank, length, params.sigma, ctx)
+    """Read (frequency vector, permutation rank) for a block of known length.
 
+    Each count is checked against a lower bound first: C(N, j) >=
+    2**min(j, N - j), so a width that cannot fit the remaining bits is
+    rejected without building its count.
+    """
+    if params.mode == MODE_VARIABLE:
+        dims = params.sigma - 1
+        inner = length - params.r
+        if not dims and inner:
+            raise ValueError(f"length {length} exceeds r over a 1-symbol alphabet")
+    else:
+        dims = params.sigma
+        inner = length
+    # K(dims, inner) = C(inner + dims - 1, dims - 1)
+    _check_room(reader, min(dims - 1, inner), "frequency rank")
+    count = _vector_count(length, params.sigma, params.r, ctx)
+    rank = reader.read(ceil_log2(count))
+    if rank >= count:
+        raise ValueError(f"frequency rank {rank} out of range (< {count})")
+    freq = index_to_vector(rank, inner, dims, ctx) if dims else ()
+    if params.mode == MODE_VARIABLE:
+        apos = params.alpha_index - 1
+        freq = freq[:apos] + (params.r,) + freq[apos:]
+
+    # arrangements = multinomial(freq) >= C(length, max(freq))
+    most = max(freq)
+    _check_room(reader, min(length - most, most), "permutation rank")
     arrangements = multinomial(freq)
     pid = reader.read(ceil_log2(arrangements))
     if pid >= arrangements:
@@ -489,17 +491,15 @@ def accounted_bits(
     length_bits = freq_bits = perm_bits = 0
     real = 0.0
     for block in blocks:
+        r = None
         if mode == MODE_VARIABLE:
             length_bits += ceil_log2(block.length)
             real += math.log2(block.length)
-            if block.reduced_freq:
-                count = ctx.k_count(len(block.reduced_freq), sum(block.reduced_freq))
-                freq_bits += ceil_log2(count)
-                real += log2_int(count)
-        else:
-            count = ctx.k_count(len(block.freq), block.length)
-            freq_bits += ceil_log2(count)
-            real += log2_int(count)
+            # the reduced vector leaves out the delimiter, whose count is r
+            r = block.length - sum(block.reduced_freq)
+        count = _vector_count(block.length, len(block.freq), r, ctx)
+        freq_bits += ceil_log2(count)
+        real += log2_int(count)
         arrangements = multinomial(block.freq)
         perm_bits += ceil_log2(arrangements)
         real += log2_int(arrangements)
@@ -518,11 +518,9 @@ def container_bits(blocks: list[Block], params: CodecParams, ctx: CombinatoricsC
     for block in blocks:
         if params.mode == MODE_VARIABLE:
             payload += elias_delta_bit_length(block.length)
-        _, width = _freq_field(block, params, ctx)
-        payload += width
+        payload += ceil_log2(_vector_count(block.length, params.sigma, params.r, ctx))
         payload += ceil_log2(multinomial(block.freq))
-    header = 4 + 1 + 1 + 2 + params.sigma + 8
-    header += 6 if params.mode == MODE_VARIABLE else 4
+    header = EncodedContainer(params=params, payload=b"").header_length()
     return header * 8 + 8 * (-(-payload // 8))
 
 

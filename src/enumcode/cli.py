@@ -103,13 +103,13 @@ def cmd_encode(args) -> int:
     data = read_sequence(args.input, args.fasta, args.fasta_map)
     params = _build_params(data, args)
     ctx = CombinatoricsContext()
-    blocks = factorize(data, params)
-    container = encode(data, params, ctx)
+    raw = encode(data, params, ctx).to_bytes()
     out_path = args.out or args.input + ".enum"
-    Path(out_path).write_bytes(container.to_bytes())
+    Path(out_path).write_bytes(raw)
 
+    blocks = factorize(data, params)
     acct = accounted_bits(blocks, params.mode, ctx)
-    total_bits = container_bits(blocks, params, ctx)
+    total_bits = 8 * len(raw)
     n = params.n
     print(f"input: {args.input}")
     print(f"n: {n}")

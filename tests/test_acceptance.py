@@ -113,7 +113,7 @@ def test_criterion_4_reference_factorization_end_to_end():
         blocks = factorize_variable(FIG_T, params)
         lengths_ok = [b.length for b in blocks] == FIG_LENGTHS
         freqs_ok = [b.freq for b in blocks] == FIG_FREQS
-        ranks = tuple(b.perm_rank for b in blocks)
+        ranks = tuple(sequence_to_perm_index(b.content, params.alphabet) for b in blocks)
         ranks_ok = ranks == expected_ranks
         round_trip_ok = decode(encode(FIG_T, params, CTX), CTX) == FIG_T
     brute = sorted(set(permutations(sorted("ttgaacg"))))

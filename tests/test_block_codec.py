@@ -1,4 +1,5 @@
 import struct
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from enumcode.block_codec import (
 )
 from enumcode.combinatorics import CombinatoricsContext, ceil_log2, multinomial
 from enumcode.composition_codec import vector_to_index
+from enumcode.permutation_codec import sequence_to_perm_index
 
 from conftest import FIG_ALPHABET, FIG_BLOCKS, FIG_FREQS, FIG_LENGTHS, FIG_PAD, FIG_T
 
@@ -87,7 +89,11 @@ class TestFactorizeFixed:
         blocks = factorize_fixed(b"aacgaacg", params)
         assert len(blocks) == 2
         assert blocks[0].freq == blocks[1].freq == (2, 1, 1, 0)
-        assert blocks[0].perm_rank == blocks[1].perm_rank == 0
+        assert (
+            sequence_to_perm_index(blocks[0].content, params.alphabet)
+            == sequence_to_perm_index(blocks[1].content, params.alphabet)
+            == 0
+        )
 
     def test_single_full_block(self):
         params = CodecParams.fixed(FIG_ALPHABET, 4, 4)
@@ -321,6 +327,29 @@ class TestCorruptPayloads:
         with pytest.raises(CorruptContainerError, match="exceeds the sequence length"):
             decode(container, ctx)
 
+    def test_oversized_permutation_field_rejected_before_counting(self, ctx):
+        # 29 bytes claiming a block of 17*r symbols with r = 2**20: its
+        # arrangement count has millions of bits, far more than the payload
+        r = 2**20
+        w = BitWriter()
+        w.write_elias_delta(17 * r)
+        params = CodecParams.variable(b"ab", b"a", r, 2**40)
+        raw = EncodedContainer(params=params, payload=w.getvalue()).to_bytes()
+        assert len(raw) == 29
+        start = time.perf_counter()
+        with pytest.raises(CorruptContainerError, match="block 1: permutation rank needs") as exc:
+            decode(EncodedContainer.from_bytes(raw), ctx)
+        assert time.perf_counter() - start < 1.0
+        assert exc.value.block == 1
+
+    def test_oversized_frequency_field_rejected(self, ctx):
+        # 256 symbols in blocks of 2**32 - 1: the frequency field alone is
+        # thousands of bits wide, and the payload is empty
+        params = CodecParams.fixed(bytes(range(256)), 2**32 - 1, 2**40)
+        container = EncodedContainer(params=params, payload=b"")
+        with pytest.raises(CorruptContainerError, match="block 1: frequency rank needs"):
+            decode(container, ctx)
+
 
 class TestAccounting:
     def test_reference_component_budget(self, ctx):
@@ -410,7 +439,7 @@ def test_variable_structural_invariants(case):
     for b in blocks:
         assert b.freq[apos] == r
         assert sum(b.reduced_freq) == b.length - r
-        assert b.perm_rank < multinomial(b.freq)
+        assert sequence_to_perm_index(b.content, params.alphabet) < multinomial(b.freq)
         assert vector_to_index(b.reduced_freq, CTX) < CTX.k_count(params.sigma - 1, b.length - r)
     assert all(b.pad_count == 0 for b in blocks[:-1])
     assert 0 <= blocks[-1].pad_count <= r
@@ -445,3 +474,138 @@ def test_container_size_matches_declared_widths(case):
         blocks = factorize_fixed(data, params)
     container = encode(data, params, CTX)
     assert container_bits(blocks, params, CTX) == len(container.to_bytes()) * 8
+
+
+# -- reference factorization ---------------------------------------------------
+#
+# The per-byte scan that factorization used before it moved to C-level bytes
+# methods (translate/find/count). Kept as an oracle: it walks the input one
+# symbol at a time, exactly as the module docstring describes the scheme.
+
+
+def reference_factorize(data, params):
+    """(content, length, freq, reduced_freq, pad_count) of every block."""
+    if len(data) != params.n:
+        raise ValueError(f"data length {len(data)} != declared n {params.n}")
+    table = [-1] * 256
+    for pos, byte in enumerate(params.alphabet):
+        table[byte] = pos
+
+    def block(content, freq, pad_count=0):
+        reduced = None
+        if params.mode == "variable":
+            reduced = tuple(c for i, c in enumerate(freq) if i != params.alpha_index - 1)
+        return (content, len(content), tuple(freq), reduced, pad_count)
+
+    if params.mode == "fixed":
+        for offset, byte in enumerate(data):
+            if table[byte] < 0:
+                raise AlphabetError(byte, offset)
+        blocks = []
+        for start in range(0, params.n, params.fixed_len):
+            chunk = data[start : start + params.fixed_len]
+            freq = [0] * params.sigma
+            for byte in chunk:
+                freq[table[byte]] += 1
+            blocks.append(block(chunk, freq))
+        return blocks
+
+    alpha, apos, r = params.alpha_byte, params.alpha_index - 1, params.r
+    blocks = []
+    freq = [0] * params.sigma
+    start = 0
+    for offset, byte in enumerate(data):
+        pos = table[byte]
+        if pos < 0:
+            raise AlphabetError(byte, offset)
+        if byte == alpha and freq[apos] == r:
+            blocks.append(block(data[start:offset], freq))
+            start = offset + 1
+            freq = [0] * params.sigma
+        else:
+            freq[pos] += 1
+    residue = data[start:]
+    if params.n == 0:
+        return []
+    if not residue and blocks:
+        return blocks
+    pad = r - freq[apos]
+    freq[apos] = r
+    blocks.append(block(residue + bytes([alpha]) * pad, freq, pad_count=pad))
+    return blocks
+
+
+def factorize_fields(data, params):
+    factorize = factorize_variable if params.mode == "variable" else factorize_fixed
+    return [
+        (b.content, b.length, b.freq, b.reduced_freq, b.pad_count)
+        for b in factorize(data, params)
+    ]
+
+
+def assert_matches_reference(data, params):
+    try:
+        expected = reference_factorize(data, params)
+    except AlphabetError as exc:
+        with pytest.raises(AlphabetError) as caught:
+            factorize_fields(data, params)
+        assert (caught.value.byte, caught.value.offset) == (exc.byte, exc.offset)
+        return
+    assert factorize_fields(data, params) == expected
+
+
+class TestReferenceFactorization:
+    def test_input_ending_on_consumed_delimiter(self):
+        data = b"ttgaacgattaaa"  # r=2: "ttgaacg", "ttaa", and a consumed final 'a'
+        params = variable_params(data)
+        blocks = reference_factorize(data, params)
+        assert sum(b[1] for b in blocks) + len(blocks) - 1 == len(data) - 1
+        assert blocks[-1][4] == 0
+        assert_matches_reference(data, params)
+
+    def test_no_delimiter(self):
+        data = b"cgtcgttg"
+        assert_matches_reference(data, variable_params(data))
+        assert factorize_fields(data, variable_params(data))[0][4] == 2
+
+    @pytest.mark.parametrize("alpha", [b"a", b"c", b"g", b"t"])
+    def test_r_equal_1(self, alpha):
+        assert_matches_reference(FIG_T, variable_params(FIG_T, alpha=alpha, r=1))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 6])
+    def test_single_symbol_alphabet(self, n):
+        data = b"x" * n
+        assert_matches_reference(data, CodecParams.variable(b"x", b"x", 2, n))
+        assert_matches_reference(data, CodecParams.fixed(b"x", 4, n))
+
+    def test_empty_input(self):
+        assert_matches_reference(b"", variable_params(b""))
+        assert_matches_reference(b"", CodecParams.fixed(FIG_ALPHABET, 3, 0))
+        assert factorize_fields(b"", CodecParams.fixed(FIG_ALPHABET, 3, 0)) == []
+
+    def test_foreign_bytes_report_the_first_offset(self):
+        data = b"acgzatxa"
+        assert_matches_reference(data, variable_params(data))
+        assert_matches_reference(data, CodecParams.fixed(FIG_ALPHABET, 3, len(data)))
+
+
+@st.composite
+def reference_cases(draw):
+    alphabet = draw(st.sampled_from([b"x", b"ab", b"acgt", bytes(range(65, 85))]))
+    data = bytearray(draw(st.lists(st.sampled_from(alphabet), max_size=300)))
+    # sometimes slip in bytes from outside the alphabet
+    for _ in range(draw(st.integers(0, 2))):
+        foreign = draw(st.integers(0, 255).filter(lambda b: b not in alphabet))
+        data.insert(draw(st.integers(0, len(data))), foreign)
+    data = bytes(data)
+    if draw(st.booleans()):
+        alpha = draw(st.sampled_from(alphabet))
+        return data, CodecParams.variable(alphabet, alpha, draw(st.integers(1, 6)), len(data))
+    return data, CodecParams.fixed(alphabet, draw(st.integers(1, 9)), len(data))
+
+
+@given(reference_cases())
+@settings(deadline=None, max_examples=300)
+def test_factorization_matches_reference(case):
+    data, params = case
+    assert_matches_reference(data, params)
