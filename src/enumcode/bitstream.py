@@ -29,12 +29,16 @@ class BitWriter:
             raise ValueError("width must be non-negative")
         if value < 0 or value >> width:
             raise ValueError(f"value {value} does not fit in {width} bits")
-        self._acc = (self._acc << width) | value
-        self._nbits += width
-        while self._nbits >= 8:
-            self._nbits -= 8
-            self._bytes.append((self._acc >> self._nbits) & 0xFF)
-        self._acc &= (1 << self._nbits) - 1
+        acc = (self._acc << width) | value
+        nbits = self._nbits + width
+        if nbits >= 8:
+            # emit every whole byte at once; the accumulator keeps < 8 bits
+            whole = nbits >> 3
+            nbits &= 7
+            self._bytes += (acc >> nbits).to_bytes(whole, "big")
+            acc &= (1 << nbits) - 1
+        self._acc = acc
+        self._nbits = nbits
 
     def write_elias_delta(self, value: int) -> None:
         """Append the Elias delta codeword for ``value`` (>= 1)."""

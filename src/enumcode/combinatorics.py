@@ -75,9 +75,10 @@ def ceil_log2(count: int) -> int:
 class CombinatoricsContext:
     """Grow-only memo table for composition counts.
 
-    The rank/unrank loops probe k_count(d, s) for many (d, s) pairs per
-    block, and reuse across blocks dominates their running time. The table
-    is single-writer while it grows; either prefill it and share it
+    The codec looks up one k_count(d, s) per block for the frequency
+    field's width; the composition rank and unrank use closed forms and
+    touch the table only for their range check and the traced walk. The
+    table is single-writer while it grows; either prefill it and share it
     read-only across workers, or give each worker its own context.
     """
 

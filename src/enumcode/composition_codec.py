@@ -6,14 +6,19 @@ and values ascending; the final dimension never affects the rank because it
 is implied by the sum. For example the three 2-dimensional vectors summing
 to 2 rank as (0,2) < (1,1) < (2,0). Ranks are zero-based.
 
-Ranking walks each free dimension and adds, for every value below the
-stored one, the count of vectors that complete the remaining dimensions;
-unranking greedily subtracts those same counts. Both directions therefore
-cost O(inner_sum) memoized count lookups.
+A free dimension holding x, with R units left and f dimensions after it,
+adds the count of vectors that hold a smaller value there:
+sum_{v<x} C(R-v+f-1, f-1), which the hockey-stick identity closes to
+C(R+f, f) - C(R-x+f, f). Ranking is therefore O(sigma) ``math.comb``
+calls, and unranking binary-searches each x on the same identity,
+O(sigma log inner_sum) calls, whatever the inner sum. Passing ``trace=``
+to :func:`vector_to_index` walks the sum one unit at a time instead and
+records every addend.
 """
 
 from __future__ import annotations
 
+from math import comb
 from typing import Iterable, Sequence
 
 from .combinatorics import CombinatoricsContext
@@ -44,7 +49,8 @@ def vector_to_index(
 
     ``inner_sum``, when given, is validated against the actual sum (encoders
     declare it; a mismatch means the caller miscounted). ``trace``, when a
-    list, receives every count added to the rank, in order.
+    list, receives every count added to the rank, in order, one per unit of
+    each free dimension.
     """
     vec = _validated(counts, inner_sum)
     sigma = len(vec)
@@ -52,12 +58,15 @@ def vector_to_index(
     index = 0
     for dim in range(sigma - 1):
         free = sigma - 1 - dim
-        for value in range(vec[dim]):
-            step = ctx.k_count(free, remaining - value)
-            index += step
-            if trace is not None:
+        value = vec[dim]
+        if trace is not None:
+            for v in range(value):
+                step = ctx.k_count(free, remaining - v)
+                index += step
                 trace.append(step)
-        remaining -= vec[dim]
+        elif value:
+            index += comb(remaining + free, free) - comb(remaining - value + free, free)
+        remaining -= value
     return index
 
 
@@ -77,13 +86,20 @@ def index_to_vector(
     remaining = inner_sum
     for dim in range(sigma - 1):
         free = sigma - 1 - dim
-        while remaining > 0:
-            step = ctx.k_count(free, remaining)
-            if index < step:
-                break
-            index -= step
-            counts[dim] += 1
-            remaining -= 1
+        # The value here is the largest x with C(R+f, f) - C(R-x+f, f) <= index,
+        # so the rest, y = R - x, is the smallest y with
+        # C(y+f, f) >= target = C(R+f, f) - index.
+        target = comb(remaining + free, free) - index
+        lo, hi = 0, remaining
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if comb(mid + free, free) >= target:
+                hi = mid
+            else:
+                lo = mid + 1
+        index = comb(lo + free, free) - target
+        counts[dim] = remaining - lo
+        remaining = lo
     counts[sigma - 1] = remaining
     return tuple(counts)
 

@@ -6,11 +6,20 @@ zero-based. The alphabet may be a ``str``, ``bytes``, or any sequence of
 distinct hashable symbols, and unranked sequences come back in the same
 container family.
 
-Both directions carry the arrangement count of the remaining suffix along
-incrementally: consuming one occurrence of symbol j scales the count by
-c_j / m (m = symbols left), which stays exact because the scaled value is
-itself a multinomial coefficient. That turns the per-position work into
-O(sigma) big-int operations instead of fresh factorials.
+Position i of an n-symbol sequence contributes A_i * a_i / m_i to the rank,
+where A_i counts the arrangements of the suffix from i, m_i = n - i, and
+a_i sums the remaining counts of the symbols below the one at i. Consuming
+that symbol, whose remaining count is b_i, scales A_i by b_i / m_i.
+
+Short sequences rank with that walk directly (:func:`_rank_incremental`,
+O(sigma) big-int operations per symbol on a number as wide as the rank, so
+quadratic in the length). From ``_SPLIT_MIN`` symbols on,
+:func:`_rank_split` sums the same series with a product tree (binary
+splitting): far fewer operations on wide numbers, each a Karatsuba
+multiplication, and one exact division at the end.
+
+Unranking is the greedy walk in reverse and stays quadratic; once a single
+symbol kind remains it emits the rest as one run.
 """
 
 from __future__ import annotations
@@ -37,7 +46,7 @@ def _render(alphabet: Alphabet, ids: Iterable[int]):
     if isinstance(alphabet, str):
         return "".join(alphabet[i] for i in ids)
     if isinstance(alphabet, (bytes, bytearray)):
-        return bytes(alphabet[i] for i in ids)
+        return bytes(ids).translate(bytes(alphabet).ljust(256, b"\0"))
     return [alphabet[i] for i in ids]
 
 
@@ -53,11 +62,8 @@ def frequency_vector(seq: Iterable[Hashable], alphabet: Alphabet) -> tuple[int, 
     return tuple(counts)
 
 
-def sequence_to_perm_index(seq: Sequence[Hashable], alphabet: Alphabet) -> int:
-    """Zero-based lexicographic rank of ``seq`` among arrangements of its multiset.
-
-    The empty sequence ranks 0.
-    """
+def _symbol_ids(seq: Iterable[Hashable], alphabet: Alphabet) -> tuple[list[int], list[int]]:
+    """The alphabet position of every symbol of ``seq``, and the count of each position."""
     positions = _symbol_positions(alphabet)
     counts = [0] * len(alphabet)
     ids: list[int] = []
@@ -67,7 +73,29 @@ def sequence_to_perm_index(seq: Sequence[Hashable], alphabet: Alphabet) -> int:
             raise ValueError(f"symbol {sym!r} at offset {offset} is not in the alphabet")
         ids.append(pos)
         counts[pos] += 1
+    return ids, counts
 
+
+# Below this many symbols the product tree gains little or nothing over the
+# walk (tools/rank_curve.py measures both).
+_SPLIT_MIN = 512
+# Symbols per product-tree leaf, ranked with a plain loop.
+_LEAF = 16
+
+
+def sequence_to_perm_index(seq: Sequence[Hashable], alphabet: Alphabet) -> int:
+    """Zero-based lexicographic rank of ``seq`` among arrangements of its multiset.
+
+    The empty sequence ranks 0.
+    """
+    ids, counts = _symbol_ids(seq, alphabet)
+    if len(ids) < _SPLIT_MIN:
+        return _rank_incremental(ids, counts)
+    return _rank_split(ids, counts)
+
+
+def _rank_incremental(ids: list[int], counts: list[int]) -> int:
+    """The rank by the left-to-right walk; consumes ``counts``."""
     rank = 0
     remaining = len(ids)
     arrangements = multinomial(counts)
@@ -80,6 +108,66 @@ def sequence_to_perm_index(seq: Sequence[Hashable], alphabet: Alphabet) -> int:
         counts[k] -= 1
         remaining -= 1
     return rank
+
+
+def _rank_split(ids: list[int], counts: list[int]) -> int:
+    """The rank by binary splitting (Haible & Papanikolaou); consumes ``counts``.
+
+    Over a range of positions, (P, Q, T) = (prod b_i, prod m_i, T) with
+    T / Q = sum_i (a_i / m_i) * prod_{t<i in range} (b_t / m_t). Adjacent
+    ranges combine as (P_L P_R, Q_L Q_R, T_L Q_R + P_L T_R). Over the whole
+    sequence A_0 = Q / P, so the rank A_0 * T / Q is exactly T / P.
+    """
+    level = []
+    remaining = len(ids)
+    for start in range(0, len(ids), _LEAF):
+        p = q = 1
+        t = 0
+        for k in ids[start : start + _LEAF]:
+            b = counts[k]
+            t = t * remaining + p * sum(counts[:k])
+            p *= b
+            q *= remaining
+            counts[k] = b - 1
+            remaining -= 1
+        level.append((p, q, t))
+    while len(level) > 2:
+        paired = [
+            (pl * pr, ql * qr, tl * qr + pl * tr)
+            for (pl, ql, tl), (pr, qr, tr) in zip(level[::2], level[1::2])
+        ]
+        if len(level) % 2:
+            paired.append(level[-1])
+        level = paired
+    if len(level) == 2:  # the root's Q is never needed
+        (pl, _, tl), (pr, qr, tr) = level
+        p, t = pl * pr, tl * qr + pl * tr
+    else:
+        p, _, t = level[0] if level else (1, 1, 0)
+    return _exact_quotient(t, p)
+
+
+def _exact_quotient(t: int, p: int) -> int:
+    """t // p for a p > 0 known to divide t >= 0, without long division.
+
+    CPython's long division is quadratic, so this divides 2-adically instead:
+    strip the factors of 2 from both, then multiply t by the inverse of the
+    odd p modulo 2**k, where k exceeds the quotient's bit length. Newton's
+    iteration x <- x * (2 - p * x) doubles the inverse's valid bits per step.
+    """
+    if not t:
+        return 0
+    shift = (p & -p).bit_length() - 1
+    t >>= shift
+    p >>= shift
+    k = t.bit_length() - p.bit_length() + 2
+    inverse, bits = 1, 1
+    while bits < k:
+        bits = min(2 * bits, k)
+        mask = (1 << bits) - 1
+        inverse = inverse * (2 - (p & mask) * inverse) & mask
+    mask = (1 << k) - 1
+    return (t & mask) * inverse & mask
 
 
 def perm_index_to_sequence(pid: int, counts: Iterable[int], alphabet: Alphabet):
@@ -100,6 +188,11 @@ def perm_index_to_sequence(pid: int, counts: Iterable[int], alphabet: Alphabet):
     remaining = sum(remaining_counts)
     out: list[int] = []
     while remaining:
+        if arrangements == 1:
+            # one symbol kind is left: the rest is a single run of it
+            for j, cj in enumerate(remaining_counts):
+                out += [j] * cj
+            break
         preceding = 0
         for j, cj in enumerate(remaining_counts):
             if not cj:

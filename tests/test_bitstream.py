@@ -1,5 +1,7 @@
+import random
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enumcode.bitstream import (
@@ -122,3 +124,63 @@ def test_field_round_trip(fields):
     for value, width in fields:
         assert r.read(width) == value
     assert r.position == total
+
+
+class ReferenceBitWriter:
+    """The original writer, one byte per loop turn; an oracle for ``BitWriter``."""
+
+    def __init__(self):
+        self._bytes = bytearray()
+        self._acc = 0
+        self._nbits = 0
+
+    def write(self, value, width):
+        self._acc = (self._acc << width) | value
+        self._nbits += width
+        while self._nbits >= 8:
+            self._nbits -= 8
+            self._bytes.append((self._acc >> self._nbits) & 0xFF)
+        self._acc &= (1 << self._nbits) - 1
+
+    def write_elias_delta(self, value):
+        nbits = value.bit_length()
+        lbits = nbits.bit_length()
+        self.write(0, lbits - 1)
+        self.write(nbits, lbits)
+        self.write(value & ((1 << (nbits - 1)) - 1), nbits - 1)
+
+    @property
+    def bit_length(self):
+        return len(self._bytes) * 8 + self._nbits
+
+    def getvalue(self):
+        out = bytes(self._bytes)
+        if self._nbits:
+            out += bytes([(self._acc << (8 - self._nbits)) & 0xFF])
+        return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32))
+def test_writer_matches_reference(seed):
+    rng = random.Random(seed)
+    fast, slow = BitWriter(), ReferenceBitWriter()
+    for _ in range(rng.randint(0, 200)):
+        pick = rng.random()
+        if pick < 0.1:
+            value = rng.randint(1, 2**70)
+            fast.write_elias_delta(value)
+            slow.write_elias_delta(value)
+            continue
+        if pick < 0.2:
+            width = 0
+        elif pick < 0.22:
+            width = rng.randint(70_000, 90_000)
+        else:
+            width = rng.randint(1, 64)
+        value = rng.getrandbits(width) if width else 0
+        fast.write(value, width)
+        slow.write(value, width)
+        assert fast.bit_length == slow.bit_length
+    assert fast.getvalue() == slow.getvalue()
+    assert fast.bit_length == slow.bit_length

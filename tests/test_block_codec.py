@@ -1,3 +1,4 @@
+import math
 import struct
 import time
 
@@ -205,6 +206,16 @@ class TestEncodeDecode:
         assert container.payload == b"\x44"
         assert container.payload_bits == 8
 
+    def test_zero_width_container_decodes_as_runs(self, ctx):
+        # sigma=1, n=2**24 in blocks of 2**20: every field is zero bits wide,
+        # so 21 bytes stand for 16 MiB, which must not be built symbol by symbol
+        raw = EncodedContainer(params=CodecParams.fixed(b"a", 2**20, 2**24), payload=b"").to_bytes()
+        assert len(raw) == 21
+        start = time.perf_counter()
+        data = decode(EncodedContainer.from_bytes(raw), ctx)
+        assert time.perf_counter() - start < 2.0
+        assert data == b"a" * 2**24
+
 
 class TestContainerFormat:
     def test_variable_header_layout(self, ctx):
@@ -341,6 +352,28 @@ class TestCorruptPayloads:
             decode(EncodedContainer.from_bytes(raw), ctx)
         assert time.perf_counter() - start < 1.0
         assert exc.value.block == 1
+
+    @pytest.mark.parametrize("exponent", [18, 30])
+    def test_largest_frequency_rank_of_huge_block_rejected_fast(self, exponent):
+        # sigma=4, r=1: one declared block of 2**exponent symbols whose
+        # frequency rank is the largest there is, then no room for the
+        # permutation rank; unranking the frequency vector must not walk
+        # the block length
+        length = 2**exponent
+        count = math.comb(length - 1 + 2, 2)  # K(3, length - r)
+        w = BitWriter()
+        w.write_elias_delta(length)
+        w.write(count - 1, ceil_log2(count))
+        params = CodecParams.variable(b"acgt", b"a", 1, 2**40)
+        raw = EncodedContainer(params=params, payload=w.getvalue()).to_bytes()
+        if exponent == 18:
+            assert len(raw) == 34
+        fresh = CombinatoricsContext()
+        start = time.perf_counter()
+        with pytest.raises(CorruptContainerError, match="block 1"):
+            decode(EncodedContainer.from_bytes(raw), fresh)
+        assert time.perf_counter() - start < 0.05
+        assert len(fresh) < 100
 
     def test_oversized_frequency_field_rejected(self, ctx):
         # 256 symbols in blocks of 2**32 - 1: the frequency field alone is

@@ -1,7 +1,7 @@
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enumcode.combinatorics import CombinatoricsContext
@@ -118,3 +118,25 @@ def test_round_trip_from_rank(sigma, inner_sum, data):
     vec = index_to_vector(rank, inner_sum, sigma, ctx)
     assert sum(vec) == inner_sum
     assert vector_to_index(vec, ctx) == rank
+
+
+@settings(deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2000), st.data())
+def test_closed_form_matches_traced_walk(sigma, inner_sum, data):
+    ctx = CombinatoricsContext()
+    rank = data.draw(st.integers(0, ctx.k_count(sigma, inner_sum) - 1))
+    vec = index_to_vector(rank, inner_sum, sigma, ctx)
+    assert sum(vec) == inner_sum
+    trace = []
+    assert vector_to_index(vec, ctx, trace=trace) == rank
+    assert sum(trace) == rank
+    assert vector_to_index(vec, ctx) == rank
+
+
+@pytest.mark.parametrize("sigma", range(1, 7))
+@pytest.mark.parametrize("inner_sum", [0, 1, 5, 9])
+def test_closed_form_matches_enumeration(ctx, sigma, inner_sum):
+    for rank, vec in enumerate(enumerate_all(inner_sum, sigma, ctx)):
+        assert vector_to_index(vec, ctx) == rank
+        assert vector_to_index(vec, ctx, trace=[]) == rank
+        assert index_to_vector(rank, inner_sum, sigma, ctx) == vec

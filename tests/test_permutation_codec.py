@@ -1,11 +1,16 @@
+import random
 from itertools import permutations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enumcode.combinatorics import multinomial
 from enumcode.permutation_codec import (
+    _SPLIT_MIN,
+    _rank_incremental,
+    _rank_split,
+    _symbol_ids,
     enumerate_perms,
     frequency_vector,
     perm_index_to_sequence,
@@ -147,3 +152,57 @@ def test_round_trip_from_rank(counts, data):
     seq = perm_index_to_sequence(rank, counts, alphabet)
     assert frequency_vector(seq, alphabet) == tuple(counts)
     assert sequence_to_perm_index(seq, alphabet) == rank
+
+
+ALPHABETS = {
+    "str": "abcdefgh",
+    "bytes": b"acgtnxyz",
+    "list": [("sym", j) for j in range(8)],
+}
+
+
+def random_sequence(rng, alphabet, length):
+    """``length`` symbols drawn with skewed weights, some of them zero."""
+    weights = [rng.choice([0, 1, 3, 10]) for _ in alphabet]
+    weights[rng.randrange(len(alphabet))] += 1
+    symbols = rng.choices(list(alphabet), weights=weights, k=length)
+    if isinstance(alphabet, str):
+        return "".join(symbols)
+    if isinstance(alphabet, bytes):
+        return bytes(symbols)
+    return symbols
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from(["str", "bytes", "list", "bytes256"]),
+    st.integers(1, 8),
+    st.integers(0, 3000),
+    st.integers(0, 2**32),
+)
+def test_split_rank_matches_incremental_oracle(kind, sigma, length, seed):
+    alphabet = bytes(range(256)) if kind == "bytes256" else ALPHABETS[kind][:sigma]
+    seq = random_sequence(random.Random(seed), alphabet, length)
+    ids, counts = _symbol_ids(seq, alphabet)
+    expected = _rank_incremental(ids, list(counts))
+    assert _rank_split(ids, list(counts)) == expected
+    assert sequence_to_perm_index(seq, alphabet) == expected
+
+
+@pytest.mark.parametrize("length", [_SPLIT_MIN - 1, _SPLIT_MIN, 4096])
+@pytest.mark.parametrize("kind", ["str", "bytes", "list"])
+def test_round_trip_around_split_threshold(kind, length):
+    alphabet = ALPHABETS[kind][:4]
+    seq = random_sequence(random.Random(length), alphabet, length)
+    counts = frequency_vector(seq, alphabet)
+    rank = sequence_to_perm_index(seq, alphabet)
+    assert 0 <= rank < multinomial(counts)
+    assert perm_index_to_sequence(rank, counts, alphabet) == seq
+
+
+def test_unrank_emits_final_run():
+    # once only 'b's remain the rest of the sequence is one run
+    assert perm_index_to_sequence(0, (3, 4), "ab") == "aaabbbb"
+    assert perm_index_to_sequence(multinomial((3, 4)) - 1, (3, 4), "ab") == "bbbbaaa"
+    assert perm_index_to_sequence(0, (0, 0, 5), b"xyz") == b"zzzzz"
+    assert perm_index_to_sequence(0, (2**20,), b"a") == b"a" * 2**20
