@@ -47,6 +47,9 @@ from .permutation_codec import perm_index_to_sequence, sequence_to_perm_index
 
 MAGIC = b"ENUM"
 VERSION = 1
+# Most symbols decode() reconstructs unless its caller allows more: a
+# container of a few bytes may declare up to 2**64 - 1 of them.
+DEFAULT_MAX_OUTPUT = 1 << 28
 MODE_FIXED = "fixed"
 MODE_VARIABLE = "variable"
 _MODE_CODES = {MODE_FIXED: 0, MODE_VARIABLE: 1}
@@ -67,12 +70,19 @@ class FormatError(ValueError):
 
 
 class CorruptContainerError(ValueError):
-    """The container payload is inconsistent with its header."""
+    """The container payload is inconsistent with its header.
 
-    def __init__(self, message: str, block: int | None = None):
+    ``block`` is the 1-based index of the block at fault and ``bit_offset``
+    the payload bit at which that block starts, where they are known.
+    """
+
+    def __init__(self, message: str, block: int | None = None, bit_offset: int | None = None):
         self.block = block
+        self.bit_offset = bit_offset
         if block is not None:
             message = f"block {block}: {message}"
+        if bit_offset is not None:
+            message = f"payload bit {bit_offset}, {message}"
         super().__init__(message)
 
 
@@ -318,11 +328,24 @@ def _decode_block_fields(
     return freq, pid
 
 
-def decode(container: "EncodedContainer", ctx: CombinatoricsContext) -> bytes:
-    """Reconstruct the exact original byte sequence from a container."""
+def decode(
+    container: "EncodedContainer",
+    ctx: CombinatoricsContext,
+    max_output: int = DEFAULT_MAX_OUTPUT,
+) -> bytes:
+    """Reconstruct the exact original byte sequence from a container.
+
+    A header that declares more than ``max_output`` symbols is rejected
+    before any payload bit is read.
+    """
     params = container.params
+    if params.n > max_output:
+        raise CorruptContainerError(
+            f"header declares n={params.n} symbols, more than the output cap of {max_output}"
+        )
     reader = BitReader(container.payload)
     contents: list[bytes] = []
+    start = 0  # payload bit at which the current block starts
 
     if params.n > 0 and params.mode == MODE_VARIABLE:
         total = 0
@@ -332,6 +355,7 @@ def decode(container: "EncodedContainer", ctx: CombinatoricsContext) -> bytes:
         # delimiter reconstructs one symbol short of n.
         while index == 0 or total + (index - 1) < params.n - 1:
             index += 1
+            start = reader.position
             try:
                 length = reader.read_elias_delta()
                 if length < params.r:
@@ -341,7 +365,7 @@ def decode(container: "EncodedContainer", ctx: CombinatoricsContext) -> bytes:
                     raise ValueError(f"block length {length} exceeds the sequence length")
                 freq, pid = _decode_block_fields(reader, length, params, ctx)
             except (BitstreamError, ValueError) as exc:
-                raise CorruptContainerError(str(exc), block=index) from None
+                raise CorruptContainerError(str(exc), block=index, bit_offset=start) from None
             contents.append(perm_index_to_sequence(pid, freq, params.alphabet))
             total += length
     elif params.n > 0:
@@ -350,17 +374,18 @@ def decode(container: "EncodedContainer", ctx: CombinatoricsContext) -> bytes:
             length = params.fixed_len
             if index == nblocks:
                 length = params.n - params.fixed_len * (nblocks - 1)
+            start = reader.position
             try:
                 freq, pid = _decode_block_fields(reader, length, params, ctx)
             except (BitstreamError, ValueError) as exc:
-                raise CorruptContainerError(str(exc), block=index) from None
+                raise CorruptContainerError(str(exc), block=index, bit_offset=start) from None
             contents.append(perm_index_to_sequence(pid, freq, params.alphabet))
 
     if reader.bits_remaining >= 8 or (
         reader.bits_remaining and reader.read(reader.bits_remaining)
     ):
         raise CorruptContainerError(
-            "trailing garbage after the final block", block=len(contents)
+            "trailing garbage after the final block", block=len(contents), bit_offset=start
         )
 
     if params.mode == MODE_FIXED:
@@ -371,14 +396,17 @@ def decode(container: "EncodedContainer", ctx: CombinatoricsContext) -> bytes:
             raise CorruptContainerError(
                 f"reconstructed {len(joined)} symbols for n={params.n}",
                 block=len(contents),
+                bit_offset=start,
             )
         return joined + bytes([params.alpha_byte])
     pad = len(joined) - params.n
     if pad > params.r:
-        raise CorruptContainerError(f"padding of {pad} exceeds r={params.r}", block=len(contents))
+        raise CorruptContainerError(
+            f"padding of {pad} exceeds r={params.r}", block=len(contents), bit_offset=start
+        )
     if any(b != params.alpha_byte for b in joined[params.n :]):
         raise CorruptContainerError(
-            "padding differs from the delimiter symbol", block=len(contents)
+            "padding differs from the delimiter symbol", block=len(contents), bit_offset=start
         )
     return joined[: params.n]
 
@@ -534,6 +562,7 @@ __all__ = [
     "Block",
     "CodecParams",
     "CorruptContainerError",
+    "DEFAULT_MAX_OUTPUT",
     "EncodedContainer",
     "FormatError",
     "MODE_FIXED",

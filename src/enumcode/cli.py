@@ -19,6 +19,7 @@ from .block_codec import (
     AlphabetError,
     CodecParams,
     CorruptContainerError,
+    DEFAULT_MAX_OUTPUT,
     EncodedContainer,
     FormatError,
     MODE_FIXED,
@@ -137,7 +138,7 @@ def cmd_decode(args) -> int:
     raw = Path(args.input).read_bytes()
     container = EncodedContainer.from_bytes(raw)
     ctx = CombinatoricsContext()
-    data = decode(container, ctx)
+    data = decode(container, ctx, max_output=args.max_output)
     out_path = args.out
     if not out_path:
         out_path = args.input[: -len(".enum")] if args.input.endswith(".enum") else args.input + ".out"
@@ -504,6 +505,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decode", help="decode a container back to the original bytes")
     p.add_argument("input")
     p.add_argument("--out", help="output path (default: INPUT without .enum)")
+    p.add_argument(
+        "--max-output",
+        type=int,
+        default=DEFAULT_MAX_OUTPUT,
+        metavar="BYTES",
+        help=f"refuse a container declaring more output bytes (default: {DEFAULT_MAX_OUTPUT})",
+    )
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("tables", help="print a rank-ordered enumeration")

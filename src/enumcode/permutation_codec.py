@@ -18,8 +18,14 @@ quadratic in the length). From ``_SPLIT_MIN`` symbols on,
 splitting): far fewer operations on wide numbers, each a Karatsuba
 multiplication, and one exact division at the end.
 
-Unranking is the greedy walk in reverse and stays quadratic; once a single
-symbol kind remains it emits the rest as one run.
+Unranking inverts that walk. While the arrangement count is narrow, the
+greedy walk (:func:`_unrank_incremental`) picks one symbol per step and
+emits the rest as one run once a single symbol kind remains. Wider counts
+unrank top down (:func:`_unrank_split`): the rank, read as the exact
+arithmetic-code value rank / arrangements, is decoded from its leading bits
+under a rigorous error bound that never lets a symbol be guessed, and each
+decoded stretch refreshes the exact state through the same (P, Q, T)
+triples and exact division as the rank, so every output is exact.
 """
 
 from __future__ import annotations
@@ -131,7 +137,18 @@ def _rank_split(ids: list[int], counts: list[int]) -> int:
             counts[k] = b - 1
             remaining -= 1
         level.append((p, q, t))
-    while len(level) > 2:
+    level = _pair_up(level, 2)
+    if len(level) == 2:  # the root's Q is never needed
+        (pl, _, tl), (pr, qr, tr) = level
+        p, t = pl * pr, tl * qr + pl * tr
+    else:
+        p, _, t = level[0] if level else (1, 1, 0)
+    return _exact_quotient(t, p)
+
+
+def _pair_up(level: list[tuple[int, int, int]], size: int) -> list[tuple[int, int, int]]:
+    """Combine adjacent (P, Q, T) triples pairwise until at most ``size`` remain."""
+    while len(level) > size:
         paired = [
             (pl * pr, ql * qr, tl * qr + pl * tr)
             for (pl, ql, tl), (pr, qr, tr) in zip(level[::2], level[1::2])
@@ -139,12 +156,7 @@ def _rank_split(ids: list[int], counts: list[int]) -> int:
         if len(level) % 2:
             paired.append(level[-1])
         level = paired
-    if len(level) == 2:  # the root's Q is never needed
-        (pl, _, tl), (pr, qr, tr) = level
-        p, t = pl * pr, tl * qr + pl * tr
-    else:
-        p, _, t = level[0] if level else (1, 1, 0)
-    return _exact_quotient(t, p)
+    return level
 
 
 def _exact_quotient(t: int, p: int) -> int:
@@ -185,6 +197,14 @@ def perm_index_to_sequence(pid: int, counts: Iterable[int], alphabet: Alphabet):
         raise ValueError(
             f"permutation rank {pid} out of range (multiset has {arrangements} arrangements)"
         )
+    return _render(alphabet, _unrank_split(pid, arrangements, remaining_counts))
+
+
+def _unrank_incremental(pid: int, arrangements: int, remaining_counts: list[int]) -> list[int]:
+    """The rank-``pid`` symbol ids by the greedy walk; consumes ``remaining_counts``.
+
+    ``arrangements`` is the multinomial of the counts.
+    """
     remaining = sum(remaining_counts)
     out: list[int] = []
     while remaining:
@@ -206,7 +226,156 @@ def perm_index_to_sequence(pid: int, counts: Iterable[int], alphabet: Alphabet):
                 out.append(j)
                 break
             preceding += here
-    return _render(alphabet, out)
+    return out
+
+
+# Up to this many bits of arrangement count the walk beats the top-down
+# unrank (tools/rank_curve.py measures both).
+_UNRANK_SPLIT_BITS = 4096
+# The approximate decoder decodes symbol by symbol once its denominator has at
+# most this many bits.
+_LEAF_BITS = 64
+# Symbols per leaf call at most, so a long stretch of likely symbols is
+# combined by a product tree rather than by a quadratic running product.
+_LEAF_SYMBOLS = 64
+# Bits of the error bound kept when a state drops its low bits; the leaf
+# drops them once the bound has twice as many.
+_GUARD_BITS = 16
+
+
+def _unrank_split(pid: int, arrangements: int, counts: list[int]) -> list[int]:
+    """The rank-``pid`` symbol ids decoded top-down; consumes ``counts``.
+
+    x = pid / arrangements is an exact arithmetic-code value: the walk picks
+    the symbol j with cum_j <= x * m < cum_j + c_j (cum_j counts the remaining
+    symbols below j, m all of them) and continues with (x * m - cum_j) / c_j.
+    Each round hands the top half of the bits of (pid, arrangements) to
+    :func:`_decode_approx`, then refreshes the exact state from the triple of
+    the stretch it decoded (:func:`_refresh`). If nothing was decoded, or the
+    refresh rejects the stretch, the round takes one exact step instead: with
+    a zero error bound a leaf step is the walk's step. The walk finishes once
+    the arrangement count has at most ``_UNRANK_SPLIT_BITS`` bits, or fewer
+    bits than symbols remain: the walk's steps cost time in proportion to
+    that width, the product trees here in proportion to the symbol count.
+    """
+    out: list[int] = []
+    while arrangements.bit_length() > max(_UNRANK_SPLIT_BITS, sum(counts)):
+        before, saved = len(out), counts[:]
+        shift = arrangements.bit_length() // 2
+        triple = _decode_approx(*_shorten(pid, arrangements, 0, shift), counts, out)
+        state = _refresh(pid, arrangements, *triple) if len(out) > before else None
+        if state is None:
+            counts[:] = saved
+            del out[before:]
+            triple = _decode_leaf(pid, arrangements, 0, counts, out, 1)
+            state = _refresh(pid, arrangements, *triple)
+        pid, arrangements = state
+    return out + _unrank_incremental(pid, arrangements, counts)
+
+
+def _refresh(pid: int, arrangements: int, p: int, q: int, t: int) -> tuple[int, int] | None:
+    """The exact (rank, arrangement count) after a stretch with triple (p, q, t).
+
+    pid - T * A / Q and A * P / Q are exact quotients for every stretch the
+    counts allow, and the new rank lies in [0, A * P / Q) exactly when the
+    stretch is the prefix ``pid`` encodes; otherwise this returns None.
+    """
+    pid -= _exact_quotient(t * arrangements, q)
+    arrangements = _exact_quotient(arrangements * p, q)
+    return (pid, arrangements) if 0 <= pid < arrangements else None
+
+
+def _shorten(num: int, den: int, err: int, shift: int) -> tuple[int, int, int]:
+    """(num, den, err) without ``shift`` low bits, keeping |num/den - x| <= err/den.
+
+    Clamping num to [0, den] only tightens the bound, since x lies in [0, 1).
+    Dropping the bits then moves num/den by less than 1 / (den >> shift), so
+    the bound becomes ceil(err / 2**shift) + 1. ``den >> shift`` must be
+    positive.
+    """
+    num = min(max(num, 0), den)
+    return num >> shift, den >> shift, ((err - 1) >> shift) + 2
+
+
+def _decode_approx(num: int, den: int, err: int, counts: list[int], out: list[int]):
+    """Decode the symbols of an x known only as |num/den - x| <= err/den.
+
+    A symbol is decoded only when both ends of the bound pick it, so this
+    stops at the first ambiguous symbol and never guesses. It decodes a
+    stretch from the top half of its bits recursively, down to small-int
+    leaves (:func:`_decode_leaf`), and moves past that stretch by multiplies
+    and shifts alone: x' = (x * Q - T) / P, so num, den, err become
+    num * Q - T * den, den * P, err * Q. Appends the symbol ids to ``out``,
+    consumes ``counts`` and returns the (P, Q, T) triple of everything it
+    decoded, combined as :func:`_rank_split` combines triples.
+    """
+    triples = []
+    while True:
+        shift = err.bit_length() - _GUARD_BITS
+        if shift >= den.bit_length():
+            break  # the bound no longer tells any symbols apart
+        if shift > 0:
+            num, den, err = _shorten(num, den, err, shift)
+        before = len(out)
+        if den.bit_length() <= _LEAF_BITS:
+            p, q, t = _decode_leaf(num, den, err, counts, out, _LEAF_SYMBOLS)
+            done = len(out) - before < _LEAF_SYMBOLS  # it met an ambiguous symbol
+        else:
+            p, q, t = _decode_approx(*_shorten(num, den, err, den.bit_length() // 2), counts, out)
+            if len(out) == before:
+                # the top half cannot tell the next symbol; the full state may
+                p, q, t = _decode_leaf(num, den, err, counts, out, 1)
+            done = len(out) == before
+        triples.append((p, q, t))
+        if done:
+            break
+        num, den, err = num * q - t * den, den * p, err * q
+    return _pair_up(triples, 1)[0] if triples else (1, 1, 0)
+
+
+def _decode_leaf(num: int, den: int, err: int, counts: list[int], out: list[int], limit: int):
+    """Decode up to ``limit`` symbols one at a time.
+
+    Same contract as :func:`_decode_approx`; it also stops where a single
+    symbol kind is left, whose run the walk emits at once. The state drops
+    its low bits whenever the bound outgrows ``2 * _GUARD_BITS`` bits, so its
+    numbers stay small.
+    """
+    p = q = 1
+    t = 0
+    remaining = sum(counts)
+    while limit and remaining:
+        if err.bit_length() > 2 * _GUARD_BITS:
+            shift = err.bit_length() - _GUARD_BITS
+            if shift >= den.bit_length():
+                break
+            num, den, err = _shorten(num, den, err, shift)
+        # floor(x * remaining) lies in [low, high]; 0 <= x < 1 bounds both
+        scaled, spread = num * remaining, err * remaining
+        low = (scaled - spread) // den
+        high = (scaled + spread) // den
+        if low < 0:
+            low = 0
+        if high >= remaining:
+            high = remaining - 1
+            if low > high:
+                low = high
+        below = 0
+        for j, c in enumerate(counts):
+            if low < below + c:
+                break
+            below += c
+        if high >= below + c or c == remaining:
+            break
+        num, den, err = scaled - below * den, den * c, spread
+        t = t * remaining + p * below
+        p *= c
+        q *= remaining
+        counts[j] = c - 1
+        remaining -= 1
+        out.append(j)
+        limit -= 1
+    return p, q, t
 
 
 def enumerate_perms(

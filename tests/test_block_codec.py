@@ -11,6 +11,7 @@ from enumcode.block_codec import (
     AlphabetError,
     CodecParams,
     CorruptContainerError,
+    DEFAULT_MAX_OUTPUT,
     EncodedContainer,
     FormatError,
     accounted_bits,
@@ -216,6 +217,22 @@ class TestEncodeDecode:
         assert time.perf_counter() - start < 2.0
         assert data == b"a" * 2**24
 
+    def test_output_cap_rejects_before_the_payload(self, ctx):
+        # the 21-byte container above, which decodes under the default cap
+        raw = EncodedContainer(params=CodecParams.fixed(b"a", 2**20, 2**24), payload=b"").to_bytes()
+        start = time.perf_counter()
+        with pytest.raises(CorruptContainerError, match=f"n={2**24} .*cap of {2**20}$") as exc:
+            decode(EncodedContainer.from_bytes(raw), ctx, max_output=2**20)
+        assert time.perf_counter() - start < 0.05
+        assert exc.value.block is None and exc.value.bit_offset is None
+        assert DEFAULT_MAX_OUTPUT >= 2**24
+
+    def test_output_cap_is_inclusive(self, ctx):
+        container = encode(FIG_T, variable_params(FIG_T), ctx)
+        assert decode(container, ctx, max_output=len(FIG_T)) == FIG_T
+        with pytest.raises(CorruptContainerError, match="output cap"):
+            decode(container, ctx, max_output=len(FIG_T) - 1)
+
 
 class TestContainerFormat:
     def test_variable_header_layout(self, ctx):
@@ -299,6 +316,17 @@ class TestCorruptPayloads:
         with pytest.raises(CorruptContainerError, match="block 1.*permutation rank"):
             decode(container, ctx)
 
+    def test_error_names_the_bit_offset_of_the_block(self, ctx):
+        w = BitWriter()
+        w.write(1, 2)  # block 1: frequency vector (1, 2)
+        w.write(2, 2)  # and its last arrangement, "bba"
+        w.write(1, 2)  # block 2, from bit 4: vector (1, 2) again
+        w.write(3, 2)  # out of range
+        container = self._fixed_container(w, data=b"bbaabb")
+        with pytest.raises(CorruptContainerError, match="payload bit 4, block 2: permutation rank 3") as exc:
+            decode(container, ctx)
+        assert (exc.value.block, exc.value.bit_offset) == (2, 4)
+
     def test_truncated_payload(self, ctx):
         params = variable_params(FIG_T)
         container = encode(FIG_T, params, ctx)
@@ -349,7 +377,8 @@ class TestCorruptPayloads:
         assert len(raw) == 29
         start = time.perf_counter()
         with pytest.raises(CorruptContainerError, match="block 1: permutation rank needs") as exc:
-            decode(EncodedContainer.from_bytes(raw), ctx)
+            # a cap above the declared n lets decode reach the field check
+            decode(EncodedContainer.from_bytes(raw), ctx, max_output=2**40)
         assert time.perf_counter() - start < 1.0
         assert exc.value.block == 1
 
@@ -371,7 +400,8 @@ class TestCorruptPayloads:
         fresh = CombinatoricsContext()
         start = time.perf_counter()
         with pytest.raises(CorruptContainerError, match="block 1"):
-            decode(EncodedContainer.from_bytes(raw), fresh)
+            # a cap above the declared n lets decode reach the field check
+            decode(EncodedContainer.from_bytes(raw), fresh, max_output=2**40)
         assert time.perf_counter() - start < 0.05
         assert len(fresh) < 100
 
@@ -381,7 +411,8 @@ class TestCorruptPayloads:
         params = CodecParams.fixed(bytes(range(256)), 2**32 - 1, 2**40)
         container = EncodedContainer(params=params, payload=b"")
         with pytest.raises(CorruptContainerError, match="block 1: frequency rank needs"):
-            decode(container, ctx)
+            # a cap above the declared n lets decode reach the field check
+            decode(container, ctx, max_output=2**40)
 
 
 class TestAccounting:

@@ -106,6 +106,17 @@ class TestExitCodes:
         enc.write_bytes(enc.read_bytes()[:-8])
         assert main(["decode", str(enc)]) == 5
 
+    def test_max_output(self, tmp_path, fig_file, capsys):
+        enc = tmp_path / "m.enum"
+        dec = tmp_path / "m.out"
+        main(["encode", str(fig_file), "--alpha", "a", "--r", "2", "--out", str(enc)])
+        n = len(FIG_T)
+        assert main(["decode", str(enc), "--out", str(dec), "--max-output", str(n - 1)]) == 5
+        assert f"n={n} symbols, more than the output cap of {n - 1}" in capsys.readouterr().err
+        assert not dec.exists()
+        assert main(["decode", str(enc), "--out", str(dec), "--max-output", str(n)]) == 0
+        assert dec.read_bytes() == FIG_T
+
 
 class TestTables:
     def test_compositions_table(self, capsys):

@@ -7,11 +7,14 @@ Usage (from the repository root):
 For each block length L it ranks an L-symbol ``_dna_like`` block (the
 generator of ``tests/test_acceptance.py``, seed 3) with the product tree
 (``_rank_split``) and with the left-to-right walk (``_rank_incremental``),
-unranks the result, and writes it with ``BitWriter.write`` as a field of
-its real width. Each time is the best of three runs, in seconds. The output
-is one JSON object keyed by L; the permutation codec's ``_SPLIT_MIN`` is
-set where the split starts to win. The whole curve takes under a minute,
-most of it at L = 65536.
+unranks the result through ``perm_index_to_sequence`` (``unrank_s``), top
+down (``_unrank_split``) and with the greedy walk (``_unrank_incremental``),
+and writes it with ``BitWriter.write`` as a field of its real width. Both
+ranks must agree and both unranks must give the block back. Each time is
+the best of three runs, in seconds. The output is one JSON object keyed by
+L; the permutation codec's ``_SPLIT_MIN`` and ``_UNRANK_SPLIT_MIN`` are set
+where the split starts to win. The whole curve takes about a minute, most
+of it at L = 65536.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ from enumcode.permutation_codec import (  # noqa: E402
     _rank_incremental,
     _rank_split,
     _symbol_ids,
+    _unrank_incremental,
+    _unrank_split,
     perm_index_to_sequence,
 )
 from test_acceptance import _dna_like  # noqa: E402
@@ -53,12 +58,20 @@ def measure(length: int) -> dict:
     rank = _rank_split(ids, list(counts))
     if rank != _rank_incremental(ids, list(counts)):
         raise SystemExit(f"split and incremental ranks differ at L={length}")
-    width = ceil_log2(multinomial(counts))
+    arrangements = multinomial(counts)
+    for unrank in (_unrank_split, _unrank_incremental):
+        if unrank(rank, arrangements, list(counts)) != ids:
+            raise SystemExit(f"{unrank.__name__} does not invert the rank at L={length}")
+    width = ceil_log2(arrangements)
     return {
         "width_bits": width,
         "split_rank_s": best_of_3(lambda: _rank_split(ids, list(counts))),
         "incremental_rank_s": best_of_3(lambda: _rank_incremental(ids, list(counts))),
         "unrank_s": best_of_3(lambda: perm_index_to_sequence(rank, counts, ALPHABET)),
+        "split_unrank_s": best_of_3(lambda: _unrank_split(rank, arrangements, list(counts))),
+        "incremental_unrank_s": best_of_3(
+            lambda: _unrank_incremental(rank, arrangements, list(counts))
+        ),
         "write_s": best_of_3(lambda: BitWriter().write(rank, width)),
     }
 
