@@ -35,7 +35,6 @@ from .combinatorics import (
     ceil_log2,
     k_count_sum_form,
     multinomial,
-    positive_compositions,
 )
 from .composition_codec import enumerate_all, index_to_vector, vector_to_index
 from .permutation_codec import (
@@ -79,7 +78,6 @@ __all__ = [
     "multinomial",
     "naive_vs_enumerated",
     "perm_index_to_sequence",
-    "positive_compositions",
     "sequence_to_perm_index",
     "vector_to_index",
 ]

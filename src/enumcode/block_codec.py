@@ -156,10 +156,11 @@ class CodecParams:
 class Block:
     """One factor of the input plus its symbol counts.
 
-    ``freq`` spans the full alphabet; ``reduced_freq`` (variable mode) drops
-    the delimiter dimension. ``pad_count`` delimiters were appended to
-    ``content`` and is non-zero only on a final block. A block carries no
-    rank: :func:`encode` ranks ``content`` when it writes the field, so
+    ``freq`` spans the full alphabet, delimiter included; variable mode's
+    frequency field ranks it without the delimiter dimension, whose count
+    is always r. ``pad_count`` delimiters were appended to ``content`` and
+    is non-zero only on a final block. A block carries no rank:
+    :func:`encode` ranks ``content`` when it writes the field, so
     accounting and sweeps never pay for ranks they do not pack.
     """
 
@@ -167,7 +168,6 @@ class Block:
     length: int
     freq: tuple[int, ...]
     pad_count: int = 0
-    reduced_freq: tuple[int, ...] | None = None
 
 
 def _check_input(data: bytes, params: CodecParams) -> None:
@@ -180,17 +180,7 @@ def _check_input(data: bytes, params: CodecParams) -> None:
 
 def _make_block(content: bytes, params: CodecParams, pad_count: int = 0) -> Block:
     freq = tuple(content.count(symbol) for symbol in params.alphabet)
-    reduced = None
-    if params.mode == MODE_VARIABLE:
-        apos = params.alpha_index - 1
-        reduced = freq[:apos] + freq[apos + 1 :]
-    return Block(
-        content=content,
-        length=len(content),
-        freq=freq,
-        pad_count=pad_count,
-        reduced_freq=reduced,
-    )
+    return Block(content=content, length=len(content), freq=freq, pad_count=pad_count)
 
 
 def factorize_variable(data: bytes, params: CodecParams) -> list[Block]:
@@ -243,19 +233,19 @@ def factorize(data: bytes, params: CodecParams) -> list[Block]:
     return factorize_fixed(data, params)
 
 
-def _vector_count(length: int, sigma: int, r: int | None, ctx: CombinatoricsContext) -> int:
+def _vector_count(length: int, params: CodecParams, ctx: CombinatoricsContext) -> int:
     """How many count vectors the frequency field of a ``length``-symbol block chooses from.
 
-    ``r`` is None in fixed mode, which ranks the full vector: K(sigma, length).
-    Variable mode ranks the reduced vector, whose delimiter count is always
-    ``r``: K(sigma - 1, length - r), and a single vector over a 1-symbol
-    alphabet. The field is ceil(log2(count)) bits wide.
+    Fixed mode ranks the full vector: K(sigma, length). Variable mode drops
+    the delimiter dimension, whose count is always r: K(sigma - 1, length - r),
+    and a single vector over a 1-symbol alphabet. The field is
+    ceil(log2(count)) bits wide.
     """
-    if r is None:
-        return ctx.k_count(sigma, length)
-    if sigma == 1:
+    if params.mode == MODE_FIXED:
+        return ctx.k_count(params.sigma, length)
+    if params.sigma == 1:
         return 1
-    return ctx.k_count(sigma - 1, length - r)
+    return ctx.k_count(params.sigma - 1, length - params.r)
 
 
 def encode(data: bytes, params: CodecParams, ctx: CombinatoricsContext) -> "EncodedContainer":
@@ -264,12 +254,15 @@ def encode(data: bytes, params: CodecParams, ctx: CombinatoricsContext) -> "Enco
     writer = BitWriter()
     variable = params.mode == MODE_VARIABLE
     for block in blocks:
+        vector = block.freq
         if variable:
             writer.write_elias_delta(block.length)
-        vector = block.reduced_freq if variable else block.freq
+            # the delimiter's count is always r; _decode_block_fields puts it back
+            apos = params.alpha_index - 1
+            vector = vector[:apos] + vector[apos + 1 :]
         writer.write(
             vector_to_index(vector, ctx) if vector else 0,
-            ceil_log2(_vector_count(block.length, params.sigma, params.r, ctx)),
+            ceil_log2(_vector_count(block.length, params, ctx)),
         )
         writer.write(
             sequence_to_perm_index(block.content, params.alphabet),
@@ -309,7 +302,7 @@ def _decode_block_fields(
         inner = length
     # K(dims, inner) = C(inner + dims - 1, dims - 1)
     _check_room(reader, min(dims - 1, inner), "frequency rank")
-    count = _vector_count(length, params.sigma, params.r, ctx)
+    count = _vector_count(length, params, ctx)
     rank = reader.read(ceil_log2(count))
     if rank >= count:
         raise ValueError(f"frequency rank {rank} out of range (< {count})")
@@ -489,12 +482,15 @@ class EncodedContainer:
 
 @dataclass(frozen=True)
 class AccountedBits:
-    """Formula-level bit budget of a factorization (container framing excluded).
+    """Bit budget of a factorization, priced block by block in one pass.
 
-    ``bits_ceiled`` charges every field its whole-bit width, the way the
-    payload is actually packed; ``bits_real`` is the same sum with exact
-    (fractional) logarithms, i.e. the information-content lower bound of
-    this block structure.
+    ``bits_ceiled`` charges every field its whole-bit width, with
+    ceil(log2 length) per block for the length in variable mode;
+    ``bits_real`` is the same sum with exact (fractional) logarithms, i.e.
+    the information-content lower bound of this block structure.
+    ``container_bits`` is the exact size of the container :func:`encode`
+    emits: the header, then the payload with its Elias-delta length
+    codewords, rounded up to whole bytes.
     """
 
     bits_ceiled: int
@@ -502,54 +498,45 @@ class AccountedBits:
     length_bits: int
     freq_bits: int
     perm_bits: int
+    container_bits: int
 
     def per_base(self, n: int) -> float:
         return self.bits_ceiled / n if n else 0.0
 
 
 def accounted_bits(
-    blocks: list[Block], mode: str, ctx: CombinatoricsContext
+    blocks: list[Block], params: CodecParams, ctx: CombinatoricsContext
 ) -> AccountedBits:
-    """Sum the per-block field costs of a factorization.
-
-    Variable mode charges ceil(log2 length) per block for the length (the
-    container's self-delimiting codewords are accounted separately by
-    :func:`container_bits`); fixed mode has no length component.
-    """
-    length_bits = freq_bits = perm_bits = 0
+    """Price every block of a factorization once; widths come from ``params``."""
+    variable = params.mode == MODE_VARIABLE
+    length_bits = delta_bits = freq_bits = perm_bits = 0
     real = 0.0
     for block in blocks:
-        r = None
-        if mode == MODE_VARIABLE:
+        if variable:
             length_bits += ceil_log2(block.length)
+            delta_bits += elias_delta_bit_length(block.length)
             real += math.log2(block.length)
-            # the reduced vector leaves out the delimiter, whose count is r
-            r = block.length - sum(block.reduced_freq)
-        count = _vector_count(block.length, len(block.freq), r, ctx)
+        count = _vector_count(block.length, params, ctx)
         freq_bits += ceil_log2(count)
         real += log2_int(count)
         arrangements = multinomial(block.freq)
         perm_bits += ceil_log2(arrangements)
         real += log2_int(arrangements)
+    payload = delta_bits + freq_bits + perm_bits
+    header = EncodedContainer(params=params, payload=b"").header_length()
     return AccountedBits(
         bits_ceiled=length_bits + freq_bits + perm_bits,
         bits_real=real,
         length_bits=length_bits,
         freq_bits=freq_bits,
         perm_bits=perm_bits,
+        container_bits=header * 8 + 8 * (-(-payload // 8)),
     )
 
 
 def container_bits(blocks: list[Block], params: CodecParams, ctx: CombinatoricsContext) -> int:
     """Exact size, in bits, of the container :func:`encode` would emit."""
-    payload = 0
-    for block in blocks:
-        if params.mode == MODE_VARIABLE:
-            payload += elias_delta_bit_length(block.length)
-        payload += ceil_log2(_vector_count(block.length, params.sigma, params.r, ctx))
-        payload += ceil_log2(multinomial(block.freq))
-    header = EncodedContainer(params=params, payload=b"").header_length()
-    return header * 8 + 8 * (-(-payload // 8))
+    return accounted_bits(blocks, params, ctx).container_bits
 
 
 def average_block_length(blocks: list[Block]) -> float:

@@ -26,7 +26,7 @@ from .block_codec import (
     MODE_VARIABLE,
     accounted_bits,
     average_block_length,
-    container_bits,
+    container_bits,  # unused; perfbench/tracer.py traces this name until ROADMAP item 1
     decode,
     encode,
     factorize,
@@ -109,7 +109,7 @@ def cmd_encode(args) -> int:
     Path(out_path).write_bytes(raw)
 
     blocks = factorize(data, params)
-    acct = accounted_bits(blocks, params.mode, ctx)
+    acct = accounted_bits(blocks, params, ctx)
     total_bits = 8 * len(raw)
     n = params.n
     print(f"input: {args.input}")
@@ -234,44 +234,25 @@ def sweep_file(
     counts = frequency_vector(data, alphabet)
     n = len(data)
 
+    grid = [CodecParams.variable(alphabet, alpha, r, n) for alpha in alphas for r in r_set]
+    grid += [CodecParams.fixed(alphabet, fixed_len, n) for fixed_len in l_set]
     points: list[SweepPoint] = []
-    for alpha in alphas:
-        for r in r_set:
-            params = CodecParams.variable(alphabet, alpha, r, n)
-            blocks = factorize(data, params)
-            acct = accounted_bits(blocks, MODE_VARIABLE, ctx)
-            points.append(
-                SweepPoint(
-                    file_id=file_id,
-                    n=n,
-                    mode=MODE_VARIABLE,
-                    alpha=alpha,
-                    r=r,
-                    fixed_len=None,
-                    blocks=len(blocks),
-                    avg_block_len=average_block_length(blocks),
-                    bits_ceiled=acct.bits_ceiled,
-                    bits_real=acct.bits_real,
-                    container_bits=container_bits(blocks, params, ctx),
-                )
-            )
-    for fixed_len in l_set:
-        params = CodecParams.fixed(alphabet, fixed_len, n)
+    for params in grid:
         blocks = factorize(data, params)
-        acct = accounted_bits(blocks, MODE_FIXED, ctx)
+        acct = accounted_bits(blocks, params, ctx)
         points.append(
             SweepPoint(
                 file_id=file_id,
                 n=n,
-                mode=MODE_FIXED,
-                alpha=None,
-                r=None,
-                fixed_len=fixed_len,
+                mode=params.mode,
+                alpha=params.alpha_byte if params.mode == MODE_VARIABLE else None,
+                r=params.r,
+                fixed_len=params.fixed_len,
                 blocks=len(blocks),
                 avg_block_len=average_block_length(blocks),
                 bits_ceiled=acct.bits_ceiled,
                 bits_real=acct.bits_real,
-                container_bits=container_bits(blocks, params, ctx),
+                container_bits=acct.container_bits,
             )
         )
 

@@ -36,15 +36,6 @@ def multinomial(counts: Iterable[int]) -> int:
     return result
 
 
-def positive_compositions(parts: int, total: int) -> int:
-    """Ways to write ``total`` as an ordered sum of ``parts`` positive integers."""
-    if parts < 1:
-        raise ValueError("parts must be >= 1")
-    if total < 1:
-        raise ValueError("total must be >= 1")
-    return binomial(total - 1, parts - 1)
-
-
 def k_count_sum_form(sigma: int, inner_sum: int) -> int:
     """Composition count evaluated by summing over the number of zero dimensions.
 
@@ -78,8 +69,7 @@ class CombinatoricsContext:
     The codec looks up one k_count(d, s) per block for the frequency
     field's width; the composition rank and unrank use closed forms and
     touch the table only for their range check and the traced walk. The
-    table is single-writer while it grows; either prefill it and share it
-    read-only across workers, or give each worker its own context.
+    table is single-writer while it grows: give each worker its own context.
     """
 
     __slots__ = ("_table",)
@@ -102,12 +92,6 @@ class CombinatoricsContext:
             value = math.comb(inner_sum + sigma - 1, sigma - 1)
             self._table[key] = value
         return value
-
-    def prefill(self, max_sigma: int, max_sum: int) -> None:
-        """Populate the table for all (sigma, s) up to the given bounds."""
-        for sigma in range(1, max_sigma + 1):
-            for s in range(max_sum + 1):
-                self.k_count(sigma, s)
 
     def __len__(self) -> int:
         return len(self._table)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from enumcode.block_codec import CodecParams, accounted_bits, factorize
+from enumcode.block_codec import CodecParams, accounted_bits, encode, factorize
 from enumcode.cli import main, sweep_file
 from enumcode.combinatorics import CombinatoricsContext
 
@@ -212,9 +212,12 @@ class TestSweep:
             else:
                 params = CodecParams.fixed(bytes(sorted(set(data))), point.fixed_len, len(data))
             blocks = factorize(data, params)
-            acct = accounted_bits(blocks, point.mode, ctx)
+            acct = accounted_bits(blocks, params, ctx)
             assert point.bits_ceiled == acct.bits_ceiled
+            assert point.bits_real == acct.bits_real
             assert point.bits_per_base == pytest.approx(acct.bits_ceiled / len(data))
+            # the container column is the size of the container encode writes
+            assert point.container_bits == 8 * len(encode(data, params, ctx).to_bytes())
 
     def test_deterministic(self, tmp_path, capsys):
         paths = make_corpus(tmp_path)

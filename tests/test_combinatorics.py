@@ -12,7 +12,6 @@ from enumcode.combinatorics import (
     ceil_log2,
     k_count_sum_form,
     multinomial,
-    positive_compositions,
 )
 
 
@@ -63,31 +62,6 @@ class TestMultinomial:
         assert multinomial(counts) == multinomial(shuffled)
 
 
-class TestPositiveCompositions:
-    def test_against_enumeration(self):
-        brute = sum(
-            1
-            for t in product(range(1, 9), repeat=4)
-            if sum(t) == 8
-        )
-        assert brute == 35
-        assert positive_compositions(4, 8) == 35
-
-    @pytest.mark.parametrize("total", [1, 2, 7, 40])
-    def test_single_part(self, total):
-        assert positive_compositions(1, total) == 1
-
-    @pytest.mark.parametrize("parts", [1, 2, 7, 40])
-    def test_all_parts_forced_to_one(self, parts):
-        assert positive_compositions(parts, parts) == 1
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            positive_compositions(0, 5)
-        with pytest.raises(ValueError):
-            positive_compositions(3, 0)
-
-
 class TestKCount:
     def test_known_values(self, ctx):
         assert ctx.k_count(4, 4) == 35
@@ -127,13 +101,11 @@ class TestKCount:
             ctx.k_count(sigma - 1, n - j) for j in range(n + 1)
         )
 
-    def test_memo_grows_and_prefill(self):
+    def test_memo_grows(self):
         ctx = CombinatoricsContext()
         assert len(ctx) == 0
         ctx.k_count(4, 4)
         assert len(ctx) == 1
-        ctx.prefill(3, 5)
-        assert len(ctx) == 1 + 3 * 6
         assert ctx.k_count(2, 3) == 4
 
 
