@@ -22,12 +22,14 @@ from .block_codec import (
     MODE_FIXED,
     MODE_VARIABLE,
     accounted_bits,
+    block_vectors,
     container_bits,
     decode,
     encode,
     factorize,
     factorize_fixed,
     factorize_variable,
+    vector_bits,
 )
 from .combinatorics import (
     CombinatoricsContext,
@@ -60,6 +62,7 @@ __all__ = [
     "MODE_VARIABLE",
     "accounted_bits",
     "binomial",
+    "block_vectors",
     "ceil_log2",
     "container_bits",
     "decode",
@@ -79,5 +82,6 @@ __all__ = [
     "naive_vs_enumerated",
     "perm_index_to_sequence",
     "sequence_to_perm_index",
+    "vector_bits",
     "vector_to_index",
 ]

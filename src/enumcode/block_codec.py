@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from itertools import compress, repeat
 from statistics import fmean
 
 from .analysis import log2_int
@@ -231,6 +232,52 @@ def factorize(data: bytes, params: CodecParams) -> list[Block]:
     if params.mode == MODE_VARIABLE:
         return factorize_variable(data, params)
     return factorize_fixed(data, params)
+
+
+def delimiter_positions(data: bytes, byte: int) -> list[int]:
+    """Offsets of every ``byte`` in ``data``, in order."""
+    indicator = bytearray(256)
+    indicator[byte] = 1
+    return list(compress(range(len(data)), data.translate(indicator)))
+
+
+def block_vectors(
+    data: bytes, params: CodecParams, positions: list[int] | None = None
+) -> tuple[list[tuple[int, ...]], int]:
+    """The ``freq`` of every block :func:`factorize` cuts, and the final block's ``pad_count``.
+
+    Counts are read between the block bounds in ``data`` itself, so no block
+    is sliced or built. ``positions`` are the delimiter's offsets
+    (:func:`delimiter_positions`) when the caller already has them.
+    """
+    _check_input(data, params)
+    n = len(data)
+    if params.mode == MODE_FIXED:
+        size = params.fixed_len
+        starts = range(0, n, size)
+        ends = range(size, n + size, size)
+        columns = [map(data.count, repeat(symbol), starts, ends) for symbol in params.alphabet]
+        return list(zip(*columns)), 0
+    if not n:
+        return [], 0
+    alpha, r = params.alpha_byte, params.r
+    if positions is None:
+        positions = delimiter_positions(data, alpha)
+    # each full block ends at the (r+1)-th delimiter from its start
+    ends = positions[r :: r + 1]
+    starts = [0, *(end + 1 for end in ends)]
+    pad = 0
+    if starts[-1] < n:
+        ends.append(n)
+        pad = r - (len(positions) - (len(starts) - 1) * (r + 1))
+    else:
+        starts.pop()
+    # every block holds exactly r delimiters, the final one's owed to padding
+    columns = [
+        repeat(r, len(ends)) if symbol == alpha else map(data.count, repeat(symbol), starts, ends)
+        for symbol in params.alphabet
+    ]
+    return list(zip(*columns)), pad
 
 
 def _vector_count(length: int, params: CodecParams, ctx: CombinatoricsContext) -> int:
@@ -504,24 +551,64 @@ class AccountedBits:
         return self.bits_ceiled / n if n else 0.0
 
 
-def accounted_bits(
-    blocks: list[Block], params: CodecParams, ctx: CombinatoricsContext
+def _block_cost(
+    freq: tuple[int, ...],
+    params: CodecParams,
+    ctx: CombinatoricsContext,
+    by_length: dict[int, tuple[int, int, int, float, float]],
+) -> tuple[int, int, int, float, float, int, float]:
+    """What one block with this count vector costs.
+
+    In order: its length, Elias-delta and frequency widths in bits, the
+    exact log2 of its length and of its vector count, then its permutation
+    width and the exact log2 of its arrangement count. Fixed mode stores no
+    length, so those terms are 0. The terms that depend on the length alone
+    are kept in ``by_length``.
+    """
+    length = sum(freq)
+    head = by_length.get(length)
+    if head is None:
+        length_bits = delta_bits = 0
+        log_length = 0.0
+        if params.mode == MODE_VARIABLE:
+            length_bits = ceil_log2(length)
+            delta_bits = elias_delta_bit_length(length)
+            log_length = math.log2(length)
+        count = _vector_count(length, params, ctx)
+        head = by_length[length] = (
+            length_bits,
+            delta_bits,
+            ceil_log2(count),
+            log_length,
+            log2_int(count),
+        )
+    arrangements = multinomial(freq)
+    return (*head, ceil_log2(arrangements), log2_int(arrangements))
+
+
+def vector_bits(
+    vectors: list[tuple[int, ...]], params: CodecParams, ctx: CombinatoricsContext
 ) -> AccountedBits:
-    """Price every block of a factorization once; widths come from ``params``."""
-    variable = params.mode == MODE_VARIABLE
+    """Price blocks from their count vectors alone; widths come from ``params``.
+
+    Each distinct vector is priced once per call. ``bits_real`` adds every
+    block's logarithms in block order, so it does not depend on the memo.
+    """
+    by_length: dict[int, tuple[int, int, int, float, float]] = {}
+    costs = dict.fromkeys(vectors)
+    for freq in costs:
+        costs[freq] = _block_cost(freq, params, ctx, by_length)
     length_bits = delta_bits = freq_bits = perm_bits = 0
     real = 0.0
-    for block in blocks:
-        if variable:
-            length_bits += ceil_log2(block.length)
-            delta_bits += elias_delta_bit_length(block.length)
-            real += math.log2(block.length)
-        count = _vector_count(block.length, params, ctx)
-        freq_bits += ceil_log2(count)
-        real += log2_int(count)
-        arrangements = multinomial(block.freq)
-        perm_bits += ceil_log2(arrangements)
-        real += log2_int(arrangements)
+    for freq in vectors:
+        length, delta, width, log_length, log_count, perm, log_arrangements = costs[freq]
+        length_bits += length
+        delta_bits += delta
+        freq_bits += width
+        perm_bits += perm
+        real += log_length
+        real += log_count
+        real += log_arrangements
     payload = delta_bits + freq_bits + perm_bits
     header = EncodedContainer(params=params, payload=b"").header_length()
     return AccountedBits(
@@ -532,6 +619,13 @@ def accounted_bits(
         perm_bits=perm_bits,
         container_bits=header * 8 + 8 * (-(-payload // 8)),
     )
+
+
+def accounted_bits(
+    blocks: list[Block], params: CodecParams, ctx: CombinatoricsContext
+) -> AccountedBits:
+    """Price every block of a factorization; see :func:`vector_bits`."""
+    return vector_bits([block.freq for block in blocks], params, ctx)
 
 
 def container_bits(blocks: list[Block], params: CodecParams, ctx: CombinatoricsContext) -> int:
@@ -556,10 +650,13 @@ __all__ = [
     "MODE_VARIABLE",
     "accounted_bits",
     "average_block_length",
+    "block_vectors",
     "container_bits",
     "decode",
+    "delimiter_positions",
     "encode",
     "factorize",
     "factorize_fixed",
     "factorize_variable",
+    "vector_bits",
 ]

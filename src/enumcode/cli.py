@@ -13,6 +13,7 @@ import csv
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
+from statistics import fmean
 
 from .analysis import EntropyReport, finite_set_h0, write_comparison_csv
 from .block_codec import (
@@ -24,12 +25,15 @@ from .block_codec import (
     FormatError,
     MODE_FIXED,
     MODE_VARIABLE,
-    accounted_bits,
-    average_block_length,
+    accounted_bits,  # unused; perfbench/tracer.py traces this name until ROADMAP item 1
+    average_block_length,  # unused; perfbench/tracer.py traces this name until ROADMAP item 1
+    block_vectors,
     container_bits,  # unused; perfbench/tracer.py traces this name until ROADMAP item 1
     decode,
+    delimiter_positions,
     encode,
-    factorize,
+    factorize,  # unused; perfbench/tracer.py traces this name until ROADMAP item 1
+    vector_bits,
 )
 from .combinatorics import CombinatoricsContext
 from .composition_codec import enumerate_all, format_vector
@@ -108,8 +112,8 @@ def cmd_encode(args) -> int:
     out_path = args.out or args.input + ".enum"
     Path(out_path).write_bytes(raw)
 
-    blocks = factorize(data, params)
-    acct = accounted_bits(blocks, params, ctx)
+    vectors, pad = block_vectors(data, params)
+    acct = vector_bits(vectors, params, ctx)
     total_bits = 8 * len(raw)
     n = params.n
     print(f"input: {args.input}")
@@ -122,8 +126,8 @@ def cmd_encode(args) -> int:
         print(f"r: {params.r}")
     else:
         print(f"L: {params.fixed_len}")
-    print(f"blocks: {len(blocks)}")
-    print(f"pad: {blocks[-1].pad_count if blocks else 0}")
+    print(f"blocks: {len(vectors)}")
+    print(f"pad: {pad}")
     print(f"container_bits: {total_bits}")
     print(f"container_bytes: {total_bits // 8}")
     print(f"accounted_bits_ceiled: {acct.bits_ceiled}")
@@ -223,9 +227,10 @@ def sweep_file(
 ) -> FileSweep:
     """Evaluate the full parameter grid on one file.
 
-    Bits-per-base figures use the whole-bit field accounting. Best points
-    minimize that figure; ties break toward smaller r (or L) and then the
-    earlier alphabet symbol, so reports are reproducible.
+    Bits-per-base figures use the whole-bit field accounting, priced from
+    each block's count vector alone. Best points minimize that figure; ties
+    break toward smaller r (or L) and then the earlier alphabet symbol, so
+    reports are reproducible.
     """
     if not data:
         raise ValueError("cannot sweep an empty file")
@@ -234,12 +239,18 @@ def sweep_file(
     counts = frequency_vector(data, alphabet)
     n = len(data)
 
-    grid = [CodecParams.variable(alphabet, alpha, r, n) for alpha in alphas for r in r_set]
-    grid += [CodecParams.fixed(alphabet, fixed_len, n) for fixed_len in l_set]
+    # each delimiter's offsets are found once and serve every r
+    positions = {alpha: delimiter_positions(data, alpha) for alpha in alphas}
+    grid = [
+        (CodecParams.variable(alphabet, alpha, r, n), positions[alpha])
+        for alpha in alphas
+        for r in r_set
+    ]
+    grid += [(CodecParams.fixed(alphabet, fixed_len, n), None) for fixed_len in l_set]
     points: list[SweepPoint] = []
-    for params in grid:
-        blocks = factorize(data, params)
-        acct = accounted_bits(blocks, params, ctx)
+    for params, delimiters in grid:
+        vectors, _ = block_vectors(data, params, delimiters)
+        acct = vector_bits(vectors, params, ctx)
         points.append(
             SweepPoint(
                 file_id=file_id,
@@ -248,8 +259,8 @@ def sweep_file(
                 alpha=params.alpha_byte if params.mode == MODE_VARIABLE else None,
                 r=params.r,
                 fixed_len=params.fixed_len,
-                blocks=len(blocks),
-                avg_block_len=average_block_length(blocks),
+                blocks=len(vectors),
+                avg_block_len=fmean(map(sum, vectors)),
                 bits_ceiled=acct.bits_ceiled,
                 bits_real=acct.bits_real,
                 container_bits=acct.container_bits,
@@ -437,7 +448,9 @@ def cmd_sweep(args) -> int:
         try:
             data = read_sequence(path, args.fasta, args.fasta_map)
             alphabet = discover_alphabet(data, args.alphabet)
-            alphas = args.alphas.encode("latin-1") if args.alphas else None
+            alphas = None
+            if args.alphas:
+                alphas = (args.alphas.upper() if args.fasta else args.alphas).encode("latin-1")
             sweeps.append(
                 sweep_file(
                     Path(path).name,

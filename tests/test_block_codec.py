@@ -3,11 +3,13 @@ import struct
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from enumcode.analysis import log2_int
 from enumcode.bitstream import BitWriter, elias_delta_bit_length
 from enumcode.block_codec import (
+    AccountedBits,
     AlphabetError,
     CodecParams,
     CorruptContainerError,
@@ -16,17 +18,22 @@ from enumcode.block_codec import (
     FormatError,
     accounted_bits,
     average_block_length,
+    block_vectors,
     container_bits,
     decode,
+    delimiter_positions,
     encode,
+    factorize,
     factorize_fixed,
     factorize_variable,
+    vector_bits,
 )
 from enumcode.combinatorics import CombinatoricsContext, ceil_log2, multinomial
 from enumcode.composition_codec import vector_to_index
 from enumcode.permutation_codec import sequence_to_perm_index
 
 from conftest import FIG_ALPHABET, FIG_BLOCKS, FIG_FREQS, FIG_LENGTHS, FIG_PAD, FIG_T
+from test_acceptance import _dna_like
 
 
 def variable_params(data, alpha=b"a", r=2, alphabet=FIG_ALPHABET):
@@ -543,6 +550,95 @@ def test_container_size_matches_declared_widths(case):
         blocks = factorize_fixed(data, params)
     container = encode(data, params, CTX)
     assert container_bits(blocks, params, CTX) == len(container.to_bytes()) * 8
+
+
+@st.composite
+def count_only_cases(draw):
+    """Inputs over 1-8 symbols, with r or L from 1 to past n; some end on a
+    consumed delimiter, hold no delimiter at all, are empty, or carry
+    bytes from outside the alphabet."""
+    alphabet = bytes(draw(st.lists(st.integers(0, 255), min_size=1, max_size=8, unique=True)))
+    alpha = draw(st.sampled_from(alphabet))
+    data = bytearray(draw(st.lists(st.sampled_from(alphabet), max_size=200)))
+    r = draw(st.integers(1, len(data) + 3))
+    shape = draw(st.sampled_from(["any", "consumed", "no delimiter", "empty", "foreign"]))
+    if shape == "consumed":
+        # close the last block on its (r+1)-th delimiter: no residue block
+        data.append(alpha)
+        while data.count(alpha) % (r + 1):
+            data.append(alpha)
+    elif shape == "no delimiter":
+        data = data.replace(bytes([alpha]), b"")
+    elif shape == "empty":
+        data = bytearray()
+    elif shape == "foreign" and len(alphabet) < 256:
+        outside = draw(st.integers(0, 255).filter(lambda byte: byte not in alphabet))
+        data.insert(draw(st.integers(0, len(data))), outside)
+    data = bytes(data)
+    if draw(st.booleans()):
+        return data, CodecParams.variable(alphabet, alpha, r, len(data))
+    return data, CodecParams.fixed(alphabet, draw(st.integers(1, len(data) + 3)), len(data))
+
+
+def reference_accounted_bits(blocks, params):
+    """The per-block pricing loop that the memoised :func:`vector_bits` replaced."""
+    variable = params.mode == "variable"
+    length_bits = delta_bits = freq_bits = perm_bits = 0
+    real = 0.0
+    for block in blocks:
+        if variable:
+            length_bits += ceil_log2(block.length)
+            delta_bits += elias_delta_bit_length(block.length)
+            real += math.log2(block.length)
+        if not variable:
+            count = CTX.k_count(params.sigma, block.length)
+        elif params.sigma == 1:
+            count = 1
+        else:
+            count = CTX.k_count(params.sigma - 1, block.length - params.r)
+        freq_bits += ceil_log2(count)
+        real += log2_int(count)
+        arrangements = multinomial(block.freq)
+        perm_bits += ceil_log2(arrangements)
+        real += log2_int(arrangements)
+    payload = delta_bits + freq_bits + perm_bits
+    header = EncodedContainer(params=params, payload=b"").header_length()
+    return AccountedBits(
+        bits_ceiled=length_bits + freq_bits + perm_bits,
+        bits_real=real,
+        length_bits=length_bits,
+        freq_bits=freq_bits,
+        perm_bits=perm_bits,
+        container_bits=header * 8 + 8 * (-(-payload // 8)),
+    )
+
+
+DNA_LIKE = _dna_like(1, n=3000)
+
+
+@given(count_only_cases())
+@settings(deadline=None, max_examples=300)
+# long inputs with many repeated vectors, where a reordered bits_real sum shows
+@example((DNA_LIKE, CodecParams.variable(b"acgt", b"a", 2, len(DNA_LIKE))))
+@example((DNA_LIKE, CodecParams.fixed(b"acgt", 16, len(DNA_LIKE))))
+def test_block_vectors_match_factorize(case):
+    data, params = case
+    try:
+        blocks = factorize(data, params)
+    except AlphabetError as exc:
+        with pytest.raises(AlphabetError) as raised:
+            block_vectors(data, params)
+        assert (raised.value.byte, raised.value.offset) == (exc.byte, exc.offset)
+        return
+    expected = ([b.freq for b in blocks], blocks[-1].pad_count if blocks else 0)
+    assert block_vectors(data, params) == expected
+    assert [sum(freq) for freq in expected[0]] == [b.length for b in blocks]
+    # exact, bits_real included: the memo must not change the sum's order
+    assert vector_bits(expected[0], params, CTX) == reference_accounted_bits(blocks, params)
+    if params.mode == "variable":
+        positions = delimiter_positions(data, params.alpha_byte)
+        assert positions == [i for i, byte in enumerate(data) if byte == params.alpha_byte]
+        assert block_vectors(data, params, positions) == expected
 
 
 # -- reference factorization ---------------------------------------------------

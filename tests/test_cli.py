@@ -4,11 +4,18 @@ import random
 
 import pytest
 
-from enumcode.block_codec import CodecParams, accounted_bits, encode, factorize
+from enumcode.block_codec import (
+    CodecParams,
+    accounted_bits,
+    average_block_length,
+    encode,
+    factorize,
+)
 from enumcode.cli import main, sweep_file
 from enumcode.combinatorics import CombinatoricsContext
 
 from conftest import COMPOSITIONS_4_4, FIG_T, PERMS_2110
+from test_acceptance import _dna_like
 
 
 def sha(path):
@@ -203,21 +210,40 @@ class TestSweep:
 
     def test_point_matches_independent_accounting(self, tmp_path):
         (path,) = make_corpus(tmp_path, count=1)
-        data = path.read_bytes()
-        ctx = CombinatoricsContext()
-        sweep = sweep_file("x", data, ctx, r_set=(2, 4), l_set=(4, 8))
-        for point in sweep.points:
-            if point.mode == "variable":
-                params = CodecParams.variable(bytes(sorted(set(data))), point.alpha, point.r, len(data))
-            else:
-                params = CodecParams.fixed(bytes(sorted(set(data))), point.fixed_len, len(data))
-            blocks = factorize(data, params)
-            acct = accounted_bits(blocks, params, ctx)
-            assert point.bits_ceiled == acct.bits_ceiled
-            assert point.bits_real == acct.bits_real
-            assert point.bits_per_base == pytest.approx(acct.bits_ceiled / len(data))
-            # the container column is the size of the container encode writes
-            assert point.container_bits == 8 * len(encode(data, params, ctx).to_bytes())
+        # the sweep reads count vectors at the block bounds; the oracle cuts
+        # every block with factorize and prices it with accounted_bits
+        inputs = [path.read_bytes(), *(_dna_like(seed, n=2000) for seed in (1, 2, 5))]
+        inputs.append(b"acgt" * 101 + b"a")  # ends on a consumed delimiter at r=1
+        for data in inputs:
+            ctx = CombinatoricsContext()
+            sweep = sweep_file("x", data, ctx, r_set=(1, 2, 4), l_set=(1, 4, 8))
+            alphabet = bytes(sorted(set(data)))
+            for point in sweep.points:
+                if point.mode == "variable":
+                    params = CodecParams.variable(alphabet, point.alpha, point.r, len(data))
+                else:
+                    params = CodecParams.fixed(alphabet, point.fixed_len, len(data))
+                blocks = factorize(data, params)
+                acct = accounted_bits(blocks, params, ctx)
+                assert point.blocks == len(blocks)
+                assert point.avg_block_len == average_block_length(blocks)
+                assert point.bits_ceiled == acct.bits_ceiled
+                assert point.bits_real == acct.bits_real
+                assert point.bits_per_base == pytest.approx(acct.bits_ceiled / len(data))
+                # the container column is the size of the container encode writes
+                assert point.container_bits == 8 * len(encode(data, params, ctx).to_bytes())
+
+    def test_fasta_alphas_are_uppercased(self, tmp_path, capsys):
+        # --fasta uppercases the sequence, so a lowercase delimiter must follow,
+        # as it does for encode --alpha
+        src = tmp_path / "t.fa"
+        src.write_bytes(b">h\nacgtacgtaacc\nggtt\n")
+        points = tmp_path / "points.csv"
+        args = ["sweep", str(src), "--fasta", "--alphas", "a", "--r-set", "2", "--L-set", "4"]
+        assert main([*args, "--points", str(points)]) == 0
+        assert "skipping" not in capsys.readouterr().err
+        rows = list(csv.DictReader(points.open()))
+        assert [(row["mode"], row["alpha"]) for row in rows] == [("variable", "A"), ("fixed", "")]
 
     def test_deterministic(self, tmp_path, capsys):
         paths = make_corpus(tmp_path)

@@ -62,7 +62,23 @@ def test_sweep_prices_each_block_once(tracer, modules):
     finally:
         spans.uninstall()
     metrics = spans.metrics()
-    assert metrics["block_codec.accounted_bits.calls"] == len(sweep.points)
+    # the sweep reads count vectors at the block bounds: it cuts no block
+    # and prices none through accounted_bits
+    assert metrics["block_codec.factorize.calls"] == 0
+    assert metrics["block_codec.accounted_bits.calls"] == 0
     assert metrics["block_codec.container_bits.calls"] == 0
-    # one multinomial per swept block, plus one for the file's h0
-    assert metrics["combinatorics.multinomial.calls"] == metrics["block_codec.blocks"] + 1
+    # each point prices a distinct count vector once, untraced oracle below
+    block_codec = modules["block_codec"]
+    alphabet = bytes(sorted(set(data)))
+    blocks = distinct = 0
+    for point in sweep.points:
+        if point.mode == "variable":
+            params = block_codec.CodecParams.variable(alphabet, point.alpha, point.r, len(data))
+        else:
+            params = block_codec.CodecParams.fixed(alphabet, point.fixed_len, len(data))
+        freqs = [block.freq for block in block_codec.factorize(data, params)]
+        blocks += len(freqs)
+        distinct += len(set(freqs))
+    assert distinct < blocks
+    # one multinomial per distinct vector of each point, plus one for the file's h0
+    assert metrics["combinatorics.multinomial.calls"] == distinct + 1

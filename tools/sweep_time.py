@@ -1,0 +1,94 @@
+"""Default-grid sweep time as a function of input length.
+
+Usage (from the repository root):
+
+    python3 tools/sweep_time.py
+
+For each length N it sweeps the default parameter grid (34 points over the
+``acgt`` alphabet) of an N-symbol ``_dna_like`` input (the generator of
+``tests/test_acceptance.py``, seed 3) with ``sweep_file``, each time with a
+fresh ``CombinatoricsContext``. Each time is the best of three runs, in
+seconds. Before timing, every point of the 5k sweep is checked against the
+oracle the sweep replaced: cut the blocks with ``factorize`` and price them
+with ``accounted_bits``. Any difference in block count, average block
+length, ceiled or real bits, or container size exits non-zero. The output
+is one JSON object keyed by N. The whole run takes a few seconds.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+from enumcode.block_codec import (  # noqa: E402
+    MODE_VARIABLE,
+    CodecParams,
+    accounted_bits,
+    average_block_length,
+    factorize,
+)
+from enumcode.cli import sweep_file  # noqa: E402
+from enumcode.combinatorics import CombinatoricsContext  # noqa: E402
+from test_acceptance import _dna_like  # noqa: E402
+
+LENGTHS = (5_000, 30_000, 100_000)
+ORACLE_LENGTH = 5_000
+
+
+def best_of_3(fn) -> float:
+    best = float("inf")
+    for _ in range(3):
+        start = perf_counter()
+        fn()
+        best = min(best, perf_counter() - start)
+    return best
+
+
+def check_against_oracle(data: bytes) -> None:
+    ctx = CombinatoricsContext()
+    sweep = sweep_file("oracle", data, ctx)
+    alphabet = bytes(sorted(set(data)))
+    for point in sweep.points:
+        if point.mode == MODE_VARIABLE:
+            params = CodecParams.variable(alphabet, point.alpha, point.r, len(data))
+        else:
+            params = CodecParams.fixed(alphabet, point.fixed_len, len(data))
+        blocks = factorize(data, params)
+        acct = accounted_bits(blocks, params, ctx)
+        expected = (
+            len(blocks),
+            average_block_length(blocks),
+            acct.bits_ceiled,
+            acct.bits_real,
+            acct.container_bits,
+        )
+        got = (
+            point.blocks,
+            point.avg_block_len,
+            point.bits_ceiled,
+            point.bits_real,
+            point.container_bits,
+        )
+        if got != expected:
+            raise SystemExit(f"sweep differs from the oracle at {params}: {got} != {expected}")
+
+
+def main() -> None:
+    check_against_oracle(_dna_like(3, n=ORACLE_LENGTH))
+    out = {}
+    for length in LENGTHS:
+        data = _dna_like(3, n=length)
+        out[str(length)] = {
+            "points": len(sweep_file("x", data, CombinatoricsContext()).points),
+            "sweep_s": best_of_3(lambda: sweep_file("x", data, CombinatoricsContext())),
+        }
+    print(json.dumps(out))
+
+
+if __name__ == "__main__":
+    main()
