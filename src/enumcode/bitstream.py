@@ -86,11 +86,20 @@ class BitReader:
         return (window >> shift) & ((1 << width) - 1)
 
     def read_elias_delta(self) -> int:
-        zeros = 0
-        while self.read(1) == 0:
-            zeros += 1
-            if zeros > 64:
-                raise BitstreamError("malformed length codeword")
+        # the zero run and its closing one bit come from one window of at most
+        # 65 bits: a run of 65 zeros is malformed, a shorter one ran out
+        pos = self._pos
+        width = min(65, len(self._data) * 8 - pos)
+        end = pos + width
+        last = (end + 7) >> 3
+        window = int.from_bytes(self._data[pos >> 3 : last], "big") >> (last * 8 - end)
+        window &= (1 << width) - 1
+        if not window:
+            raise BitstreamError(
+                "malformed length codeword" if width == 65 else "bit stream exhausted"
+            )
+        zeros = width - window.bit_length()
+        self._pos = pos + zeros + 1
         nbits = (1 << zeros) | self.read(zeros)
         if nbits > 64:
             raise BitstreamError("length codeword exceeds 64-bit range")

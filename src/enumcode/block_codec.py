@@ -34,6 +34,7 @@ import struct
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 from statistics import fmean
+from typing import Sequence
 
 from .analysis import log2_int
 from .bitstream import (
@@ -171,12 +172,17 @@ class Block:
     pad_count: int = 0
 
 
+def check_alphabet(data: bytes, alphabet: bytes) -> None:
+    """Raise :class:`AlphabetError` at the first byte of ``data`` outside ``alphabet``."""
+    foreign = data.translate(None, alphabet)
+    if foreign:
+        raise AlphabetError(foreign[0], data.index(foreign[0]))
+
+
 def _check_input(data: bytes, params: CodecParams) -> None:
     if len(data) != params.n:
         raise ValueError(f"data length {len(data)} != declared n {params.n}")
-    foreign = data.translate(None, params.alphabet)
-    if foreign:
-        raise AlphabetError(foreign[0], data.index(foreign[0]))
+    check_alphabet(data, params.alphabet)
 
 
 def _make_block(content: bytes, params: CodecParams, pad_count: int = 0) -> Block:
@@ -250,6 +256,19 @@ def block_vectors(
     is sliced or built. ``positions`` are the delimiter's offsets
     (:func:`delimiter_positions`) when the caller already has them.
     """
+    _, _, vectors, pad = _cut(data, params, positions)
+    return vectors, pad
+
+
+def _cut(
+    data: bytes, params: CodecParams, positions: list[int] | None = None
+) -> tuple[Sequence[int], Sequence[int], list[tuple[int, ...]], int]:
+    """(starts, ends, vectors, pad) of the blocks :func:`block_vectors` describes.
+
+    Block i is ``data[starts[i]:ends[i]]``; the final block of variable mode
+    ends ``pad`` delimiters past the end of ``data``, which it owes to
+    padding, and the last fixed-mode end may pass it too.
+    """
     _check_input(data, params)
     n = len(data)
     if params.mode == MODE_FIXED:
@@ -257,9 +276,9 @@ def block_vectors(
         starts = range(0, n, size)
         ends = range(size, n + size, size)
         columns = [map(data.count, repeat(symbol), starts, ends) for symbol in params.alphabet]
-        return list(zip(*columns)), 0
+        return starts, ends, list(zip(*columns)), 0
     if not n:
-        return [], 0
+        return [], [], [], 0
     alpha, r = params.alpha_byte, params.r
     if positions is None:
         positions = delimiter_positions(data, alpha)
@@ -268,8 +287,8 @@ def block_vectors(
     starts = [0, *(end + 1 for end in ends)]
     pad = 0
     if starts[-1] < n:
-        ends.append(n)
         pad = r - (len(positions) - (len(starts) - 1) * (r + 1))
+        ends.append(n + pad)
     else:
         starts.pop()
     # every block holds exactly r delimiters, the final one's owed to padding
@@ -277,7 +296,7 @@ def block_vectors(
         repeat(r, len(ends)) if symbol == alpha else map(data.count, repeat(symbol), starts, ends)
         for symbol in params.alphabet
     ]
-    return list(zip(*columns)), pad
+    return starts, ends, list(zip(*columns)), pad
 
 
 def _vector_count(length: int, params: CodecParams, ctx: CombinatoricsContext) -> int:
@@ -296,24 +315,35 @@ def _vector_count(length: int, params: CodecParams, ctx: CombinatoricsContext) -
 
 
 def encode(data: bytes, params: CodecParams, ctx: CombinatoricsContext) -> "EncodedContainer":
-    """Factorize ``data`` and serialize every block into a container."""
-    blocks = factorize(data, params)
+    """Serialize every block :func:`factorize` would cut into a container.
+
+    The blocks are read at their bounds in ``data`` (:func:`block_vectors`),
+    and each block's arrangement count both starts its rank and sets the
+    width of its permutation field.
+    """
+    starts, ends, vectors, pad = _cut(data, params)
     writer = BitWriter()
     variable = params.mode == MODE_VARIABLE
-    for block in blocks:
-        vector = block.freq
+    if variable:
+        # the delimiter's count is always r; _decode_block_fields puts it back
+        apos = params.alpha_index - 1
+        # the final block ends past the input, on the delimiters it owes
+        data = data + bytes([params.alpha_byte]) * pad
+    for start, end, freq in zip(starts, ends, vectors):
+        content = data[start:end]
+        length = len(content)
+        vector = freq
         if variable:
-            writer.write_elias_delta(block.length)
-            # the delimiter's count is always r; _decode_block_fields puts it back
-            apos = params.alpha_index - 1
-            vector = vector[:apos] + vector[apos + 1 :]
+            writer.write_elias_delta(length)
+            vector = freq[:apos] + freq[apos + 1 :]
         writer.write(
             vector_to_index(vector, ctx) if vector else 0,
-            ceil_log2(_vector_count(block.length, params, ctx)),
+            ceil_log2(_vector_count(length, params, ctx)),
         )
+        arrangements = multinomial(freq)
         writer.write(
-            sequence_to_perm_index(block.content, params.alphabet),
-            ceil_log2(multinomial(block.freq)),
+            sequence_to_perm_index(content, params.alphabet, freq, arrangements),
+            ceil_log2(arrangements),
         )
     return EncodedContainer(params=params, payload=writer.getvalue(), payload_bits=writer.bit_length)
 
@@ -332,8 +362,9 @@ def _decode_block_fields(
     length: int,
     params: CodecParams,
     ctx: CombinatoricsContext,
-) -> tuple[tuple[int, ...], int]:
-    """Read (frequency vector, permutation rank) for a block of known length.
+) -> tuple[tuple[int, ...], int, int]:
+    """Read (frequency vector, permutation rank, arrangement count) for a block
+    of known length.
 
     Each count is checked against a lower bound first: C(N, j) >=
     2**min(j, N - j), so a width that cannot fit the remaining bits is
@@ -365,7 +396,7 @@ def _decode_block_fields(
     pid = reader.read(ceil_log2(arrangements))
     if pid >= arrangements:
         raise ValueError(f"permutation rank {pid} out of range (< {arrangements})")
-    return freq, pid
+    return freq, pid, arrangements
 
 
 def decode(
@@ -403,10 +434,10 @@ def decode(
                 # a valid final block is at most the residue plus its padding
                 if length > params.n + params.r:
                     raise ValueError(f"block length {length} exceeds the sequence length")
-                freq, pid = _decode_block_fields(reader, length, params, ctx)
+                freq, pid, arrangements = _decode_block_fields(reader, length, params, ctx)
             except (BitstreamError, ValueError) as exc:
                 raise CorruptContainerError(str(exc), block=index, bit_offset=start) from None
-            contents.append(perm_index_to_sequence(pid, freq, params.alphabet))
+            contents.append(perm_index_to_sequence(pid, freq, params.alphabet, arrangements))
             total += length
     elif params.n > 0:
         nblocks = -(-params.n // params.fixed_len)
@@ -416,10 +447,10 @@ def decode(
                 length = params.n - params.fixed_len * (nblocks - 1)
             start = reader.position
             try:
-                freq, pid = _decode_block_fields(reader, length, params, ctx)
+                freq, pid, arrangements = _decode_block_fields(reader, length, params, ctx)
             except (BitstreamError, ValueError) as exc:
                 raise CorruptContainerError(str(exc), block=index, bit_offset=start) from None
-            contents.append(perm_index_to_sequence(pid, freq, params.alphabet))
+            contents.append(perm_index_to_sequence(pid, freq, params.alphabet, arrangements))
 
     if reader.bits_remaining >= 8 or (
         reader.bits_remaining and reader.read(reader.bits_remaining)
@@ -651,6 +682,7 @@ __all__ = [
     "accounted_bits",
     "average_block_length",
     "block_vectors",
+    "check_alphabet",
     "container_bits",
     "decode",
     "delimiter_positions",

@@ -28,6 +28,7 @@ from .block_codec import (
     accounted_bits,  # unused; perfbench/tracer.py traces this name until ROADMAP item 1
     average_block_length,  # unused; perfbench/tracer.py traces this name until ROADMAP item 1
     block_vectors,
+    check_alphabet,
     container_bits,  # unused; perfbench/tracer.py traces this name until ROADMAP item 1
     decode,
     delimiter_positions,
@@ -37,7 +38,10 @@ from .block_codec import (
 )
 from .combinatorics import CombinatoricsContext
 from .composition_codec import enumerate_all, format_vector
-from .permutation_codec import enumerate_perms, frequency_vector
+from .permutation_codec import (
+    enumerate_perms,
+    frequency_vector,  # unused; perfbench/tracer.py traces this name until ROADMAP item 1
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -236,7 +240,8 @@ def sweep_file(
         raise ValueError("cannot sweep an empty file")
     alphabet = alphabet or bytes(sorted(set(data)))
     alphas = alphas or alphabet
-    counts = frequency_vector(data, alphabet)
+    check_alphabet(data, alphabet)
+    counts = tuple(map(data.count, alphabet))
     n = len(data)
 
     # each delimiter's offsets are found once and serve every r

@@ -9,23 +9,34 @@ container family.
 Position i of an n-symbol sequence contributes A_i * a_i / m_i to the rank,
 where A_i counts the arrangements of the suffix from i, m_i = n - i, and
 a_i sums the remaining counts of the symbols below the one at i. Consuming
-that symbol, whose remaining count is b_i, scales A_i by b_i / m_i.
+that symbol, whose remaining count is b_i, scales A_i by b_i / m_i. Both
+quotients are exact: each counts arrangements.
 
-Short sequences rank with that walk directly (:func:`_rank_incremental`,
-O(sigma) big-int operations per symbol on a number as wide as the rank, so
-quadratic in the length). From ``_SPLIT_MIN`` symbols on,
-:func:`_rank_split` sums the same series with a product tree (binary
-splitting): far fewer operations on wide numbers, each a Karatsuba
-multiplication, and one exact division at the end.
+Blocks whose arrangement count is narrow rank with that walk directly
+(:func:`_rank_walk`): a_i is a sum of small ints, so each symbol costs two
+big-int products and two exact divisions by the small m_i whatever the
+alphabet size, on a number as wide as the count. Wider counts over longer
+blocks rank with a product tree (:func:`_rank_split`, binary splitting):
+far fewer operations on wide numbers, each a Karatsuba multiplication, and
+one exact division at the end. The walk's cost grows with the count's width
+times the length, the tree's with the length alone, so the choice reads
+both (``_RANK_SPLIT_BITS``; ``tools/rank_curve.py`` measures them).
+Byte sequences over a byte alphabet become symbol ids through
+``bytes.translate``, never through a per-symbol lookup.
 
 Unranking inverts that walk. While the arrangement count is narrow, the
-greedy walk (:func:`_unrank_incremental`) picks one symbol per step and
+greedy walk (:func:`_unrank_walk`) reads each symbol off v = pid * m_i // A_i
+by a scan of the small remaining counts, so each symbol costs three big-int
+products and three divisions, two of them exact divisions by m_i, and it
 emits the rest as one run once a single symbol kind remains. Wider counts
 unrank top down (:func:`_unrank_split`): the rank, read as the exact
 arithmetic-code value rank / arrangements, is decoded from its leading bits
 under a rigorous error bound that never lets a symbol be guessed, and each
 decoded stretch refreshes the exact state through the same (P, Q, T)
 triples and exact division as the rank, so every output is exact.
+
+:func:`_rank_incremental` and :func:`_unrank_incremental` take a big-int
+step for every smaller symbol kind instead; they stay as test oracles.
 """
 
 from __future__ import annotations
@@ -46,6 +57,12 @@ def _symbol_positions(alphabet: Alphabet) -> dict:
             raise ValueError(f"alphabet entries must be distinct (repeated {sym!r})")
         positions[sym] = pos
     return positions
+
+
+def _validate_alphabet(alphabet: Alphabet) -> None:
+    """Reject an empty alphabet or a repeated entry; a byte alphabet at C speed."""
+    if not (isinstance(alphabet, (bytes, bytearray)) and 0 < len(set(alphabet)) == len(alphabet)):
+        _symbol_positions(alphabet)
 
 
 def _render(alphabet: Alphabet, ids: Iterable[int]):
@@ -82,22 +99,77 @@ def _symbol_ids(seq: Iterable[Hashable], alphabet: Alphabet) -> tuple[list[int],
     return ids, counts
 
 
-# Below this many symbols the product tree gains little or nothing over the
-# walk (tools/rank_curve.py measures both).
+# Blocks shorter than this always rank with the walk, and so do longer ones
+# whose arrangement count has at most max(_RANK_SPLIT_BITS, length) bits: the
+# walk's cost grows with that width times the length, the product tree's with
+# the length alone (tools/rank_curve.py measures both).
 _SPLIT_MIN = 512
+_RANK_SPLIT_BITS = 2048
 # Symbols per product-tree leaf, ranked with a plain loop.
 _LEAF = 16
 
 
-def sequence_to_perm_index(seq: Sequence[Hashable], alphabet: Alphabet) -> int:
+def sequence_to_perm_index(
+    seq: Sequence[Hashable],
+    alphabet: Alphabet,
+    counts: Sequence[int] | None = None,
+    arrangements: int | None = None,
+) -> int:
     """Zero-based lexicographic rank of ``seq`` among arrangements of its multiset.
 
-    The empty sequence ranks 0.
+    The empty sequence ranks 0. A caller that already has the frequency
+    vector of ``seq`` (in alphabet order) and its multinomial may pass them
+    as ``counts`` and ``arrangements``; they are trusted, not recounted.
     """
-    ids, counts = _symbol_ids(seq, alphabet)
-    if len(ids) < _SPLIT_MIN:
-        return _rank_incremental(ids, counts)
+    if isinstance(seq, (bytes, bytearray)) and isinstance(alphabet, (bytes, bytearray)):
+        ids = _byte_ids(seq, alphabet)
+        if counts is None:
+            counts = list(map(seq.count, alphabet))
+    else:
+        ids, found = _symbol_ids(seq, alphabet)
+        if counts is None:
+            counts = found
+    counts = list(counts)
+    if arrangements is None:
+        arrangements = multinomial(counts)
+    length = len(ids)
+    if length < _SPLIT_MIN or arrangements.bit_length() <= max(_RANK_SPLIT_BITS, length):
+        return _rank_walk(ids, counts, arrangements)
     return _rank_split(ids, counts)
+
+
+_BYTE_IDS = bytes(range(256))
+
+
+def _byte_ids(seq: bytes, alphabet: bytes) -> bytes:
+    """The alphabet position of every byte of ``seq``, as bytes."""
+    _validate_alphabet(alphabet)
+    foreign = seq.translate(None, alphabet)
+    if foreign:
+        offset = seq.index(foreign[0])
+        raise ValueError(f"symbol {foreign[0]!r} at offset {offset} is not in the alphabet")
+    return seq.translate(bytes.maketrans(alphabet, _BYTE_IDS[: len(alphabet)]))
+
+
+def _rank_walk(ids: Sequence[int], counts: list[int], arrangements: int) -> int:
+    """The rank by the left-to-right walk at two big-int steps per symbol.
+
+    ``arrangements`` is the multinomial of ``counts``; consumes ``counts``.
+    """
+    rank = 0
+    remaining = len(ids)
+    for k in ids:
+        if arrangements == 1:
+            break  # one symbol kind is left: nothing of the rest ranks below it
+        c = counts[k]
+        if k:
+            below = sum(counts[:k])
+            if below:
+                rank += arrangements * below // remaining
+        arrangements = arrangements * c // remaining
+        counts[k] = c - 1
+        remaining -= 1
+    return rank
 
 
 def _rank_incremental(ids: list[int], counts: list[int]) -> int:
@@ -182,22 +254,58 @@ def _exact_quotient(t: int, p: int) -> int:
     return (t & mask) * inverse & mask
 
 
-def perm_index_to_sequence(pid: int, counts: Iterable[int], alphabet: Alphabet):
+def perm_index_to_sequence(
+    pid: int, counts: Iterable[int], alphabet: Alphabet, arrangements: int | None = None
+):
     """The rank-``pid`` arrangement of the multiset described by ``counts``.
 
     Inverse of :func:`sequence_to_perm_index`; a rank at or beyond the
     arrangement count is rejected (it signals a corrupt stream upstream).
+    A caller that already has the multinomial of ``counts`` may pass it as
+    ``arrangements``.
     """
-    _symbol_positions(alphabet)
+    _validate_alphabet(alphabet)
     remaining_counts = list(counts)
     if len(remaining_counts) != len(alphabet):
         raise ValueError("counts and alphabet must have the same length")
-    arrangements = multinomial(remaining_counts)
+    if arrangements is None:
+        arrangements = multinomial(remaining_counts)
     if not 0 <= pid < arrangements:
         raise ValueError(
             f"permutation rank {pid} out of range (multiset has {arrangements} arrangements)"
         )
     return _render(alphabet, _unrank_split(pid, arrangements, remaining_counts))
+
+
+def _unrank_walk(pid: int, arrangements: int, counts: list[int]) -> list[int]:
+    """The rank-``pid`` symbol ids by the greedy walk; consumes ``counts``.
+
+    ``arrangements`` is the multinomial of the counts. The symbol at each
+    step is the j with cum_j <= pid * m // A < cum_j + c_j, read off by a
+    scan of the small counts.
+    """
+    remaining = sum(counts)
+    out: list[int] = []
+    while remaining:
+        if arrangements == 1:
+            # one symbol kind is left: the rest is a single run of it
+            for j, c in enumerate(counts):
+                out += [j] * c
+            break
+        v = pid * remaining // arrangements
+        j = below = 0
+        c = counts[0]
+        while v >= below + c:
+            below += c
+            j += 1
+            c = counts[j]
+        if below:
+            pid -= arrangements * below // remaining
+        arrangements = arrangements * c // remaining
+        counts[j] = c - 1
+        remaining -= 1
+        out.append(j)
+    return out
 
 
 def _unrank_incremental(pid: int, arrangements: int, remaining_counts: list[int]) -> list[int]:
@@ -270,7 +378,7 @@ def _unrank_split(pid: int, arrangements: int, counts: list[int]) -> list[int]:
             triple = _decode_leaf(pid, arrangements, 0, counts, out, 1)
             state = _refresh(pid, arrangements, *triple)
         pid, arrangements = state
-    return out + _unrank_incremental(pid, arrangements, counts)
+    return out + _unrank_walk(pid, arrangements, counts)
 
 
 def _refresh(pid: int, arrangements: int, p: int, q: int, t: int) -> tuple[int, int] | None:

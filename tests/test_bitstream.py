@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from enumcode.bitstream import (
@@ -104,6 +104,53 @@ def test_elias_delta_round_trip(values):
     r = BitReader(w.getvalue())
     assert [r.read_elias_delta() for _ in values] == values
     assert r.bits_remaining < 8
+
+
+@given(st.lists(st.tuples(st.integers(0, 9), st.integers(1, 2**64 - 1)), max_size=30))
+@example([(0, 2**64 - 1), (7, 2**64 - 1), (3, 2**63), (1, 1)])
+def test_elias_delta_round_trip_up_to_64_bits(items):
+    # the zero-bit fields leave each codeword at a different bit offset
+    w = BitWriter()
+    for skip, value in items:
+        w.write(0, skip)
+        w.write_elias_delta(value)
+    r = BitReader(w.getvalue())
+    for skip, value in items:
+        assert r.read(skip) == 0
+        assert r.read_elias_delta() == value
+    assert r.bits_remaining < 8
+
+
+@pytest.mark.parametrize(
+    "data,skip",
+    [
+        (b"", 0),  # nothing left at all
+        (b"\x00", 0),  # a zero run that the stream ends
+        (b"\x00" * 8, 0),  # 64 zeros, then the end
+        (b"\xe0" + b"\x00" * 7, 3),  # 61 zeros from mid-byte, then the end
+        (b"\x01", 0),  # a whole prefix whose number of bits is cut off
+    ],
+)
+def test_elias_delta_reports_an_exhausted_stream(data, skip):
+    r = BitReader(data)
+    r.read(skip)
+    with pytest.raises(BitstreamError, match="exhausted"):
+        r.read_elias_delta()
+
+
+@pytest.mark.parametrize("skip", [0, 5])
+def test_elias_delta_rejects_more_than_64_zeros(skip):
+    r = BitReader(b"\x00" * 10)
+    r.read(skip)
+    with pytest.raises(BitstreamError, match="malformed length codeword"):
+        r.read_elias_delta()
+
+
+def test_elias_delta_rejects_a_length_past_64_bits():
+    # 64 zeros, a one, then 64 more bits: a bit count of at least 2**64
+    r = BitReader(b"\x00" * 8 + b"\x80" + b"\x00" * 9)
+    with pytest.raises(BitstreamError, match="exceeds 64-bit range"):
+        r.read_elias_delta()
 
 
 @given(

@@ -16,6 +16,7 @@ from enumcode.block_codec import (
     DEFAULT_MAX_OUTPUT,
     EncodedContainer,
     FormatError,
+    _vector_count,
     accounted_bits,
     average_block_length,
     block_vectors,
@@ -30,7 +31,7 @@ from enumcode.block_codec import (
 )
 from enumcode.combinatorics import CombinatoricsContext, ceil_log2, multinomial
 from enumcode.composition_codec import vector_to_index
-from enumcode.permutation_codec import sequence_to_perm_index
+from enumcode.permutation_codec import _rank_incremental, _symbol_ids, sequence_to_perm_index
 
 from conftest import FIG_ALPHABET, FIG_BLOCKS, FIG_FREQS, FIG_LENGTHS, FIG_PAD, FIG_T
 from test_acceptance import _dna_like
@@ -195,6 +196,14 @@ class TestEncodeDecode:
         container = encode(b"", params, ctx)
         assert container.payload == b""
         assert decode(container, ctx) == b""
+
+    def test_bytearray_input_is_left_as_it_was(self, ctx):
+        # the final block's padding is appended to a copy, never to the input
+        data = bytearray(b"ttgaacgagcgt")  # the residue "gcgt" owes two delimiters
+        params = variable_params(data)
+        container = encode(data, params, ctx)
+        assert data == b"ttgaacgagcgt"
+        assert container == encode(bytes(data), params, ctx)
 
     def test_single_symbol_alphabet(self, ctx):
         data = b"xxxxx"
@@ -777,3 +786,59 @@ def reference_cases(draw):
 def test_factorization_matches_reference(case):
     data, params = case
     assert_matches_reference(data, params)
+
+
+# -- reference encoder ---------------------------------------------------------
+#
+# The block loop encode() ran before it read blocks at their bounds: cut the
+# input with factorize(), then rank each block's content with the oracle walk.
+
+
+def reference_encode(data, params, ctx):
+    writer = BitWriter()
+    variable = params.mode == "variable"
+    for block in factorize(data, params):
+        vector = block.freq
+        if variable:
+            writer.write_elias_delta(block.length)
+            apos = params.alpha_index - 1
+            vector = vector[:apos] + vector[apos + 1 :]
+        writer.write(
+            vector_to_index(vector, ctx) if vector else 0,
+            ceil_log2(_vector_count(block.length, params, ctx)),
+        )
+        writer.write(
+            _rank_incremental(*_symbol_ids(block.content, params.alphabet)),
+            ceil_log2(multinomial(block.freq)),
+        )
+    return EncodedContainer(params=params, payload=writer.getvalue(), payload_bits=writer.bit_length)
+
+
+@st.composite
+def encode_cases(draw):
+    alphabet = draw(st.sampled_from([b"x", b"ab", b"acgt", bytes(range(65, 85))]))
+    data = bytes(draw(st.lists(st.sampled_from(alphabet), max_size=300)))
+    n = len(data)
+    if draw(st.booleans()):
+        alpha = draw(st.sampled_from(alphabet))
+        return data, CodecParams.variable(alphabet, alpha, draw(st.integers(1, n + 2)), n)
+    return data, CodecParams.fixed(alphabet, draw(st.integers(1, n + 2)), n)
+
+
+@given(encode_cases())
+@settings(deadline=None, max_examples=200)
+@example((b"", CodecParams.variable(b"acgt", b"a", 2, 0)))
+@example((b"", CodecParams.fixed(b"acgt", 3, 0)))
+@example((b"xxxxx", CodecParams.variable(b"x", b"x", 2, 5)))
+@example((b"xxxxx", CodecParams.fixed(b"x", 2, 5)))
+# ends on a consumed delimiter: "ttgaacg", "ttaa", then the final 'a'
+@example((b"ttgaacgattaaa", CodecParams.variable(b"acgt", b"a", 2, 13)))
+@example((FIG_T, CodecParams.variable(FIG_ALPHABET, b"a", 1, len(FIG_T))))
+@example((FIG_T, CodecParams.fixed(FIG_ALPHABET, len(FIG_T) + 1, len(FIG_T))))
+def test_encode_matches_reference(case):
+    data, params = case
+    ctx = CombinatoricsContext()
+    got = encode(data, params, ctx)
+    expected = reference_encode(data, params, ctx)
+    assert got.to_bytes() == expected.to_bytes()
+    assert got.payload_bits == expected.payload_bits

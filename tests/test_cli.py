@@ -261,6 +261,19 @@ class TestSweep:
         assert "skipping" in captured.err
         assert "file0.txt" in captured.out
 
+    def test_file_with_a_foreign_byte_is_skipped(self, tmp_path, capsys):
+        good = make_corpus(tmp_path, count=1)[0]
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"acgtaxcgt")
+        args = ["--alphabet", "acgt", "--r-set", "2", "--L-set", "4"]
+        assert main(["sweep", str(good), str(bad), *args]) == 0
+        captured = capsys.readouterr()
+        assert f"skipping {bad}: byte 0x78 at offset 5" in captured.err
+        assert "file0.txt" in captured.out
+        assert "bad.txt" not in captured.out
+        # with nothing left to report the sweep fails as for unreadable files
+        assert main(["sweep", str(bad), *args]) == 3
+
     def test_tie_break_prefers_smaller_r_and_earlier_symbol(self, tmp_path):
         # a uniform file gives many ties; the reported best must be stable
         data = b"abab" * 500

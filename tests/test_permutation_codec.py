@@ -11,13 +11,16 @@ from enumcode import permutation_codec
 from enumcode.combinatorics import multinomial
 from enumcode.permutation_codec import (
     _LEAF_BITS,
+    _RANK_SPLIT_BITS,
     _SPLIT_MIN,
     _UNRANK_SPLIT_BITS,
     _rank_incremental,
     _rank_split,
+    _rank_walk,
     _symbol_ids,
     _unrank_incremental,
     _unrank_split,
+    _unrank_walk,
     enumerate_perms,
     frequency_vector,
     perm_index_to_sequence,
@@ -62,6 +65,26 @@ class TestRanking:
     def test_duplicate_alphabet_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
             sequence_to_perm_index("aa", "aca")
+
+    def test_byte_sequences_are_checked_like_others(self):
+        # bytes over a byte alphabet take the translate path
+        with pytest.raises(ValueError, match="symbol 120 at offset 2"):
+            sequence_to_perm_index(b"acxa", b"acgt")
+        with pytest.raises(ValueError, match="distinct"):
+            sequence_to_perm_index(b"aa", b"aca")
+        with pytest.raises(ValueError, match="empty"):
+            sequence_to_perm_index(b"", b"")
+
+    def test_given_counts_and_arrangements_are_not_recomputed(self):
+        with mock.patch.object(permutation_codec, "multinomial", side_effect=AssertionError):
+            assert sequence_to_perm_index(b"gcaa", b"acgt", (2, 1, 1, 0), 12) == 11
+            assert sequence_to_perm_index("gcaa", "acgt", [2, 1, 1, 0], 12) == 11
+            assert perm_index_to_sequence(11, (2, 1, 1, 0), b"acgt", 12) == b"gcaa"
+            with pytest.raises(ValueError, match="out of range"):
+                perm_index_to_sequence(12, (2, 1, 1, 0), b"acgt", 12)
+        counts = [2, 1, 1, 0]
+        sequence_to_perm_index(b"gcaa", b"acgt", counts, 12)
+        assert counts == [2, 1, 1, 0]  # the caller's counts are not consumed
 
 
 class TestUnranking:
@@ -303,3 +326,67 @@ def test_boundary_aligned_blocks_unrank_fast(name):
     start = time.perf_counter()
     assert perm_index_to_sequence(rank, counts, b"acgt") == seq
     assert time.perf_counter() - start < 0.5
+
+
+@st.composite
+def walk_cases(draw):
+    """Symbol ids over 1-256 kinds: uniform, heavily skewed, or a single kind."""
+    sigma = draw(st.integers(1, 256))
+    length = draw(st.integers(0, 700))
+    shape = draw(st.sampled_from(["uniform", "skewed", "one kind"]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if shape == "uniform":
+        weights = [1] * sigma
+    elif shape == "skewed":
+        weights = [1] * sigma
+        weights[rng.randrange(sigma)] = 1000
+    else:
+        weights = [0] * sigma
+        weights[rng.randrange(sigma)] = 1
+    return rng.choices(range(sigma), weights=weights, k=length), sigma
+
+
+@settings(deadline=None, max_examples=60)
+@given(walk_cases(), st.data())
+def test_walks_match_the_oracle_walks(case, data):
+    ids, sigma = case
+    counts = [0] * sigma
+    for k in ids:
+        counts[k] += 1
+    arrangements = multinomial(counts)
+    rank = _rank_incremental(ids, list(counts))
+    # encode hands the walk the block's ids as bytes
+    assert _rank_walk(bytes(ids), list(counts), arrangements) == rank
+    assert _unrank_walk(rank, arrangements, list(counts)) == ids
+    other = data.draw(st.integers(0, arrangements - 1))
+    expected = _unrank_incremental(other, arrangements, list(counts))
+    assert _unrank_walk(other, arrangements, list(counts)) == expected
+
+
+@pytest.mark.parametrize(
+    "name,block,tree",
+    [
+        # 8192 DNA-like symbols carry about 16000 bits: the tree ranks them
+        ("dna 8192", bytes(random.Random(1).choices(b"acgt", k=8192)), True),
+        # long and low in information: the walk beats the tree several times over
+        ("100:1 8192", bytes(random.Random(1).choices(b"ab", (100, 1), k=8192)), False),
+        ("1000:1 32768", bytes(random.Random(1).choices(b"ab", (1000, 1), k=32768)), False),
+        # short blocks always take the walk, however wide their count
+        ("256 kinds 511", bytes(random.Random(1).choices(range(256), k=_SPLIT_MIN - 1)), False),
+    ],
+)
+def test_rank_dispatch_reads_the_width_and_the_length(name, block, tree):
+    alphabet = bytes(sorted(set(block)))
+    width = multinomial(frequency_vector(block, alphabet)).bit_length()
+    assert (len(block) >= _SPLIT_MIN and width > max(_RANK_SPLIT_BITS, len(block))) == tree
+    calls = []
+    split = permutation_codec._rank_split
+
+    def counting_split(*args):
+        calls.append(1)
+        return split(*args)
+
+    with mock.patch.object(permutation_codec, "_rank_split", counting_split):
+        rank = sequence_to_perm_index(block, alphabet)
+    assert len(calls) == tree
+    assert perm_index_to_sequence(rank, frequency_vector(block, alphabet), alphabet) == block

@@ -1,28 +1,41 @@
-"""Permutation rank and unrank time as a function of block length.
+"""Permutation rank and unrank time as a function of block length and alphabet size.
 
 Usage (from the repository root):
 
     python3 tools/rank_curve.py
 
-For each block length L it ranks an L-symbol ``_dna_like`` block (the
-generator of ``tests/test_acceptance.py``, seed 3) with the product tree
-(``_rank_split``) and with the left-to-right walk (``_rank_incremental``),
-unranks the result through ``perm_index_to_sequence`` (``unrank_s``), top
-down (``_unrank_split``) and with the greedy walk (``_unrank_incremental``),
-and writes it with ``BitWriter.write`` as a field of its real width. Both
-ranks must agree and both unranks must give the block back. Each time is
-the best of three runs, in seconds. The output is one JSON object keyed by
-L; the permutation codec's ``_SPLIT_MIN`` and ``_UNRANK_SPLIT_MIN`` are set
-where the split starts to win. The whole curve takes about a minute, most
+Each row ranks one block with the walk (``_rank_walk``), the oracle walk
+(``_rank_incremental``), the product tree (``_rank_split``) and the
+dispatching ``sequence_to_perm_index`` (``rank_s``), then unranks the rank
+with the walk (``_unrank_walk``), the oracle walk (``_unrank_incremental``),
+top down (``_unrank_split``) and through ``perm_index_to_sequence``
+(``unrank_s``), and writes it with ``BitWriter.write`` as a field of its
+real width. Every rank must agree and every unrank must give the block back.
+Each time is the best of three runs, in seconds, each run repeated until it
+takes 0.2 s or more (``timeit.Timer.autorange``).
+
+The rows:
+
+- ``dna/L``: an L-symbol ``_dna_like`` block (the generator of
+  ``tests/test_acceptance.py``, seed 3) for L from 16 to 65536;
+- ``sigma=S/L``: L symbols drawn uniformly from S kinds (seed 3), for the
+  short blocks a sweep picks and S in {4, 20, 256};
+- ``skew=K:1/L``: L symbols over 2 kinds, the second drawn with odds 1 in
+  K + 1 (seed 3), long blocks of low information.
+
+The output is one JSON object keyed by row. The permutation codec's
+``_SPLIT_MIN``, ``_RANK_SPLIT_BITS`` and ``_UNRANK_SPLIT_BITS`` are set where
+the tree starts to beat the walk. The whole curve takes a few minutes, most
 of it at L = 65536.
 """
 
 from __future__ import annotations
 
 import json
+import random
 import sys
+import timeit
 from pathlib import Path
-from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
@@ -32,52 +45,74 @@ from enumcode.combinatorics import ceil_log2, multinomial  # noqa: E402
 from enumcode.permutation_codec import (  # noqa: E402
     _rank_incremental,
     _rank_split,
+    _rank_walk,
     _symbol_ids,
     _unrank_incremental,
     _unrank_split,
+    _unrank_walk,
     perm_index_to_sequence,
+    sequence_to_perm_index,
 )
 from test_acceptance import _dna_like  # noqa: E402
 
-LENGTHS = (64, 256, 1024, 2048, 4096, 8192, 16384, 65536)
-ALPHABET = b"acgt"
+DNA_LENGTHS = (16, 51, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 65536)
+SHORT_LENGTHS = (16, 51, 128, 512)
+SIGMAS = (4, 20, 256)
+SKEWED = ((100, 8192), (1000, 32768))
 
 
-def best_of_3(fn) -> float:
-    best = float("inf")
-    for _ in range(3):
-        start = perf_counter()
-        fn()
-        best = min(best, perf_counter() - start)
-    return best
+def seconds(fn) -> float:
+    timer = timeit.Timer(fn)
+    number, _ = timer.autorange()
+    return min(timer.repeat(3, number)) / number
 
 
-def measure(length: int) -> dict:
-    block = _dna_like(3, n=length)
-    ids, counts = _symbol_ids(block, ALPHABET)
-    rank = _rank_split(ids, list(counts))
-    if rank != _rank_incremental(ids, list(counts)):
-        raise SystemExit(f"split and incremental ranks differ at L={length}")
+def blocks() -> dict[str, tuple[bytes, bytes]]:
+    """Row name -> (block, alphabet)."""
+    rows = {f"dna/{length}": (_dna_like(3, n=length), b"acgt") for length in DNA_LENGTHS}
+    for sigma in SIGMAS:
+        alphabet = bytes(range(sigma))
+        for length in SHORT_LENGTHS:
+            rng = random.Random(3)
+            rows[f"sigma={sigma}/{length}"] = (bytes(rng.choices(alphabet, k=length)), alphabet)
+    for odds, length in SKEWED:
+        rng = random.Random(3)
+        block = bytes(rng.choices(b"ab", weights=(odds, 1), k=length))
+        rows[f"skew={odds}:1/{length}"] = (block, b"ab")
+    return rows
+
+
+def measure(name: str, block: bytes, alphabet: bytes) -> dict:
+    ids, counts = _symbol_ids(block, alphabet)
     arrangements = multinomial(counts)
-    for unrank in (_unrank_split, _unrank_incremental):
+    rank = _rank_walk(ids, list(counts), arrangements)
+    for other in (_rank_incremental, _rank_split):
+        if other(ids, list(counts)) != rank:
+            raise SystemExit(f"{other.__name__} and _rank_walk differ on {name}")
+    for unrank in (_unrank_walk, _unrank_incremental, _unrank_split):
         if unrank(rank, arrangements, list(counts)) != ids:
-            raise SystemExit(f"{unrank.__name__} does not invert the rank at L={length}")
+            raise SystemExit(f"{unrank.__name__} does not invert the rank on {name}")
     width = ceil_log2(arrangements)
     return {
+        "sigma": len(alphabet),
+        "length": len(block),
         "width_bits": width,
-        "split_rank_s": best_of_3(lambda: _rank_split(ids, list(counts))),
-        "incremental_rank_s": best_of_3(lambda: _rank_incremental(ids, list(counts))),
-        "unrank_s": best_of_3(lambda: perm_index_to_sequence(rank, counts, ALPHABET)),
-        "split_unrank_s": best_of_3(lambda: _unrank_split(rank, arrangements, list(counts))),
-        "incremental_unrank_s": best_of_3(
+        "walk_rank_s": seconds(lambda: _rank_walk(ids, list(counts), arrangements)),
+        "incremental_rank_s": seconds(lambda: _rank_incremental(ids, list(counts))),
+        "split_rank_s": seconds(lambda: _rank_split(ids, list(counts))),
+        "rank_s": seconds(lambda: sequence_to_perm_index(block, alphabet)),
+        "walk_unrank_s": seconds(lambda: _unrank_walk(rank, arrangements, list(counts))),
+        "incremental_unrank_s": seconds(
             lambda: _unrank_incremental(rank, arrangements, list(counts))
         ),
-        "write_s": best_of_3(lambda: BitWriter().write(rank, width)),
+        "split_unrank_s": seconds(lambda: _unrank_split(rank, arrangements, list(counts))),
+        "unrank_s": seconds(lambda: perm_index_to_sequence(rank, counts, alphabet)),
+        "write_s": seconds(lambda: BitWriter().write(rank, width)),
     }
 
 
 def main() -> None:
-    print(json.dumps({str(length): measure(length) for length in LENGTHS}))
+    print(json.dumps({name: measure(name, *row) for name, row in blocks().items()}))
 
 
 if __name__ == "__main__":
