@@ -327,10 +327,11 @@ def encode(data: bytes, params: CodecParams, ctx: CombinatoricsContext) -> "Enco
     if variable:
         # the delimiter's count is always r; _decode_block_fields puts it back
         apos = params.alpha_index - 1
-        # the final block ends past the input, on the delimiters it owes
-        data = data + bytes([params.alpha_byte]) * pad
     for start, end, freq in zip(starts, ends, vectors):
         content = data[start:end]
+        if pad and end > len(data):
+            # the final block ends past the input, on the delimiters it owes
+            content += bytes([params.alpha_byte]) * pad
         length = len(content)
         vector = freq
         if variable:

@@ -12,15 +12,13 @@ a_i sums the remaining counts of the symbols below the one at i. Consuming
 that symbol, whose remaining count is b_i, scales A_i by b_i / m_i. Both
 quotients are exact: each counts arrangements.
 
-Blocks whose arrangement count is narrow rank with that walk directly
-(:func:`_rank_walk`): a_i is a sum of small ints, so each symbol costs two
-big-int products and two exact divisions by the small m_i whatever the
-alphabet size, on a number as wide as the count. Wider counts over longer
-blocks rank with a product tree (:func:`_rank_split`, binary splitting):
-far fewer operations on wide numbers, each a Karatsuba multiplication, and
-one exact division at the end. The walk's cost grows with the count's width
-times the length, the tree's with the length alone, so the choice reads
-both (``_RANK_SPLIT_BITS``; ``tools/rank_curve.py`` measures them).
+Short blocks rank with that walk directly (:func:`_rank_walk`): a_i is a
+sum of small ints, so each symbol costs two big-int products and two exact
+divisions by the small m_i whatever the alphabet size, on a number as wide
+as the count. Longer blocks rank with a product tree (:func:`_rank_split`,
+binary splitting): far fewer operations on wide numbers, each a Karatsuba
+multiplication, and one exact division at the end (``_SPLIT_MIN``;
+``tools/rank_curve.py`` measures both).
 Byte sequences over a byte alphabet become symbol ids through
 ``bytes.translate``, never through a per-symbol lookup.
 
@@ -99,12 +97,8 @@ def _symbol_ids(seq: Iterable[Hashable], alphabet: Alphabet) -> tuple[list[int],
     return ids, counts
 
 
-# Blocks shorter than this always rank with the walk, and so do longer ones
-# whose arrangement count has at most max(_RANK_SPLIT_BITS, length) bits: the
-# walk's cost grows with that width times the length, the product tree's with
-# the length alone (tools/rank_curve.py measures both).
+# Blocks shorter than this rank with the walk, longer ones with the product tree.
 _SPLIT_MIN = 512
-_RANK_SPLIT_BITS = 2048
 # Symbols per product-tree leaf, ranked with a plain loop.
 _LEAF = 16
 
@@ -130,12 +124,11 @@ def sequence_to_perm_index(
         if counts is None:
             counts = found
     counts = list(counts)
+    if len(ids) >= _SPLIT_MIN:
+        return _rank_split(ids, counts)
     if arrangements is None:
         arrangements = multinomial(counts)
-    length = len(ids)
-    if length < _SPLIT_MIN or arrangements.bit_length() <= max(_RANK_SPLIT_BITS, length):
-        return _rank_walk(ids, counts, arrangements)
-    return _rank_split(ids, counts)
+    return _rank_walk(ids, counts, arrangements)
 
 
 _BYTE_IDS = bytes(range(256))

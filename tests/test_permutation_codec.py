@@ -11,7 +11,6 @@ from enumcode import permutation_codec
 from enumcode.combinatorics import multinomial
 from enumcode.permutation_codec import (
     _LEAF_BITS,
-    _RANK_SPLIT_BITS,
     _SPLIT_MIN,
     _UNRANK_SPLIT_BITS,
     _rank_incremental,
@@ -361,32 +360,3 @@ def test_walks_match_the_oracle_walks(case, data):
     other = data.draw(st.integers(0, arrangements - 1))
     expected = _unrank_incremental(other, arrangements, list(counts))
     assert _unrank_walk(other, arrangements, list(counts)) == expected
-
-
-@pytest.mark.parametrize(
-    "name,block,tree",
-    [
-        # 8192 DNA-like symbols carry about 16000 bits: the tree ranks them
-        ("dna 8192", bytes(random.Random(1).choices(b"acgt", k=8192)), True),
-        # long and low in information: the walk beats the tree several times over
-        ("100:1 8192", bytes(random.Random(1).choices(b"ab", (100, 1), k=8192)), False),
-        ("1000:1 32768", bytes(random.Random(1).choices(b"ab", (1000, 1), k=32768)), False),
-        # short blocks always take the walk, however wide their count
-        ("256 kinds 511", bytes(random.Random(1).choices(range(256), k=_SPLIT_MIN - 1)), False),
-    ],
-)
-def test_rank_dispatch_reads_the_width_and_the_length(name, block, tree):
-    alphabet = bytes(sorted(set(block)))
-    width = multinomial(frequency_vector(block, alphabet)).bit_length()
-    assert (len(block) >= _SPLIT_MIN and width > max(_RANK_SPLIT_BITS, len(block))) == tree
-    calls = []
-    split = permutation_codec._rank_split
-
-    def counting_split(*args):
-        calls.append(1)
-        return split(*args)
-
-    with mock.patch.object(permutation_codec, "_rank_split", counting_split):
-        rank = sequence_to_perm_index(block, alphabet)
-    assert len(calls) == tree
-    assert perm_index_to_sequence(rank, frequency_vector(block, alphabet), alphabet) == block

@@ -21,12 +21,13 @@ The rows:
 - ``sigma=S/L``: L symbols drawn uniformly from S kinds (seed 3), for the
   short blocks a sweep picks and S in {4, 20, 256};
 - ``skew=K:1/L``: L symbols over 2 kinds, the second drawn with odds 1 in
-  K + 1 (seed 3), long blocks of low information.
+  K + 1 (seed 3), long blocks of 1 bit per symbol or less.
 
 The output is one JSON object keyed by row. The permutation codec's
-``_SPLIT_MIN``, ``_RANK_SPLIT_BITS`` and ``_UNRANK_SPLIT_BITS`` are set where
-the tree starts to beat the walk. The whole curve takes a few minutes, most
-of it at L = 65536.
+``_SPLIT_MIN`` and ``_UNRANK_SPLIT_BITS`` are read against the ``dna`` and
+``sigma`` rows. The ``skew`` rows show where the rank walk would beat the
+tree on long blocks if their count is narrow enough. The whole curve takes
+a few minutes, most of it at L = 65536.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from test_acceptance import _dna_like  # noqa: E402
 DNA_LENGTHS = (16, 51, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 65536)
 SHORT_LENGTHS = (16, 51, 128, 512)
 SIGMAS = (4, 20, 256)
-SKEWED = ((100, 8192), (1000, 32768))
+SKEWED = ((1, 8192), (4, 8192), (100, 8192), (1000, 32768))
 
 
 def seconds(fn) -> float:
