@@ -32,9 +32,9 @@ from .block_codec import (
     vector_bits,
 )
 from .combinatorics import (
-    CombinatoricsContext,
     binomial,
     ceil_log2,
+    k_count,
     k_count_sum_form,
     multinomial,
 )
@@ -53,7 +53,6 @@ __all__ = [
     "AlphabetError",
     "Block",
     "CodecParams",
-    "CombinatoricsContext",
     "CorruptContainerError",
     "EncodedContainer",
     "EntropyReport",
@@ -76,6 +75,7 @@ __all__ = [
     "finite_set_h0",
     "frequency_vector",
     "index_to_vector",
+    "k_count",
     "k_count_sum_form",
     "log2_int",
     "multinomial",

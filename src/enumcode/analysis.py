@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import IO, Iterable
 
-from .combinatorics import CombinatoricsContext, multinomial
+from .combinatorics import k_count, multinomial
 
 _MANTISSA_BITS = 64
 
@@ -45,9 +45,7 @@ def finite_set_h0(counts: Iterable[int]) -> float:
     return log2_int(multinomial(counts))
 
 
-def naive_vs_enumerated(
-    sigma: int, n_max: int, ctx: CombinatoricsContext
-) -> list[tuple[int, float, float]]:
+def naive_vs_enumerated(sigma: int, n_max: int) -> list[tuple[int, float, float]]:
     """Rows (n, naive_bits, enum_bits) for frequency-vector coding costs.
 
     ``naive_bits`` stores sigma-1 plain counts in (sigma-1) * log2(n+1)
@@ -60,12 +58,12 @@ def naive_vs_enumerated(
     rows = []
     for n in range(1, n_max + 1):
         naive = (sigma - 1) * math.log2(n + 1)
-        enum = log2_int(ctx.k_count(sigma, n))
+        enum = log2_int(k_count(sigma, n))
         rows.append((n, naive, enum))
     return rows
 
 
-def enumeration_gain(sigma: int, n: int, ctx: CombinatoricsContext) -> float:
+def enumeration_gain(sigma: int, n: int) -> float:
     """Bits saved by ranking a frequency vector instead of storing raw counts.
 
     (sigma-1) * log2(n+1) minus log2 of the vector count, both evaluated
@@ -77,16 +75,14 @@ def enumeration_gain(sigma: int, n: int, ctx: CombinatoricsContext) -> float:
         raise ValueError("sigma must be >= 2")
     if n < 1:
         raise ValueError("n must be >= 1")
-    return (sigma - 1) * math.log2(n + 1) - log2_int(ctx.k_count(sigma, n))
+    return (sigma - 1) * math.log2(n + 1) - log2_int(k_count(sigma, n))
 
 
-def write_comparison_csv(
-    stream: IO[str], sigma: int, n_max: int, ctx: CombinatoricsContext
-) -> None:
+def write_comparison_csv(stream: IO[str], sigma: int, n_max: int) -> None:
     """Emit the naive-vs-enumerated table as CSV: n,naive_bits,enum_bits,gap."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["n", "naive_bits", "enum_bits", "gap"])
-    for n, naive, enum in naive_vs_enumerated(sigma, n_max, ctx):
+    for n, naive, enum in naive_vs_enumerated(sigma, n_max):
         writer.writerow([n, f"{naive:.6f}", f"{enum:.6f}", f"{naive - enum:.6f}"])
 
 

@@ -43,7 +43,7 @@ from .bitstream import (
     BitWriter,
     elias_delta_bit_length,
 )
-from .combinatorics import CombinatoricsContext, ceil_log2, multinomial
+from .combinatorics import ceil_log2, k_count, multinomial
 from .composition_codec import index_to_vector, vector_to_index
 from .permutation_codec import perm_index_to_sequence, sequence_to_perm_index
 
@@ -299,7 +299,7 @@ def _cut(
     return starts, ends, list(zip(*columns)), pad
 
 
-def _vector_count(length: int, params: CodecParams, ctx: CombinatoricsContext) -> int:
+def _vector_count(length: int, params: CodecParams) -> int:
     """How many count vectors the frequency field of a ``length``-symbol block chooses from.
 
     Fixed mode ranks the full vector: K(sigma, length). Variable mode drops
@@ -308,13 +308,13 @@ def _vector_count(length: int, params: CodecParams, ctx: CombinatoricsContext) -
     ceil(log2(count)) bits wide.
     """
     if params.mode == MODE_FIXED:
-        return ctx.k_count(params.sigma, length)
+        return k_count(params.sigma, length)
     if params.sigma == 1:
         return 1
-    return ctx.k_count(params.sigma - 1, length - params.r)
+    return k_count(params.sigma - 1, length - params.r)
 
 
-def encode(data: bytes, params: CodecParams, ctx: CombinatoricsContext) -> "EncodedContainer":
+def encode(data: bytes, params: CodecParams) -> "EncodedContainer":
     """Serialize every block :func:`factorize` would cut into a container.
 
     The blocks are read at their bounds in ``data`` (:func:`block_vectors`),
@@ -338,8 +338,8 @@ def encode(data: bytes, params: CodecParams, ctx: CombinatoricsContext) -> "Enco
             writer.write_elias_delta(length)
             vector = freq[:apos] + freq[apos + 1 :]
         writer.write(
-            vector_to_index(vector, ctx) if vector else 0,
-            ceil_log2(_vector_count(length, params, ctx)),
+            vector_to_index(vector) if vector else 0,
+            ceil_log2(_vector_count(length, params)),
         )
         arrangements = multinomial(freq)
         writer.write(
@@ -359,10 +359,7 @@ def _check_room(reader: BitReader, min_width: int, what: str) -> None:
 
 
 def _decode_block_fields(
-    reader: BitReader,
-    length: int,
-    params: CodecParams,
-    ctx: CombinatoricsContext,
+    reader: BitReader, length: int, params: CodecParams
 ) -> tuple[tuple[int, ...], int, int]:
     """Read (frequency vector, permutation rank, arrangement count) for a block
     of known length.
@@ -381,11 +378,11 @@ def _decode_block_fields(
         inner = length
     # K(dims, inner) = C(inner + dims - 1, dims - 1)
     _check_room(reader, min(dims - 1, inner), "frequency rank")
-    count = _vector_count(length, params, ctx)
+    count = _vector_count(length, params)
     rank = reader.read(ceil_log2(count))
     if rank >= count:
         raise ValueError(f"frequency rank {rank} out of range (< {count})")
-    freq = index_to_vector(rank, inner, dims, ctx) if dims else ()
+    freq = index_to_vector(rank, inner, dims) if dims else ()
     if params.mode == MODE_VARIABLE:
         apos = params.alpha_index - 1
         freq = freq[:apos] + (params.r,) + freq[apos:]
@@ -400,11 +397,7 @@ def _decode_block_fields(
     return freq, pid, arrangements
 
 
-def decode(
-    container: "EncodedContainer",
-    ctx: CombinatoricsContext,
-    max_output: int = DEFAULT_MAX_OUTPUT,
-) -> bytes:
+def decode(container: "EncodedContainer", max_output: int = DEFAULT_MAX_OUTPUT) -> bytes:
     """Reconstruct the exact original byte sequence from a container.
 
     A header that declares more than ``max_output`` symbols is rejected
@@ -435,7 +428,7 @@ def decode(
                 # a valid final block is at most the residue plus its padding
                 if length > params.n + params.r:
                     raise ValueError(f"block length {length} exceeds the sequence length")
-                freq, pid, arrangements = _decode_block_fields(reader, length, params, ctx)
+                freq, pid, arrangements = _decode_block_fields(reader, length, params)
             except (BitstreamError, ValueError) as exc:
                 raise CorruptContainerError(str(exc), block=index, bit_offset=start) from None
             contents.append(perm_index_to_sequence(pid, freq, params.alphabet, arrangements))
@@ -448,7 +441,7 @@ def decode(
                 length = params.n - params.fixed_len * (nblocks - 1)
             start = reader.position
             try:
-                freq, pid, arrangements = _decode_block_fields(reader, length, params, ctx)
+                freq, pid, arrangements = _decode_block_fields(reader, length, params)
             except (BitstreamError, ValueError) as exc:
                 raise CorruptContainerError(str(exc), block=index, bit_offset=start) from None
             contents.append(perm_index_to_sequence(pid, freq, params.alphabet, arrangements))
@@ -586,7 +579,6 @@ class AccountedBits:
 def _block_cost(
     freq: tuple[int, ...],
     params: CodecParams,
-    ctx: CombinatoricsContext,
     by_length: dict[int, tuple[int, int, int, float, float]],
 ) -> tuple[int, int, int, float, float, int, float]:
     """What one block with this count vector costs.
@@ -606,7 +598,7 @@ def _block_cost(
             length_bits = ceil_log2(length)
             delta_bits = elias_delta_bit_length(length)
             log_length = math.log2(length)
-        count = _vector_count(length, params, ctx)
+        count = _vector_count(length, params)
         head = by_length[length] = (
             length_bits,
             delta_bits,
@@ -618,9 +610,7 @@ def _block_cost(
     return (*head, ceil_log2(arrangements), log2_int(arrangements))
 
 
-def vector_bits(
-    vectors: list[tuple[int, ...]], params: CodecParams, ctx: CombinatoricsContext
-) -> AccountedBits:
+def vector_bits(vectors: list[tuple[int, ...]], params: CodecParams) -> AccountedBits:
     """Price blocks from their count vectors alone; widths come from ``params``.
 
     Each distinct vector is priced once per call. ``bits_real`` adds every
@@ -629,7 +619,7 @@ def vector_bits(
     by_length: dict[int, tuple[int, int, int, float, float]] = {}
     costs = dict.fromkeys(vectors)
     for freq in costs:
-        costs[freq] = _block_cost(freq, params, ctx, by_length)
+        costs[freq] = _block_cost(freq, params, by_length)
     length_bits = delta_bits = freq_bits = perm_bits = 0
     real = 0.0
     for freq in vectors:
@@ -653,16 +643,14 @@ def vector_bits(
     )
 
 
-def accounted_bits(
-    blocks: list[Block], params: CodecParams, ctx: CombinatoricsContext
-) -> AccountedBits:
+def accounted_bits(blocks: list[Block], params: CodecParams) -> AccountedBits:
     """Price every block of a factorization; see :func:`vector_bits`."""
-    return vector_bits([block.freq for block in blocks], params, ctx)
+    return vector_bits([block.freq for block in blocks], params)
 
 
-def container_bits(blocks: list[Block], params: CodecParams, ctx: CombinatoricsContext) -> int:
+def container_bits(blocks: list[Block], params: CodecParams) -> int:
     """Exact size, in bits, of the container :func:`encode` would emit."""
-    return accounted_bits(blocks, params, ctx).container_bits
+    return accounted_bits(blocks, params).container_bits
 
 
 def average_block_length(blocks: list[Block]) -> float:

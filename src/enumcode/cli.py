@@ -25,22 +25,21 @@ from .block_codec import (
     FormatError,
     MODE_FIXED,
     MODE_VARIABLE,
-    accounted_bits,  # unused; perfbench/tracer.py traces this name until ROADMAP item 1
-    average_block_length,  # unused; perfbench/tracer.py traces this name until ROADMAP item 1
+    accounted_bits,  # unused; perfbench/tracer.py traces this name until ROADMAP item 2
+    average_block_length,  # unused; perfbench/tracer.py traces this name until ROADMAP item 2
     block_vectors,
     check_alphabet,
-    container_bits,  # unused; perfbench/tracer.py traces this name until ROADMAP item 1
+    container_bits,  # unused; perfbench/tracer.py traces this name until ROADMAP item 2
     decode,
     delimiter_positions,
     encode,
-    factorize,  # unused; perfbench/tracer.py traces this name until ROADMAP item 1
+    factorize,  # unused; perfbench/tracer.py traces this name until ROADMAP item 2
     vector_bits,
 )
-from .combinatorics import CombinatoricsContext
 from .composition_codec import enumerate_all, format_vector
 from .permutation_codec import (
     enumerate_perms,
-    frequency_vector,  # unused; perfbench/tracer.py traces this name until ROADMAP item 1
+    frequency_vector,  # unused; perfbench/tracer.py traces this name until ROADMAP item 2
 )
 
 EXIT_OK = 0
@@ -51,8 +50,6 @@ EXIT_CORRUPT = 5
 
 R_SET_DEFAULT = (4, 8, 16, 32, 64, 128)
 L_SET_DEFAULT = (4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048)
-
-_FASTA_BASES = frozenset(b"ACGT")
 
 
 def render_symbol(byte: int) -> str:
@@ -81,9 +78,7 @@ def read_sequence(path: str, fasta: bool = False, fasta_map: str | None = None) 
                 raise ValueError(f"bad --fasta-map entry {pair!r} (want FROM=TO)")
             table[ord(src.upper())] = ord(dst.upper())
         cleaned = cleaned.translate(bytes(table))
-    for offset, byte in enumerate(cleaned):
-        if byte not in _FASTA_BASES:
-            raise AlphabetError(byte, offset)
+    check_alphabet(cleaned, b"ACGT")
     return bytes(cleaned)
 
 
@@ -111,13 +106,12 @@ def _build_params(data: bytes, args) -> CodecParams:
 def cmd_encode(args) -> int:
     data = read_sequence(args.input, args.fasta, args.fasta_map)
     params = _build_params(data, args)
-    ctx = CombinatoricsContext()
-    raw = encode(data, params, ctx).to_bytes()
+    raw = encode(data, params).to_bytes()
     out_path = args.out or args.input + ".enum"
     Path(out_path).write_bytes(raw)
 
     vectors, pad = block_vectors(data, params)
-    acct = vector_bits(vectors, params, ctx)
+    acct = vector_bits(vectors, params)
     total_bits = 8 * len(raw)
     n = params.n
     print(f"input: {args.input}")
@@ -145,8 +139,7 @@ def cmd_encode(args) -> int:
 def cmd_decode(args) -> int:
     raw = Path(args.input).read_bytes()
     container = EncodedContainer.from_bytes(raw)
-    ctx = CombinatoricsContext()
-    data = decode(container, ctx, max_output=args.max_output)
+    data = decode(container, max_output=args.max_output)
     out_path = args.out
     if not out_path:
         out_path = args.input[: -len(".enum")] if args.input.endswith(".enum") else args.input + ".out"
@@ -161,10 +154,9 @@ _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
 def cmd_tables(args) -> int:
-    ctx = CombinatoricsContext()
     if args.compositions:
         inner_sum, sigma = args.compositions
-        for rank, vec in enumerate(enumerate_all(inner_sum, sigma, ctx, limit=args.limit)):
+        for rank, vec in enumerate(enumerate_all(inner_sum, sigma, limit=args.limit)):
             print(f"{rank}\t{format_vector(vec)}")
         return EXIT_OK
     counts = tuple(int(part) for part in args.perms.split(","))
@@ -179,12 +171,11 @@ def cmd_tables(args) -> int:
 
 
 def cmd_figure1(args) -> int:
-    ctx = CombinatoricsContext()
     if args.out:
         with open(args.out, "w", newline="") as handle:
-            write_comparison_csv(handle, args.sigma, args.nmax, ctx)
+            write_comparison_csv(handle, args.sigma, args.nmax)
     else:
-        write_comparison_csv(sys.stdout, args.sigma, args.nmax, ctx)
+        write_comparison_csv(sys.stdout, args.sigma, args.nmax)
     return EXIT_OK
 
 
@@ -222,7 +213,6 @@ class FileSweep:
 def sweep_file(
     file_id: str,
     data: bytes,
-    ctx: CombinatoricsContext,
     *,
     alphabet: bytes | None = None,
     alphas: bytes | None = None,
@@ -255,7 +245,7 @@ def sweep_file(
     points: list[SweepPoint] = []
     for params, delimiters in grid:
         vectors, _ = block_vectors(data, params, delimiters)
-        acct = vector_bits(vectors, params, ctx)
+        acct = vector_bits(vectors, params)
         points.append(
             SweepPoint(
                 file_id=file_id,
@@ -436,6 +426,13 @@ def print_sweep_summary(sweeps: list[FileSweep]) -> None:
         )
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _parse_int_set(text: str) -> tuple[int, ...]:
     values = tuple(int(part) for part in text.split(","))
     if not values or any(v < 1 for v in values):
@@ -444,7 +441,6 @@ def _parse_int_set(text: str) -> tuple[int, ...]:
 
 
 def cmd_sweep(args) -> int:
-    ctx = CombinatoricsContext()
     r_set = _parse_int_set(args.r_set) if args.r_set else R_SET_DEFAULT
     l_set = _parse_int_set(args.L_set) if args.L_set else L_SET_DEFAULT
     sweeps: list[FileSweep] = []
@@ -460,7 +456,6 @@ def cmd_sweep(args) -> int:
                 sweep_file(
                     Path(path).name,
                     data,
-                    ctx,
                     alphabet=alphabet,
                     alphas=alphas,
                     r_set=r_set,
@@ -506,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output path (default: INPUT without .enum)")
     p.add_argument(
         "--max-output",
-        type=int,
+        type=non_negative_int,
         default=DEFAULT_MAX_OUTPUT,
         metavar="BYTES",
         help=f"refuse a container declaring more output bytes (default: {DEFAULT_MAX_OUTPUT})",

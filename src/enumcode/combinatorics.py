@@ -39,10 +39,9 @@ def multinomial(counts: Iterable[int]) -> int:
 def k_count_sum_form(sigma: int, inner_sum: int) -> int:
     """Composition count evaluated by summing over the number of zero dimensions.
 
-    Slower than the closed form used by :meth:`CombinatoricsContext.k_count`;
-    kept as an independent cross-check. The summation's derivation assumes at
-    least one positive dimension, so the empty composition (inner_sum == 0)
-    is returned directly.
+    Slower than the closed form of :func:`k_count`; kept as an independent
+    cross-check. The summation's derivation assumes at least one positive
+    dimension, so the empty composition (inner_sum == 0) is returned directly.
     """
     if sigma < 1:
         raise ValueError("sigma must be >= 1")
@@ -63,35 +62,18 @@ def ceil_log2(count: int) -> int:
     return (count - 1).bit_length()
 
 
-class CombinatoricsContext:
-    """Grow-only memo table for composition counts.
+def k_count(sigma: int, inner_sum: int) -> int:
+    """Number of sigma-dimensional vectors of non-negative ints with the given sum.
 
-    The codec looks up one k_count(d, s) per block for the frequency
-    field's width; the composition rank and unrank use closed forms and
-    touch the table only for their range check and the traced walk. The
-    table is single-writer while it grows: give each worker its own context.
+    Closed form C(inner_sum + sigma - 1, sigma - 1).
     """
+    if sigma < 1:
+        raise ValueError("sigma must be >= 1")
+    if inner_sum < 0:
+        raise ValueError("inner_sum must be >= 0")
+    return math.comb(inner_sum + sigma - 1, sigma - 1)
 
-    __slots__ = ("_table",)
 
-    def __init__(self) -> None:
-        self._table: dict[tuple[int, int], int] = {}
-
-    def k_count(self, sigma: int, inner_sum: int) -> int:
-        """Number of sigma-dimensional vectors of non-negative ints with the given sum.
-
-        Closed form C(inner_sum + sigma - 1, sigma - 1), memoized.
-        """
-        if sigma < 1:
-            raise ValueError("sigma must be >= 1")
-        if inner_sum < 0:
-            raise ValueError("inner_sum must be >= 0")
-        key = (sigma, inner_sum)
-        value = self._table.get(key)
-        if value is None:
-            value = math.comb(inner_sum + sigma - 1, sigma - 1)
-            self._table[key] = value
-        return value
-
-    def __len__(self) -> int:
-        return len(self._table)
+# perfbench/tracer.py looks this name up until ROADMAP item 2; nothing calls it.
+class CombinatoricsContext:
+    k_count = staticmethod(k_count)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from math import comb
 from typing import Iterable, Sequence
 
-from .combinatorics import CombinatoricsContext
+from .combinatorics import k_count
 
 
 def _validated(counts: Iterable[int], inner_sum: int | None) -> tuple[int, ...]:
@@ -40,7 +40,6 @@ def _validated(counts: Iterable[int], inner_sum: int | None) -> tuple[int, ...]:
 
 def vector_to_index(
     counts: Iterable[int],
-    ctx: CombinatoricsContext,
     *,
     inner_sum: int | None = None,
     trace: list[int] | None = None,
@@ -61,7 +60,7 @@ def vector_to_index(
         value = vec[dim]
         if trace is not None:
             for v in range(value):
-                step = ctx.k_count(free, remaining - v)
+                step = k_count(free, remaining - v)
                 index += step
                 trace.append(step)
         elif value:
@@ -70,15 +69,9 @@ def vector_to_index(
     return index
 
 
-def index_to_vector(
-    index: int, inner_sum: int, sigma: int, ctx: CombinatoricsContext
-) -> tuple[int, ...]:
+def index_to_vector(index: int, inner_sum: int, sigma: int) -> tuple[int, ...]:
     """The unique vector of ``sigma`` counts summing to ``inner_sum`` with this rank."""
-    if sigma < 1:
-        raise ValueError("sigma must be >= 1")
-    if inner_sum < 0:
-        raise ValueError("inner_sum must be >= 0")
-    if not 0 <= index < ctx.k_count(sigma, inner_sum):
+    if not 0 <= index < k_count(sigma, inner_sum):
         raise ValueError(
             f"rank {index} out of range for {sigma} dimensions summing to {inner_sum}"
         )
@@ -107,7 +100,6 @@ def index_to_vector(
 def enumerate_all(
     inner_sum: int,
     sigma: int,
-    ctx: CombinatoricsContext,
     *,
     limit: int = 200_000,
 ) -> list[tuple[int, ...]]:
@@ -117,11 +109,7 @@ def enumerate_all(
     doubles as an order oracle in tests. Refuses to materialize more than
     ``limit`` vectors.
     """
-    if sigma < 1:
-        raise ValueError("sigma must be >= 1")
-    if inner_sum < 0:
-        raise ValueError("inner_sum must be >= 0")
-    total = ctx.k_count(sigma, inner_sum)
+    total = k_count(sigma, inner_sum)
     if total > limit:
         raise ValueError(f"{total} vectors exceed the materialization limit {limit}")
     out: list[tuple[int, ...]] = []

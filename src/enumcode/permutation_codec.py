@@ -73,14 +73,7 @@ def _render(alphabet: Alphabet, ids: Iterable[int]):
 
 def frequency_vector(seq: Iterable[Hashable], alphabet: Alphabet) -> tuple[int, ...]:
     """Occurrence count of each alphabet symbol in ``seq``, in alphabet order."""
-    positions = _symbol_positions(alphabet)
-    counts = [0] * len(alphabet)
-    for offset, sym in enumerate(seq):
-        pos = positions.get(sym)
-        if pos is None:
-            raise ValueError(f"symbol {sym!r} at offset {offset} is not in the alphabet")
-        counts[pos] += 1
-    return tuple(counts)
+    return tuple(_symbol_ids(seq, alphabet)[1])
 
 
 def _symbol_ids(seq: Iterable[Hashable], alphabet: Alphabet) -> tuple[list[int], list[int]]:

@@ -1,7 +1,3 @@
-import pytest
-
-from enumcode.combinatorics import CombinatoricsContext
-
 # Worked 34-symbol example: delimiter 'a', r=2 factors it into six blocks.
 FIG_T = b"ttgaacgagaagccgtatgaaatgaaaatatcac"
 FIG_ALPHABET = b"acgt"
@@ -33,8 +29,3 @@ PERMS_2110 = [
     "aacg", "aagc", "acag", "acga", "agac", "agca",
     "caag", "caga", "cgaa", "gaac", "gaca", "gcaa",
 ]
-
-
-@pytest.fixture(scope="session")
-def ctx():
-    return CombinatoricsContext()

@@ -25,13 +25,12 @@ from enumcode.block_codec import (
     factorize_variable,
 )
 from enumcode.cli import main, read_sequence, sweep_file
-from enumcode.combinatorics import CombinatoricsContext, k_count_sum_form, multinomial
+from enumcode.combinatorics import k_count, k_count_sum_form, multinomial
 from enumcode.composition_codec import enumerate_all, index_to_vector, vector_to_index
 from enumcode.permutation_codec import enumerate_perms, sequence_to_perm_index
 
 from conftest import COMPOSITIONS_4_4, FIG_FREQS, FIG_LENGTHS, FIG_T, PERMS_2110
 
-CTX = CombinatoricsContext()
 
 
 def _criterion(num, description, ok, detail=""):
@@ -59,7 +58,7 @@ def test_criterion_1_composition_table(capsys):
         emitted = [tuple(int(x) for x in line.split("\t")[1].split(",")) for line in lines]
         table_ok = emitted == COMPOSITIONS_4_4 and len(lines) == 35
         round_trip_ok = all(
-            vector_to_index(vec, CTX) == rank and index_to_vector(rank, 4, 4, CTX) == vec
+            vector_to_index(vec) == rank and index_to_vector(rank, 4, 4) == vec
             for rank, vec in enumerate(COMPOSITIONS_4_4)
         )
     with capsys.disabled():
@@ -74,7 +73,7 @@ def test_criterion_1_composition_table(capsys):
 def test_criterion_2_worked_rank_with_trace():
     with _Timer() as t:
         trace = []
-        rank = vector_to_index((2, 1, 1, 0), CTX, trace=trace)
+        rank = vector_to_index((2, 1, 1, 0), trace=trace)
     _criterion(
         2,
         "rank of (2,1,1,0) is 29 with addends 15+10+3+1",
@@ -115,7 +114,7 @@ def test_criterion_4_reference_factorization_end_to_end():
         freqs_ok = [b.freq for b in blocks] == FIG_FREQS
         ranks = tuple(sequence_to_perm_index(b.content, params.alphabet) for b in blocks)
         ranks_ok = ranks == expected_ranks
-        round_trip_ok = decode(encode(FIG_T, params, CTX), CTX) == FIG_T
+        round_trip_ok = decode(encode(FIG_T, params)) == FIG_T
     brute = sorted(set(permutations(sorted("ttgaacg"))))
     brute_rank = brute.index(tuple("ttgaacg"))
     brute_ok = brute_rank == ranks[0]
@@ -132,7 +131,7 @@ def test_criterion_4_reference_factorization_end_to_end():
 def test_criterion_5_count_identity_and_brute_force():
     with _Timer() as t:
         identity_ok = all(
-            CTX.k_count(sigma, n) == k_count_sum_form(sigma, n)
+            k_count(sigma, n) == k_count_sum_form(sigma, n)
             for sigma in range(1, 9)
             for n in range(65)
         )
@@ -140,7 +139,7 @@ def test_criterion_5_count_identity_and_brute_force():
         for sigma in range(1, 6):
             by_sum = Counter(sum(t) for t in product(range(13), repeat=sigma))
             brute_ok = brute_ok and all(
-                CTX.k_count(sigma, n) == by_sum[n] for n in range(13)
+                k_count(sigma, n) == by_sum[n] for n in range(13)
             )
     _criterion(
         5,
@@ -155,8 +154,8 @@ def test_criterion_6_gain_convergence():
         results = {}
         for sigma in (4, 20, 128, 256):
             estimate = (sigma - 1) * math.log2(sigma - 1)
-            dev_large = abs(enumeration_gain(sigma, 10**7, CTX) - estimate)
-            dev_small = abs(enumeration_gain(sigma, 10**3, CTX) - estimate)
+            dev_large = abs(enumeration_gain(sigma, 10**7) - estimate)
+            dev_small = abs(enumeration_gain(sigma, 10**3) - estimate)
             results[sigma] = (dev_large, dev_small)
         within_tolerance = all(dev_large < 0.2 for dev_large, _ in results.values())
         shrinking = all(dev_large < dev_small for dev_large, dev_small in results.values())
@@ -227,8 +226,8 @@ def test_criterion_7_round_trip_fuzzing():
         cases = _fuzz_cases(rng)
         failures = 0
         for data, params in cases:
-            container = EncodedContainer.from_bytes(encode(data, params, CTX).to_bytes())
-            if decode(container, CTX) != data:
+            container = EncodedContainer.from_bytes(encode(data, params).to_bytes())
+            if decode(container) != data:
                 failures += 1
     _criterion(
         7,
@@ -305,7 +304,7 @@ def test_criterion_8_corpus_entropy_and_sweep():
                     data = read_sequence(str(path), fasta=True).lower()
                 else:
                     data = b"".join(raw.lower().split())
-                sweeps.append(sweep_file(name, data, CTX))
+                sweeps.append(sweep_file(name, data))
             count = len(sweeps)
             avg_h0 = sum(s.report.finite_set_h0_bits_per_base for s in sweeps) / count
             avg_fixed = sum(s.report.fixed_len_bits_per_base for s in sweeps) / count
@@ -321,7 +320,7 @@ def test_criterion_8_corpus_entropy_and_sweep():
         else:
             wins = 0
             for seed in range(10):
-                sweep = sweep_file(f"synthetic{seed}", _dna_like(seed), CTX)
+                sweep = sweep_file(f"synthetic{seed}", _dna_like(seed))
                 wins += sweep.best_variable.bits_ceiled <= sweep.best_fixed.bits_ceiled
             sweep_ok = wins >= 8
             sweep_detail = f"corpus unavailable; variable <= fixed on {wins}/10 synthetic files"
@@ -340,7 +339,7 @@ def test_criterion_9_oracle_equivalence():
         for sigma in range(1, 5):
             alphabet = letters[:sigma]
             for total in range(0, 8):
-                for counts in enumerate_all(total, sigma, CTX):
+                for counts in enumerate_all(total, sigma):
                     if multinomial(counts) > 10**4:
                         continue
                     ids = [j for j, c in enumerate(counts) for _ in range(c)]
@@ -361,10 +360,10 @@ def test_criterion_9_oracle_equivalence():
                 brute = sorted(
                     t for t in product(range(total + 1), repeat=sigma) if sum(t) == total
                 )
-                rows = enumerate_all(total, sigma, CTX)
+                rows = enumerate_all(total, sigma)
                 comp_ok = comp_ok and rows == brute
                 comp_ok = comp_ok and all(
-                    vector_to_index(vec, CTX) == rank for rank, vec in enumerate(rows)
+                    vector_to_index(vec) == rank for rank, vec in enumerate(rows)
                 )
     _criterion(
         9,

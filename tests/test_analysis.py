@@ -12,6 +12,7 @@ from enumcode.analysis import (
     naive_vs_enumerated,
     write_comparison_csv,
 )
+from enumcode.combinatorics import k_count
 
 
 def lgamma_log2_comb(n, k):
@@ -29,8 +30,8 @@ class TestLog2Int:
             log2_int(0)
 
     @pytest.mark.parametrize("sigma,n", [(4, 1000), (20, 1000), (128, 10**6), (256, 10**6)])
-    def test_matches_lgamma_within_relative_error(self, ctx, sigma, n):
-        exact = log2_int(ctx.k_count(sigma, n))
+    def test_matches_lgamma_within_relative_error(self, sigma, n):
+        exact = log2_int(k_count(sigma, n))
         approx = lgamma_log2_comb(n + sigma - 1, sigma - 1)
         assert abs(exact - approx) / exact < 1e-6
 
@@ -62,26 +63,26 @@ class TestFiniteSetH0:
 
 
 class TestNaiveVsEnumerated:
-    def test_known_row(self, ctx):
-        rows = naive_vs_enumerated(4, 4, ctx)
+    def test_known_row(self):
+        rows = naive_vs_enumerated(4, 4)
         n, naive, enum = rows[-1]
         assert n == 4
         assert naive == pytest.approx(3 * math.log2(5))
         assert enum == pytest.approx(math.log2(35))
 
-    def test_binary_alphabet_has_no_gain(self, ctx):
-        for n, naive, enum in naive_vs_enumerated(2, 50, ctx):
+    def test_binary_alphabet_has_no_gain(self):
+        for n, naive, enum in naive_vs_enumerated(2, 50):
             assert enum == pytest.approx(naive)
 
     @pytest.mark.parametrize("sigma", [3, 4, 20])
-    def test_enumeration_always_cheaper(self, ctx, sigma):
-        for n, naive, enum in naive_vs_enumerated(sigma, 200, ctx):
+    def test_enumeration_always_cheaper(self, sigma):
+        for n, naive, enum in naive_vs_enumerated(sigma, 200):
             if n > 1:
                 assert enum < naive
 
-    def test_csv_output(self, ctx):
+    def test_csv_output(self):
         buf = io.StringIO()
-        write_comparison_csv(buf, 4, 5, ctx)
+        write_comparison_csv(buf, 4, 5)
         lines = buf.getvalue().splitlines()
         assert lines[0] == "n,naive_bits,enum_bits,gap"
         assert len(lines) == 6
@@ -91,42 +92,42 @@ class TestNaiveVsEnumerated:
 
 
 class TestEnumerationGain:
-    def test_large_n_values(self, ctx):
+    def test_large_n_values(self):
         # frozen from exact evaluation of both closed forms
-        assert enumeration_gain(4, 10**6, ctx) == pytest.approx(2.584958, abs=1e-4)
-        assert enumeration_gain(3, 10**6, ctx) == pytest.approx(0.999999, abs=1e-4)
-        assert enumeration_gain(20, 1000, ctx) == pytest.approx(56.510506, abs=1e-4)
+        assert enumeration_gain(4, 10**6) == pytest.approx(2.584958, abs=1e-4)
+        assert enumeration_gain(3, 10**6) == pytest.approx(0.999999, abs=1e-4)
+        assert enumeration_gain(20, 1000) == pytest.approx(56.510506, abs=1e-4)
 
-    def test_matches_lgamma_oracle(self, ctx):
+    def test_matches_lgamma_oracle(self):
         for sigma, n in [(4, 10**6), (20, 1000), (128, 10**5)]:
             oracle = (sigma - 1) * math.log2(n + 1) - lgamma_log2_comb(n + sigma - 1, sigma - 1)
-            assert enumeration_gain(sigma, n, ctx) == pytest.approx(oracle, abs=1e-4)
+            assert enumeration_gain(sigma, n) == pytest.approx(oracle, abs=1e-4)
 
-    def test_grows_with_n(self, ctx):
-        assert enumeration_gain(128, 10**6, ctx) > enumeration_gain(128, 10**2, ctx)
+    def test_grows_with_n(self):
+        assert enumeration_gain(128, 10**6) > enumeration_gain(128, 10**2)
 
     @pytest.mark.parametrize("sigma", [4, 20, 128, 256])
-    def test_converges_to_log2_factorial(self, ctx, sigma):
+    def test_converges_to_log2_factorial(self, sigma):
         limit = log2_int(math.factorial(sigma - 1))
-        assert enumeration_gain(sigma, 10**7, ctx) == pytest.approx(limit, abs=0.01)
+        assert enumeration_gain(sigma, 10**7) == pytest.approx(limit, abs=0.01)
 
     @pytest.mark.parametrize("sigma", [4, 20, 128, 256])
-    def test_stays_below_leading_term_estimate(self, ctx, sigma):
+    def test_stays_below_leading_term_estimate(self, sigma):
         # the gain never reaches (sigma-1)*log2(sigma-1); the dropped
         # Stirling terms make that estimate one-sided
         estimate = (sigma - 1) * math.log2(sigma - 1)
         for n in (10**3, 10**7):
-            assert enumeration_gain(sigma, n, ctx) < estimate
+            assert enumeration_gain(sigma, n) < estimate
 
     @pytest.mark.parametrize("sigma", [4, 20, 128, 256])
-    def test_deviation_from_leading_term_shrinks_with_n(self, ctx, sigma):
+    def test_deviation_from_leading_term_shrinks_with_n(self, sigma):
         estimate = (sigma - 1) * math.log2(sigma - 1)
-        dev_small = abs(enumeration_gain(sigma, 10**3, ctx) - estimate)
-        dev_large = abs(enumeration_gain(sigma, 10**7, ctx) - estimate)
+        dev_small = abs(enumeration_gain(sigma, 10**3) - estimate)
+        dev_large = abs(enumeration_gain(sigma, 10**7) - estimate)
         assert dev_large < dev_small
 
-    def test_rejects_bad_arguments(self, ctx):
+    def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            enumeration_gain(1, 10, ctx)
+            enumeration_gain(1, 10)
         with pytest.raises(ValueError):
-            enumeration_gain(4, 0, ctx)
+            enumeration_gain(4, 0)

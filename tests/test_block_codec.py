@@ -29,7 +29,7 @@ from enumcode.block_codec import (
     factorize_variable,
     vector_bits,
 )
-from enumcode.combinatorics import CombinatoricsContext, ceil_log2, multinomial
+from enumcode.combinatorics import ceil_log2, k_count, multinomial
 from enumcode.composition_codec import vector_to_index
 from enumcode.permutation_codec import _rank_incremental, _symbol_ids, sequence_to_perm_index
 
@@ -42,7 +42,7 @@ def variable_params(data, alpha=b"a", r=2, alphabet=FIG_ALPHABET):
 
 
 class TestFactorizeVariable:
-    def test_reference_factorization(self, ctx):
+    def test_reference_factorization(self):
         blocks = factorize_variable(FIG_T, variable_params(FIG_T))
         assert [b.length for b in blocks] == FIG_LENGTHS
         assert [b.content for b in blocks] == FIG_BLOCKS
@@ -147,24 +147,24 @@ class TestCodecParams:
 
 
 class TestEncodeDecode:
-    def test_reference_round_trip(self, ctx):
+    def test_reference_round_trip(self):
         params = variable_params(FIG_T)
-        container = encode(FIG_T, params, ctx)
-        assert decode(container, ctx) == FIG_T
+        container = encode(FIG_T, params)
+        assert decode(container) == FIG_T
         revived = EncodedContainer.from_bytes(container.to_bytes())
         assert revived == container
-        assert decode(revived, ctx) == FIG_T
+        assert decode(revived) == FIG_T
 
-    def test_reference_payload_accounting(self, ctx):
+    def test_reference_payload_accounting(self):
         blocks = factorize_variable(FIG_T, variable_params(FIG_T))
-        container = encode(FIG_T, variable_params(FIG_T), ctx)
+        container = encode(FIG_T, variable_params(FIG_T))
         expected_bits = 0
         for block in blocks:
             expected_bits += elias_delta_bit_length(block.length)
-            expected_bits += ceil_log2(ctx.k_count(3, block.length - 2))
+            expected_bits += ceil_log2(k_count(3, block.length - 2))
             expected_bits += ceil_log2(multinomial(block.freq))
         assert container.payload_bits == expected_bits == 90
-        assert container_bits(blocks, variable_params(FIG_T), ctx) == len(container.to_bytes()) * 8
+        assert container_bits(blocks, variable_params(FIG_T)) == len(container.to_bytes()) * 8
 
     @pytest.mark.parametrize(
         "data,alpha,r",
@@ -180,80 +180,80 @@ class TestEncodeDecode:
             (FIG_T, b"g", 4),
         ],
     )
-    def test_variable_edge_round_trips(self, ctx, data, alpha, r):
+    def test_variable_edge_round_trips(self, data, alpha, r):
         params = variable_params(data, alpha=alpha, r=r)
-        container = EncodedContainer.from_bytes(encode(data, params, ctx).to_bytes())
-        assert decode(container, ctx) == data
+        container = EncodedContainer.from_bytes(encode(data, params).to_bytes())
+        assert decode(container) == data
 
     @pytest.mark.parametrize("fixed_len", [1, 2, 3, 4, 7, 34, 50])
-    def test_fixed_edge_round_trips(self, ctx, fixed_len):
+    def test_fixed_edge_round_trips(self, fixed_len):
         params = CodecParams.fixed(FIG_ALPHABET, fixed_len, len(FIG_T))
-        container = EncodedContainer.from_bytes(encode(FIG_T, params, ctx).to_bytes())
-        assert decode(container, ctx) == FIG_T
+        container = EncodedContainer.from_bytes(encode(FIG_T, params).to_bytes())
+        assert decode(container) == FIG_T
 
-    def test_empty_input_is_header_only(self, ctx):
+    def test_empty_input_is_header_only(self):
         params = variable_params(b"")
-        container = encode(b"", params, ctx)
+        container = encode(b"", params)
         assert container.payload == b""
-        assert decode(container, ctx) == b""
+        assert decode(container) == b""
 
-    def test_bytearray_input_is_left_as_it_was(self, ctx):
+    def test_bytearray_input_is_left_as_it_was(self):
         # the final block's padding is appended to a copy, never to the input
         data = bytearray(b"ttgaacgagcgt")  # the residue "gcgt" owes two delimiters
         params = variable_params(data)
-        container = encode(data, params, ctx)
+        container = encode(data, params)
         assert data == b"ttgaacgagcgt"
-        assert container == encode(bytes(data), params, ctx)
+        assert container == encode(bytes(data), params)
 
-    def test_single_symbol_alphabet(self, ctx):
+    def test_single_symbol_alphabet(self):
         data = b"xxxxx"
         params = CodecParams.variable(b"x", b"x", 2, len(data))
-        container = encode(data, params, ctx)
-        assert decode(container, ctx) == data
+        container = encode(data, params)
+        assert decode(container) == data
 
-    def test_skip_rule_packs_nothing_for_uniform_blocks(self, ctx):
+    def test_skip_rule_packs_nothing_for_uniform_blocks(self):
         data = b"aaaa"
         params = variable_params(data)
         blocks = factorize_variable(data, params)
-        acct = accounted_bits(blocks, params, ctx)
+        acct = accounted_bits(blocks, params)
         assert acct.perm_bits == 0
         assert acct.freq_bits == 0
-        container = encode(data, params, ctx)
+        container = encode(data, params)
         # two blocks of length 2: just their delta codewords, 0100 0100
         assert container.payload == b"\x44"
         assert container.payload_bits == 8
 
-    def test_zero_width_container_decodes_as_runs(self, ctx):
+    def test_zero_width_container_decodes_as_runs(self):
         # sigma=1, n=2**24 in blocks of 2**20: every field is zero bits wide,
         # so 21 bytes stand for 16 MiB, which must not be built symbol by symbol
         raw = EncodedContainer(params=CodecParams.fixed(b"a", 2**20, 2**24), payload=b"").to_bytes()
         assert len(raw) == 21
         start = time.perf_counter()
-        data = decode(EncodedContainer.from_bytes(raw), ctx)
+        data = decode(EncodedContainer.from_bytes(raw))
         assert time.perf_counter() - start < 2.0
         assert data == b"a" * 2**24
 
-    def test_output_cap_rejects_before_the_payload(self, ctx):
+    def test_output_cap_rejects_before_the_payload(self):
         # the 21-byte container above, which decodes under the default cap
         raw = EncodedContainer(params=CodecParams.fixed(b"a", 2**20, 2**24), payload=b"").to_bytes()
         start = time.perf_counter()
         with pytest.raises(CorruptContainerError, match=f"n={2**24} .*cap of {2**20}$") as exc:
-            decode(EncodedContainer.from_bytes(raw), ctx, max_output=2**20)
+            decode(EncodedContainer.from_bytes(raw), max_output=2**20)
         assert time.perf_counter() - start < 0.05
         assert exc.value.block is None and exc.value.bit_offset is None
         assert DEFAULT_MAX_OUTPUT >= 2**24
 
-    def test_output_cap_is_inclusive(self, ctx):
-        container = encode(FIG_T, variable_params(FIG_T), ctx)
-        assert decode(container, ctx, max_output=len(FIG_T)) == FIG_T
+    def test_output_cap_is_inclusive(self):
+        container = encode(FIG_T, variable_params(FIG_T))
+        assert decode(container, max_output=len(FIG_T)) == FIG_T
         with pytest.raises(CorruptContainerError, match="output cap"):
-            decode(container, ctx, max_output=len(FIG_T) - 1)
+            decode(container, max_output=len(FIG_T) - 1)
 
 
 class TestContainerFormat:
-    def test_variable_header_layout(self, ctx):
+    def test_variable_header_layout(self):
         params = CodecParams.variable(b"ab", b"a", 1, 2)
-        container = encode(b"aa", params, ctx)
+        container = encode(b"aa", params)
         raw = container.to_bytes()
         expected = (
             b"ENUM"
@@ -267,9 +267,9 @@ class TestContainerFormat:
         assert raw == expected
         assert container.header_length() == len(raw) - 1
 
-    def test_fixed_header_layout(self, ctx):
+    def test_fixed_header_layout(self):
         params = CodecParams.fixed(b"ab", 2, 0)
-        raw = encode(b"", params, ctx).to_bytes()
+        raw = encode(b"", params).to_bytes()
         expected = (
             b"ENUM"
             + bytes([1, 0])
@@ -292,9 +292,9 @@ class TestContainerFormat:
         with pytest.raises(FormatError, match="mode"):
             EncodedContainer.from_bytes(b"ENUM" + bytes([1, 7]) + bytes(20))
 
-    def test_truncated_header(self, ctx):
+    def test_truncated_header(self):
         params = CodecParams.variable(b"ab", b"a", 1, 2)
-        raw = encode(b"aa", params, ctx).to_bytes()
+        raw = encode(b"aa", params).to_bytes()
         with pytest.raises(FormatError, match="truncated|magic"):
             EncodedContainer.from_bytes(raw[:10])
 
@@ -316,23 +316,23 @@ class TestCorruptPayloads:
         params = CodecParams.fixed(b"ab", fixed_len, len(data))
         return EncodedContainer(params=params, payload=payload_writer.getvalue())
 
-    def test_frequency_rank_out_of_range(self, ctx):
+    def test_frequency_rank_out_of_range(self):
         w = BitWriter()
         w.write(3, 2)  # only ranks 0..2 exist for two symbols summing to 2
         params = CodecParams.fixed(b"ab", 2, 2)
         container = EncodedContainer(params=params, payload=w.getvalue())
         with pytest.raises(CorruptContainerError, match="block 1.*frequency rank"):
-            decode(container, ctx)
+            decode(container)
 
-    def test_permutation_rank_out_of_range(self, ctx):
+    def test_permutation_rank_out_of_range(self):
         w = BitWriter()
         w.write(1, 2)  # frequency vector (1, 2)
         w.write(3, 2)  # but it only has 3 arrangements
         container = self._fixed_container(w)
         with pytest.raises(CorruptContainerError, match="block 1.*permutation rank"):
-            decode(container, ctx)
+            decode(container)
 
-    def test_error_names_the_bit_offset_of_the_block(self, ctx):
+    def test_error_names_the_bit_offset_of_the_block(self):
         w = BitWriter()
         w.write(1, 2)  # block 1: frequency vector (1, 2)
         w.write(2, 2)  # and its last arrangement, "bba"
@@ -340,49 +340,49 @@ class TestCorruptPayloads:
         w.write(3, 2)  # out of range
         container = self._fixed_container(w, data=b"bbaabb")
         with pytest.raises(CorruptContainerError, match="payload bit 4, block 2: permutation rank 3") as exc:
-            decode(container, ctx)
+            decode(container)
         assert (exc.value.block, exc.value.bit_offset) == (2, 4)
 
-    def test_truncated_payload(self, ctx):
+    def test_truncated_payload(self):
         params = variable_params(FIG_T)
-        container = encode(FIG_T, params, ctx)
+        container = encode(FIG_T, params)
         clipped = EncodedContainer(params=params, payload=container.payload[:4])
         with pytest.raises(CorruptContainerError, match="block"):
-            decode(clipped, ctx)
+            decode(clipped)
 
-    def test_trailing_garbage(self, ctx):
+    def test_trailing_garbage(self):
         params = variable_params(FIG_T)
-        container = encode(FIG_T, params, ctx)
+        container = encode(FIG_T, params)
         bloated = EncodedContainer(params=params, payload=container.payload + b"\xff")
         with pytest.raises(CorruptContainerError, match="trailing garbage"):
-            decode(bloated, ctx)
+            decode(bloated)
 
-    def test_nonzero_padding_bits(self, ctx):
+    def test_nonzero_padding_bits(self):
         params = variable_params(FIG_T)
-        container = encode(FIG_T, params, ctx)
+        container = encode(FIG_T, params)
         tampered = bytearray(container.payload)
         tampered[-1] |= 0x01  # the last 6 bits are byte padding
         bad = EncodedContainer(params=params, payload=bytes(tampered))
         with pytest.raises(CorruptContainerError, match="trailing garbage"):
-            decode(bad, ctx)
+            decode(bad)
 
-    def test_block_length_below_r(self, ctx):
+    def test_block_length_below_r(self):
         w = BitWriter()
         w.write_elias_delta(1)  # r is 2, so a length-1 block is impossible
         params = CodecParams.variable(b"ab", b"a", 2, 5)
         container = EncodedContainer(params=params, payload=w.getvalue())
         with pytest.raises(CorruptContainerError, match="below r"):
-            decode(container, ctx)
+            decode(container)
 
-    def test_block_length_beyond_sequence(self, ctx):
+    def test_block_length_beyond_sequence(self):
         w = BitWriter()
         w.write_elias_delta(2**40)  # bounds the work a hostile container can cause
         params = CodecParams.variable(b"ab", b"a", 2, 5)
         container = EncodedContainer(params=params, payload=w.getvalue())
         with pytest.raises(CorruptContainerError, match="exceeds the sequence length"):
-            decode(container, ctx)
+            decode(container)
 
-    def test_oversized_permutation_field_rejected_before_counting(self, ctx):
+    def test_oversized_permutation_field_rejected_before_counting(self):
         # 29 bytes claiming a block of 17*r symbols with r = 2**20: its
         # arrangement count has millions of bits, far more than the payload
         r = 2**20
@@ -394,7 +394,7 @@ class TestCorruptPayloads:
         start = time.perf_counter()
         with pytest.raises(CorruptContainerError, match="block 1: permutation rank needs") as exc:
             # a cap above the declared n lets decode reach the field check
-            decode(EncodedContainer.from_bytes(raw), ctx, max_output=2**40)
+            decode(EncodedContainer.from_bytes(raw), max_output=2**40)
         assert time.perf_counter() - start < 1.0
         assert exc.value.block == 1
 
@@ -413,35 +413,32 @@ class TestCorruptPayloads:
         raw = EncodedContainer(params=params, payload=w.getvalue()).to_bytes()
         if exponent == 18:
             assert len(raw) == 34
-        fresh = CombinatoricsContext()
         start = time.perf_counter()
         with pytest.raises(CorruptContainerError, match="block 1"):
             # a cap above the declared n lets decode reach the field check
-            decode(EncodedContainer.from_bytes(raw), fresh, max_output=2**40)
+            decode(EncodedContainer.from_bytes(raw), max_output=2**40)
         # about 0.1 ms; the bound leaves room for a loaded host, while a walk
-        # over the block length adds 2**exponent table entries and, at 2**30,
-        # runs for minutes
+        # over the block length runs for minutes at 2**30
         assert time.perf_counter() - start < 1.0
-        assert len(fresh) < 100
 
-    def test_oversized_frequency_field_rejected(self, ctx):
+    def test_oversized_frequency_field_rejected(self):
         # 256 symbols in blocks of 2**32 - 1: the frequency field alone is
         # thousands of bits wide, and the payload is empty
         params = CodecParams.fixed(bytes(range(256)), 2**32 - 1, 2**40)
         container = EncodedContainer(params=params, payload=b"")
         with pytest.raises(CorruptContainerError, match="block 1: frequency rank needs"):
             # a cap above the declared n lets decode reach the field check
-            decode(container, ctx, max_output=2**40)
+            decode(container, max_output=2**40)
 
 
 class TestAccounting:
-    def test_reference_component_budget(self, ctx):
+    def test_reference_component_budget(self):
         params = variable_params(FIG_T)
         blocks = factorize_variable(FIG_T, params)
-        acct = accounted_bits(blocks, params, ctx)
+        acct = accounted_bits(blocks, params)
         # per-block widths computed from the reference freq vectors
         assert [ceil_log2(b.length) for b in blocks] == [3, 3, 2, 2, 3, 2]
-        assert [ceil_log2(ctx.k_count(3, b.length - 2)) for b in blocks] == [5, 5, 3, 3, 4, 2]
+        assert [ceil_log2(k_count(3, b.length - 2)) for b in blocks] == [5, 5, 3, 3, 4, 2]
         assert [ceil_log2(multinomial(f)) for f in FIG_FREQS] == [10, 11, 4, 4, 5, 2]
         assert acct.length_bits == 15
         assert acct.freq_bits == 22
@@ -450,27 +447,27 @@ class TestAccounting:
         assert acct.bits_real == pytest.approx(66.6659650933787)
         assert acct.per_base(len(FIG_T)) == pytest.approx(73 / 34)
 
-    def test_first_block_frequency_field_width(self, ctx):
+    def test_first_block_frequency_field_width(self):
         # 21 three-dimensional vectors sum to 5, so the field is 5 bits wide
         blocks = factorize_variable(FIG_T, variable_params(FIG_T))
         assert blocks[0].freq[0] == 2 and blocks[0].freq[1:] == (1, 2, 2)
-        assert ctx.k_count(3, 5) == 21
+        assert k_count(3, 5) == 21
         assert ceil_log2(21) == 5
 
-    def test_uniform_block_needs_no_permutation_bits(self, ctx):
+    def test_uniform_block_needs_no_permutation_bits(self):
         params = CodecParams.fixed(b"ab", 4, 4)
         blocks = factorize_fixed(b"aaaa", params)
-        acct = accounted_bits(blocks, params, ctx)
+        acct = accounted_bits(blocks, params)
         assert acct.perm_bits == 0
 
-    def test_fixed_mode_has_no_length_component(self, ctx):
+    def test_fixed_mode_has_no_length_component(self):
         params = CodecParams.fixed(FIG_ALPHABET, 4, len(FIG_T))
         blocks = factorize_fixed(FIG_T, params)
-        acct = accounted_bits(blocks, params, ctx)
+        acct = accounted_bits(blocks, params)
         assert acct.length_bits == 0
         assert acct.bits_ceiled == acct.freq_bits + acct.perm_bits
 
-    def test_average_block_length(self, ctx):
+    def test_average_block_length(self):
         blocks = factorize_variable(FIG_T, variable_params(FIG_T))
         assert average_block_length(blocks) == pytest.approx(sum(FIG_LENGTHS) / 6)
         assert average_block_length([]) == 0.0
@@ -496,15 +493,14 @@ def fixed_cases(draw):
     return data, CodecParams.fixed(alphabet, fixed_len, len(data))
 
 
-CTX = CombinatoricsContext()
 
 
 @given(variable_cases())
 @settings(deadline=None)
 def test_variable_round_trip_property(case):
     data, params = case
-    container = EncodedContainer.from_bytes(encode(data, params, CTX).to_bytes())
-    assert decode(container, CTX) == data
+    container = EncodedContainer.from_bytes(encode(data, params).to_bytes())
+    assert decode(container) == data
 
 
 @given(variable_cases())
@@ -525,7 +521,7 @@ def test_variable_structural_invariants(case):
         ranked = b.freq[:apos] + b.freq[apos + 1 :]  # the vector encode ranks
         assert sum(ranked) == b.length - r
         assert sequence_to_perm_index(b.content, params.alphabet) < multinomial(b.freq)
-        assert vector_to_index(ranked, CTX) < CTX.k_count(params.sigma - 1, b.length - r)
+        assert vector_to_index(ranked) < k_count(params.sigma - 1, b.length - r)
     assert all(b.pad_count == 0 for b in blocks[:-1])
     assert 0 <= blocks[-1].pad_count <= r
 
@@ -543,10 +539,10 @@ def test_variable_structural_invariants(case):
 @settings(deadline=None)
 def test_fixed_round_trip_property(case):
     data, params = case
-    container = EncodedContainer.from_bytes(encode(data, params, CTX).to_bytes())
-    assert decode(container, CTX) == data
+    container = EncodedContainer.from_bytes(encode(data, params).to_bytes())
+    assert decode(container) == data
     for b in factorize_fixed(data, params):
-        assert vector_to_index(b.freq, CTX) < CTX.k_count(params.sigma, b.length)
+        assert vector_to_index(b.freq) < k_count(params.sigma, b.length)
 
 
 @given(st.one_of(variable_cases(), fixed_cases()))
@@ -557,8 +553,8 @@ def test_container_size_matches_declared_widths(case):
         blocks = factorize_variable(data, params)
     else:
         blocks = factorize_fixed(data, params)
-    container = encode(data, params, CTX)
-    assert container_bits(blocks, params, CTX) == len(container.to_bytes()) * 8
+    container = encode(data, params)
+    assert container_bits(blocks, params) == len(container.to_bytes()) * 8
 
 
 @st.composite
@@ -600,11 +596,11 @@ def reference_accounted_bits(blocks, params):
             delta_bits += elias_delta_bit_length(block.length)
             real += math.log2(block.length)
         if not variable:
-            count = CTX.k_count(params.sigma, block.length)
+            count = k_count(params.sigma, block.length)
         elif params.sigma == 1:
             count = 1
         else:
-            count = CTX.k_count(params.sigma - 1, block.length - params.r)
+            count = k_count(params.sigma - 1, block.length - params.r)
         freq_bits += ceil_log2(count)
         real += log2_int(count)
         arrangements = multinomial(block.freq)
@@ -643,7 +639,7 @@ def test_block_vectors_match_factorize(case):
     assert block_vectors(data, params) == expected
     assert [sum(freq) for freq in expected[0]] == [b.length for b in blocks]
     # exact, bits_real included: the memo must not change the sum's order
-    assert vector_bits(expected[0], params, CTX) == reference_accounted_bits(blocks, params)
+    assert vector_bits(expected[0], params) == reference_accounted_bits(blocks, params)
     if params.mode == "variable":
         positions = delimiter_positions(data, params.alpha_byte)
         assert positions == [i for i, byte in enumerate(data) if byte == params.alpha_byte]
@@ -794,7 +790,7 @@ def test_factorization_matches_reference(case):
 # input with factorize(), then rank each block's content with the oracle walk.
 
 
-def reference_encode(data, params, ctx):
+def reference_encode(data, params):
     writer = BitWriter()
     variable = params.mode == "variable"
     for block in factorize(data, params):
@@ -804,8 +800,8 @@ def reference_encode(data, params, ctx):
             apos = params.alpha_index - 1
             vector = vector[:apos] + vector[apos + 1 :]
         writer.write(
-            vector_to_index(vector, ctx) if vector else 0,
-            ceil_log2(_vector_count(block.length, params, ctx)),
+            vector_to_index(vector) if vector else 0,
+            ceil_log2(_vector_count(block.length, params)),
         )
         writer.write(
             _rank_incremental(*_symbol_ids(block.content, params.alphabet)),
@@ -837,8 +833,7 @@ def encode_cases(draw):
 @example((FIG_T, CodecParams.fixed(FIG_ALPHABET, len(FIG_T) + 1, len(FIG_T))))
 def test_encode_matches_reference(case):
     data, params = case
-    ctx = CombinatoricsContext()
-    got = encode(data, params, ctx)
-    expected = reference_encode(data, params, ctx)
+    got = encode(data, params)
+    expected = reference_encode(data, params)
     assert got.to_bytes() == expected.to_bytes()
     assert got.payload_bits == expected.payload_bits

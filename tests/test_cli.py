@@ -12,7 +12,6 @@ from enumcode.block_codec import (
     factorize,
 )
 from enumcode.cli import main, sweep_file
-from enumcode.combinatorics import CombinatoricsContext
 
 from conftest import COMPOSITIONS_4_4, FIG_T, PERMS_2110
 from test_acceptance import _dna_like
@@ -83,6 +82,11 @@ class TestEncodeDecode:
         src.write_bytes(b">h\nACGTN\n")
         assert main(["encode", str(src), "--fasta", "--alpha", "A", "--r", "2"]) == 4
         assert "offset 4" in capsys.readouterr().err
+        # the first foreign base is reported at its offset in the joined
+        # sequence, not at a later repeat or its offset within its line
+        src.write_bytes(b">h\nacgt\nacrt\n;note\nggra\n")
+        assert main(["encode", str(src), "--fasta", "--alpha", "A", "--r", "2"]) == 4
+        assert "byte 0x52 at offset 6 is not" in capsys.readouterr().err
 
 
 class TestExitCodes:
@@ -120,6 +124,10 @@ class TestExitCodes:
         n = len(FIG_T)
         assert main(["decode", str(enc), "--out", str(dec), "--max-output", str(n - 1)]) == 5
         assert f"n={n} symbols, more than the output cap of {n - 1}" in capsys.readouterr().err
+        assert not dec.exists()
+        # a negative cap is a usage error, not a corrupt container
+        assert main(["decode", str(enc), "--out", str(dec), "--max-output", "-1"]) == 2
+        assert "--max-output: must be >= 0, got -1" in capsys.readouterr().err
         assert not dec.exists()
         assert main(["decode", str(enc), "--out", str(dec), "--max-output", str(n)]) == 0
         assert dec.read_bytes() == FIG_T
@@ -201,8 +209,7 @@ class TestSweep:
     def test_single_symbol_file_costs_almost_nothing(self, tmp_path):
         path = tmp_path / "mono.txt"
         path.write_bytes(b"x" * 10000)
-        ctx = CombinatoricsContext()
-        sweep = sweep_file("mono.txt", path.read_bytes(), ctx)
+        sweep = sweep_file("mono.txt", path.read_bytes())
         # every block is uniform: no frequency or permutation bits at all,
         # just the per-block length accounting
         assert sweep.best_variable.bits_per_base < 0.1
@@ -215,8 +222,7 @@ class TestSweep:
         inputs = [path.read_bytes(), *(_dna_like(seed, n=2000) for seed in (1, 2, 5))]
         inputs.append(b"acgt" * 101 + b"a")  # ends on a consumed delimiter at r=1
         for data in inputs:
-            ctx = CombinatoricsContext()
-            sweep = sweep_file("x", data, ctx, r_set=(1, 2, 4), l_set=(1, 4, 8))
+            sweep = sweep_file("x", data, r_set=(1, 2, 4), l_set=(1, 4, 8))
             alphabet = bytes(sorted(set(data)))
             for point in sweep.points:
                 if point.mode == "variable":
@@ -224,14 +230,14 @@ class TestSweep:
                 else:
                     params = CodecParams.fixed(alphabet, point.fixed_len, len(data))
                 blocks = factorize(data, params)
-                acct = accounted_bits(blocks, params, ctx)
+                acct = accounted_bits(blocks, params)
                 assert point.blocks == len(blocks)
                 assert point.avg_block_len == average_block_length(blocks)
                 assert point.bits_ceiled == acct.bits_ceiled
                 assert point.bits_real == acct.bits_real
                 assert point.bits_per_base == pytest.approx(acct.bits_ceiled / len(data))
                 # the container column is the size of the container encode writes
-                assert point.container_bits == 8 * len(encode(data, params, ctx).to_bytes())
+                assert point.container_bits == 8 * len(encode(data, params).to_bytes())
 
     def test_fasta_alphas_are_uppercased(self, tmp_path, capsys):
         # --fasta uppercases the sequence, so a lowercase delimiter must follow,
@@ -277,8 +283,7 @@ class TestSweep:
     def test_tie_break_prefers_smaller_r_and_earlier_symbol(self, tmp_path):
         # a uniform file gives many ties; the reported best must be stable
         data = b"abab" * 500
-        ctx = CombinatoricsContext()
-        sweep = sweep_file("t", data, ctx, r_set=(2, 2), l_set=(4,))
+        sweep = sweep_file("t", data, r_set=(2, 2), l_set=(4,))
         best = sweep.best_variable
         candidates = [
             p

@@ -7,9 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from enumcode.combinatorics import (
-    CombinatoricsContext,
     binomial,
     ceil_log2,
+    k_count,
     k_count_sum_form,
     multinomial,
 )
@@ -63,50 +63,42 @@ class TestMultinomial:
 
 
 class TestKCount:
-    def test_known_values(self, ctx):
-        assert ctx.k_count(4, 4) == 35
-        assert ctx.k_count(3, 5) == 21
-        assert ctx.k_count(3, 3) == 10
-        assert ctx.k_count(2, 2) == 3
+    def test_known_values(self):
+        assert k_count(4, 4) == 35
+        assert k_count(3, 5) == 21
+        assert k_count(3, 3) == 10
+        assert k_count(2, 2) == 3
 
     @pytest.mark.parametrize("s", [0, 1, 5, 64])
-    def test_one_dimension(self, ctx, s):
-        assert ctx.k_count(1, s) == 1
+    def test_one_dimension(self, s):
+        assert k_count(1, s) == 1
 
-    def test_zero_sum(self, ctx):
+    def test_zero_sum(self):
         for sigma in range(1, 9):
-            assert ctx.k_count(sigma, 0) == 1
+            assert k_count(sigma, 0) == 1
 
-    def test_invalid_arguments(self, ctx):
+    def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            ctx.k_count(0, 3)
+            k_count(0, 3)
         with pytest.raises(ValueError):
-            ctx.k_count(2, -1)
+            k_count(2, -1)
 
-    def test_matches_sum_form_everywhere(self, ctx):
+    def test_matches_sum_form_everywhere(self):
         for sigma in range(1, 9):
             for n in range(65):
-                assert ctx.k_count(sigma, n) == k_count_sum_form(sigma, n)
+                assert k_count(sigma, n) == k_count_sum_form(sigma, n)
 
-    def test_matches_brute_force_composition_count(self, ctx):
+    def test_matches_brute_force_composition_count(self):
         for sigma in range(1, 5):
             by_sum = Counter(sum(t) for t in product(range(11), repeat=sigma))
             for n in range(11):
-                assert ctx.k_count(sigma, n) == by_sum[n]
+                assert k_count(sigma, n) == by_sum[n]
 
     @given(st.integers(2, 8), st.integers(0, 40))
     def test_dimension_recurrence(self, sigma, n):
-        ctx = CombinatoricsContext()
-        assert ctx.k_count(sigma, n) == sum(
-            ctx.k_count(sigma - 1, n - j) for j in range(n + 1)
+        assert k_count(sigma, n) == sum(
+            k_count(sigma - 1, n - j) for j in range(n + 1)
         )
-
-    def test_memo_grows(self):
-        ctx = CombinatoricsContext()
-        assert len(ctx) == 0
-        ctx.k_count(4, 4)
-        assert len(ctx) == 1
-        assert ctx.k_count(2, 3) == 4
 
 
 class TestSumForm:

@@ -1,0 +1,21 @@
+"""Smoke tests for the measurement scripts under ``tools/``.
+
+The scripts call library functions directly, so a signature change that
+they miss would otherwise only show when someone runs them.
+"""
+
+import importlib
+from pathlib import Path
+
+from test_acceptance import _dna_like
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def test_sweep_time_oracle_check_passes(monkeypatch):
+    # the script puts src/ and tests/ on sys.path when imported;
+    # monkeypatch restores sys.path afterwards
+    monkeypatch.syspath_prepend(str(TOOLS))
+    sweep_time = importlib.import_module("sweep_time")
+    # exits non-zero on any point that differs from factorize + accounted_bits
+    sweep_time.check_against_oracle(_dna_like(3, n=2000))

@@ -56,9 +56,8 @@ def test_sweep_prices_each_block_once(tracer, modules):
     spans = tracer.Tracer()
     spans.install(modules)
     try:
-        ctx = modules["combinatorics"].CombinatoricsContext()
         data = b"acgtaacgttgcaatgca" * 20
-        sweep = modules["cli"].sweep_file("x", data, ctx, r_set=(2, 4), l_set=(4, 8))
+        sweep = modules["cli"].sweep_file("x", data, r_set=(2, 4), l_set=(4, 8))
     finally:
         spans.uninstall()
     metrics = spans.metrics()

@@ -6,13 +6,13 @@ Usage (from the repository root):
 
 For each length N it sweeps the default parameter grid (34 points over the
 ``acgt`` alphabet) of an N-symbol ``_dna_like`` input (the generator of
-``tests/test_acceptance.py``, seed 3) with ``sweep_file``, each time with a
-fresh ``CombinatoricsContext``. Each time is the best of three runs, in
-seconds. Before timing, every point of the 5k sweep is checked against the
-oracle the sweep replaced: cut the blocks with ``factorize`` and price them
-with ``accounted_bits``. Any difference in block count, average block
-length, ceiled or real bits, or container size exits non-zero. The output
-is one JSON object keyed by N. The whole run takes a few seconds.
+``tests/test_acceptance.py``, seed 3) with ``sweep_file``. Each time is the
+best of three runs, in seconds. Before timing, every point of the 5k sweep
+is checked against the oracle the sweep replaced: cut the blocks with
+``factorize`` and price them with ``accounted_bits``. Any difference in
+block count, average block length, ceiled or real bits, or container size
+exits non-zero. The output is one JSON object keyed by N. The whole run
+takes a few seconds.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from enumcode.block_codec import (  # noqa: E402
     factorize,
 )
 from enumcode.cli import sweep_file  # noqa: E402
-from enumcode.combinatorics import CombinatoricsContext  # noqa: E402
 from test_acceptance import _dna_like  # noqa: E402
 
 LENGTHS = (5_000, 30_000, 100_000)
@@ -50,8 +49,7 @@ def best_of_3(fn) -> float:
 
 
 def check_against_oracle(data: bytes) -> None:
-    ctx = CombinatoricsContext()
-    sweep = sweep_file("oracle", data, ctx)
+    sweep = sweep_file("oracle", data)
     alphabet = bytes(sorted(set(data)))
     for point in sweep.points:
         if point.mode == MODE_VARIABLE:
@@ -59,7 +57,7 @@ def check_against_oracle(data: bytes) -> None:
         else:
             params = CodecParams.fixed(alphabet, point.fixed_len, len(data))
         blocks = factorize(data, params)
-        acct = accounted_bits(blocks, params, ctx)
+        acct = accounted_bits(blocks, params)
         expected = (
             len(blocks),
             average_block_length(blocks),
@@ -84,8 +82,8 @@ def main() -> None:
     for length in LENGTHS:
         data = _dna_like(3, n=length)
         out[str(length)] = {
-            "points": len(sweep_file("x", data, CombinatoricsContext()).points),
-            "sweep_s": best_of_3(lambda: sweep_file("x", data, CombinatoricsContext())),
+            "points": len(sweep_file("x", data).points),
+            "sweep_s": best_of_3(lambda: sweep_file("x", data)),
         }
     print(json.dumps(out))
 
