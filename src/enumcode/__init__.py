@@ -21,14 +21,10 @@ from .block_codec import (
     FormatError,
     MODE_FIXED,
     MODE_VARIABLE,
-    accounted_bits,
     block_vectors,
-    container_bits,
     decode,
     encode,
     factorize,
-    factorize_fixed,
-    factorize_variable,
     vector_bits,
 )
 from .combinatorics import (
@@ -59,19 +55,15 @@ __all__ = [
     "FormatError",
     "MODE_FIXED",
     "MODE_VARIABLE",
-    "accounted_bits",
     "binomial",
     "block_vectors",
     "ceil_log2",
-    "container_bits",
     "decode",
     "encode",
     "enumerate_all",
     "enumerate_perms",
     "enumeration_gain",
     "factorize",
-    "factorize_fixed",
-    "factorize_variable",
     "finite_set_h0",
     "frequency_vector",
     "index_to_vector",

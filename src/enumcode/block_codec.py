@@ -31,10 +31,10 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import compress, repeat
 from statistics import fmean
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .analysis import log2_int
 from .bitstream import (
@@ -56,6 +56,8 @@ MODE_FIXED = "fixed"
 MODE_VARIABLE = "variable"
 _MODE_CODES = {MODE_FIXED: 0, MODE_VARIABLE: 1}
 _MODE_NAMES = {code: name for name, code in _MODE_CODES.items()}
+# r and fixed_len are u32 header fields
+_U32_MAX = 0xFFFFFFFF
 
 
 class AlphabetError(ValueError):
@@ -117,13 +119,13 @@ class CodecParams:
         if self.mode == MODE_VARIABLE:
             if self.alpha_index is None or not 1 <= self.alpha_index <= self.sigma:
                 raise ValueError("variable mode needs 1 <= alpha_index <= sigma")
-            if self.r is None or self.r < 1:
-                raise ValueError("variable mode needs r >= 1")
+            if self.r is None or not 1 <= self.r <= _U32_MAX:
+                raise ValueError(f"variable mode needs 1 <= r <= {_U32_MAX}")
             if self.fixed_len is not None:
                 raise ValueError("fixed_len is meaningless in variable mode")
         elif self.mode == MODE_FIXED:
-            if self.fixed_len is None or self.fixed_len < 1:
-                raise ValueError("fixed mode needs fixed_len >= 1")
+            if self.fixed_len is None or not 1 <= self.fixed_len <= _U32_MAX:
+                raise ValueError(f"fixed mode needs 1 <= fixed_len <= {_U32_MAX}")
             if self.alpha_index is not None or self.r is not None:
                 raise ValueError("alpha_index/r are meaningless in fixed mode")
         else:
@@ -185,61 +187,6 @@ def _check_input(data: bytes, params: CodecParams) -> None:
     check_alphabet(data, params.alphabet)
 
 
-def _make_block(content: bytes, params: CodecParams, pad_count: int = 0) -> Block:
-    freq = tuple(content.count(symbol) for symbol in params.alphabet)
-    return Block(content=content, length=len(content), freq=freq, pad_count=pad_count)
-
-
-def factorize_variable(data: bytes, params: CodecParams) -> list[Block]:
-    """Split ``data`` into delimiter-bounded blocks (see module docstring).
-
-    Every block's delimiter count is exactly ``r``; the final block may owe
-    some of those to padding. An input ending exactly on a consumed
-    delimiter produces no final block.
-    """
-    if params.mode != MODE_VARIABLE:
-        raise ValueError("params are not variable-mode")
-    _check_input(data, params)
-    if not data:
-        return []
-    alpha = params.alpha_byte
-    r = params.r
-
-    blocks: list[Block] = []
-    find = data.find
-    start = 0
-    # each full block ends at the (r+1)-th delimiter from its start
-    for _ in range(data.count(alpha) // (r + 1)):
-        end = start - 1
-        for _ in range(r + 1):
-            end = find(alpha, end + 1)
-        blocks.append(_make_block(data[start:end], params))
-        start = end + 1
-
-    residue = data[start:]
-    if residue:
-        pad = r - residue.count(alpha)
-        blocks.append(_make_block(residue + bytes([alpha]) * pad, params, pad_count=pad))
-    return blocks
-
-
-def factorize_fixed(data: bytes, params: CodecParams) -> list[Block]:
-    """Split ``data`` into ceil(n / fixed_len) blocks; only the last may be short."""
-    if params.mode != MODE_FIXED:
-        raise ValueError("params are not fixed-mode")
-    _check_input(data, params)
-    return [
-        _make_block(data[start : start + params.fixed_len], params)
-        for start in range(0, params.n, params.fixed_len)
-    ]
-
-
-def factorize(data: bytes, params: CodecParams) -> list[Block]:
-    if params.mode == MODE_VARIABLE:
-        return factorize_variable(data, params)
-    return factorize_fixed(data, params)
-
-
 def delimiter_positions(data: bytes, byte: int) -> list[int]:
     """Offsets of every ``byte`` in ``data``, in order."""
     indicator = bytearray(256)
@@ -250,24 +197,35 @@ def delimiter_positions(data: bytes, byte: int) -> list[int]:
 def block_vectors(
     data: bytes, params: CodecParams, positions: list[int] | None = None
 ) -> tuple[list[tuple[int, ...]], int]:
-    """The ``freq`` of every block :func:`factorize` cuts, and the final block's ``pad_count``.
+    """The count vector of every block, and the final block's padding.
 
-    Counts are read between the block bounds in ``data`` itself, so no block
-    is sliced or built. ``positions`` are the delimiter's offsets
+    Counts are read between :func:`_cut`'s bounds in ``data`` itself, so no
+    block is sliced or built. ``positions`` are the delimiter's offsets
     (:func:`delimiter_positions`) when the caller already has them.
     """
     _, _, vectors, pad = _cut(data, params, positions)
     return vectors, pad
 
 
+def factorize(data: bytes, params: CodecParams) -> list[Block]:
+    """Every block at :func:`_cut`'s bounds, with its symbols and count vector."""
+    contents, vectors, pad = _sliced(data, params)
+    blocks = [Block(content, len(content), freq) for content, freq in zip(contents, vectors)]
+    if pad:
+        blocks[-1] = replace(blocks[-1], pad_count=pad)
+    return blocks
+
+
 def _cut(
     data: bytes, params: CodecParams, positions: list[int] | None = None
 ) -> tuple[Sequence[int], Sequence[int], list[tuple[int, ...]], int]:
-    """(starts, ends, vectors, pad) of the blocks :func:`block_vectors` describes.
+    """(starts, ends, vectors, pad): where every block lies, and its counts.
 
-    Block i is ``data[starts[i]:ends[i]]``; the final block of variable mode
-    ends ``pad`` delimiters past the end of ``data``, which it owes to
-    padding, and the last fixed-mode end may pass it too.
+    Block i is ``data[starts[i]:ends[i]]``. In variable mode every block
+    holds the delimiter exactly r times and the (r+1)-th ends it; the final
+    block ends ``pad`` delimiters past the end of ``data``, which it owes to
+    padding, and an input ending on a consumed delimiter has no final block.
+    The last fixed-mode end may pass the end of ``data`` too.
     """
     _check_input(data, params)
     n = len(data)
@@ -299,6 +257,21 @@ def _cut(
     return starts, ends, list(zip(*columns)), pad
 
 
+def _sliced(
+    data: bytes, params: CodecParams
+) -> tuple[Iterator[bytes], list[tuple[int, ...]], int]:
+    """Each block's symbols, sliced lazily, with the vectors and pad of :func:`_cut`."""
+    starts, ends, vectors, pad = _cut(data, params)
+    # the final variable-mode block ends past the input, on the delimiters it owes
+    owed = bytes([params.alpha_byte]) * pad if pad else b""
+    n = len(data)
+    contents = (
+        data[start:end] + owed if end > n else data[start:end]
+        for start, end in zip(starts, ends)
+    )
+    return contents, vectors, pad
+
+
 def _vector_count(length: int, params: CodecParams) -> int:
     """How many count vectors the frequency field of a ``length``-symbol block chooses from.
 
@@ -317,21 +290,17 @@ def _vector_count(length: int, params: CodecParams) -> int:
 def encode(data: bytes, params: CodecParams) -> "EncodedContainer":
     """Serialize every block :func:`factorize` would cut into a container.
 
-    The blocks are read at their bounds in ``data`` (:func:`block_vectors`),
-    and each block's arrangement count both starts its rank and sets the
-    width of its permutation field.
+    The blocks are sliced at :func:`_cut`'s bounds, and each block's
+    arrangement count both starts its rank and sets the width of its
+    permutation field.
     """
-    starts, ends, vectors, pad = _cut(data, params)
+    contents, vectors, _ = _sliced(data, params)
     writer = BitWriter()
     variable = params.mode == MODE_VARIABLE
     if variable:
         # the delimiter's count is always r; _decode_block_fields puts it back
         apos = params.alpha_index - 1
-    for start, end, freq in zip(starts, ends, vectors):
-        content = data[start:end]
-        if pad and end > len(data):
-            # the final block ends past the input, on the delimiters it owes
-            content += bytes([params.alpha_byte]) * pad
+    for content, freq in zip(contents, vectors):
         length = len(content)
         vector = freq
         if variable:
@@ -411,40 +380,28 @@ def decode(container: "EncodedContainer", max_output: int = DEFAULT_MAX_OUTPUT) 
     reader = BitReader(container.payload)
     contents: list[bytes] = []
     start = 0  # payload bit at which the current block starts
-
-    if params.n > 0 and params.mode == MODE_VARIABLE:
-        total = 0
-        index = 0
-        # Reconstructed length including the delimiters between blocks:
-        # stops at >= n - 1 because a sequence ending on a consumed
-        # delimiter reconstructs one symbol short of n.
-        while index == 0 or total + (index - 1) < params.n - 1:
-            index += 1
-            start = reader.position
-            try:
+    variable = params.mode == MODE_VARIABLE
+    # Symbols reconstructed so far. In variable mode this includes the
+    # delimiter consumed between blocks, and it stops at n - 1 because a
+    # sequence ending on a consumed delimiter reconstructs one symbol short.
+    covered, goal = (-1, params.n - 1) if variable else (0, params.n)
+    while covered < goal:
+        start = reader.position
+        try:
+            if variable:
                 length = reader.read_elias_delta()
                 if length < params.r:
                     raise ValueError(f"block length {length} is below r={params.r}")
                 # a valid final block is at most the residue plus its padding
                 if length > params.n + params.r:
                     raise ValueError(f"block length {length} exceeds the sequence length")
-                freq, pid, arrangements = _decode_block_fields(reader, length, params)
-            except (BitstreamError, ValueError) as exc:
-                raise CorruptContainerError(str(exc), block=index, bit_offset=start) from None
-            contents.append(perm_index_to_sequence(pid, freq, params.alphabet, arrangements))
-            total += length
-    elif params.n > 0:
-        nblocks = -(-params.n // params.fixed_len)
-        for index in range(1, nblocks + 1):
-            length = params.fixed_len
-            if index == nblocks:
-                length = params.n - params.fixed_len * (nblocks - 1)
-            start = reader.position
-            try:
-                freq, pid, arrangements = _decode_block_fields(reader, length, params)
-            except (BitstreamError, ValueError) as exc:
-                raise CorruptContainerError(str(exc), block=index, bit_offset=start) from None
-            contents.append(perm_index_to_sequence(pid, freq, params.alphabet, arrangements))
+            else:
+                length = min(params.fixed_len, params.n - covered)
+            freq, pid, arrangements = _decode_block_fields(reader, length, params)
+        except (BitstreamError, ValueError) as exc:
+            raise CorruptContainerError(str(exc), block=len(contents) + 1, bit_offset=start) from None
+        contents.append(perm_index_to_sequence(pid, freq, params.alphabet, arrangements))
+        covered += length + 1 if variable else length
 
     if reader.bits_remaining >= 8 or (
         reader.bits_remaining and reader.read(reader.bits_remaining)
@@ -453,7 +410,7 @@ def decode(container: "EncodedContainer", max_output: int = DEFAULT_MAX_OUTPUT) 
             "trailing garbage after the final block", block=len(contents), bit_offset=start
         )
 
-    if params.mode == MODE_FIXED:
+    if not variable:
         return b"".join(contents)
     joined = bytes([params.alpha_byte]).join(contents)
     if len(joined) < params.n:
@@ -546,11 +503,6 @@ class EncodedContainer:
             raise FormatError(f"invalid header field: {exc}") from None
         return cls(params=params, payload=raw[pos:])
 
-    def header_length(self) -> int:
-        """Header size in bytes."""
-        base = 4 + 1 + 1 + 2 + self.params.sigma + 8
-        return base + (6 if self.params.mode == MODE_VARIABLE else 4)
-
 
 @dataclass(frozen=True)
 class AccountedBits:
@@ -632,7 +584,7 @@ def vector_bits(vectors: list[tuple[int, ...]], params: CodecParams) -> Accounte
         real += log_count
         real += log_arrangements
     payload = delta_bits + freq_bits + perm_bits
-    header = EncodedContainer(params=params, payload=b"").header_length()
+    header = len(EncodedContainer(params=params, payload=b"").to_bytes())
     return AccountedBits(
         bits_ceiled=length_bits + freq_bits + perm_bits,
         bits_real=real,
@@ -643,13 +595,13 @@ def vector_bits(vectors: list[tuple[int, ...]], params: CodecParams) -> Accounte
     )
 
 
+# perfbench/tracer.py looks these three names up in cli until ROADMAP item 2;
+# the library does not call them.
 def accounted_bits(blocks: list[Block], params: CodecParams) -> AccountedBits:
-    """Price every block of a factorization; see :func:`vector_bits`."""
     return vector_bits([block.freq for block in blocks], params)
 
 
 def container_bits(blocks: list[Block], params: CodecParams) -> int:
-    """Exact size, in bits, of the container :func:`encode` would emit."""
     return accounted_bits(blocks, params).container_bits
 
 
@@ -668,16 +620,11 @@ __all__ = [
     "FormatError",
     "MODE_FIXED",
     "MODE_VARIABLE",
-    "accounted_bits",
-    "average_block_length",
     "block_vectors",
     "check_alphabet",
-    "container_bits",
     "decode",
     "delimiter_positions",
     "encode",
     "factorize",
-    "factorize_fixed",
-    "factorize_variable",
     "vector_bits",
 ]

@@ -310,6 +310,20 @@ _REPORT_COLUMNS = [
 ]
 
 
+def _averages(sweeps: list[FileSweep]) -> list[float]:
+    """Mean h0, best fixed, best variable and best r-capped variable bits per base."""
+    rows = [
+        (
+            s.report.finite_set_h0_bits_per_base,
+            s.report.fixed_len_bits_per_base,
+            s.report.variable_len_bits_per_base,
+            s.best_variable_rcap.bits_per_base,
+        )
+        for s in sweeps
+    ]
+    return [sum(column) / len(sweeps) for column in zip(*rows)]
+
+
 def write_report_csv(stream, sweeps: list[FileSweep]) -> None:
     """One row per file with the per-file bests, then an averages row."""
     writer = csv.writer(stream, lineterminator="\n")
@@ -334,23 +348,8 @@ def write_report_csv(stream, sweeps: list[FileSweep]) -> None:
             ]
         )
     if sweeps:
-        count = len(sweeps)
-        writer.writerow(
-            [
-                "average",
-                "",
-                "",
-                f"{sum(s.report.finite_set_h0_bits_per_base for s in sweeps) / count:.6f}",
-                f"{sum(s.report.fixed_len_bits_per_base for s in sweeps) / count:.6f}",
-                "",
-                f"{sum(s.report.variable_len_bits_per_base for s in sweeps) / count:.6f}",
-                "",
-                "",
-                "",
-                f"{sum(s.best_variable_rcap.bits_per_base for s in sweeps) / count:.6f}",
-                "",
-            ]
-        )
+        h0, fixed, variable, rcap = (f"{mean:.6f}" for mean in _averages(sweeps))
+        writer.writerow(["average", "", "", h0, fixed, "", variable, "", "", "", rcap, ""])
 
 
 _DETAIL_COLUMNS = [
@@ -415,11 +414,7 @@ def print_sweep_summary(sweeps: list[FileSweep]) -> None:
             f"{rcap.bits_per_base:>13.4f} {render_symbol(rcap.alpha):>5}"
         )
     if sweeps:
-        count = len(sweeps)
-        avg_h0 = sum(s.report.finite_set_h0_bits_per_base for s in sweeps) / count
-        avg_fixed = sum(s.report.fixed_len_bits_per_base for s in sweeps) / count
-        avg_var = sum(s.report.variable_len_bits_per_base for s in sweeps) / count
-        avg_rcap = sum(s.best_variable_rcap.bits_per_base for s in sweeps) / count
+        avg_h0, avg_fixed, avg_var, avg_rcap = _averages(sweeps)
         print(
             f"{'average':<16} {'-':>9} {avg_h0:>8.4f} {avg_fixed:>10.4f} {'-':>5} "
             f"{avg_var:>8.4f} {'-':>5} {'-':>4} {'-':>8} {avg_rcap:>13.4f} {'-':>5}"

@@ -1,0 +1,151 @@
+"""Slow, independent oracles for the block codec.
+
+Each one walks the scheme as the ``block_codec`` module docstring describes
+it, without the library's block cutter (``_cut``) or its pricing memo, so a
+check against them does not compare the code under test with itself.
+"""
+
+import math
+from typing import NamedTuple
+
+from enumcode.analysis import log2_int
+from enumcode.bitstream import BitWriter, elias_delta_bit_length
+from enumcode.block_codec import AccountedBits, AlphabetError, EncodedContainer
+from enumcode.combinatorics import ceil_log2, k_count, multinomial
+from enumcode.composition_codec import vector_to_index
+from enumcode.permutation_codec import _rank_incremental, _symbol_ids
+
+
+class ReferenceBlock(NamedTuple):
+    content: bytes
+    length: int
+    freq: tuple[int, ...]
+    reduced_freq: tuple[int, ...] | None  # the vector variable mode ranks
+    pad_count: int
+
+
+# -- reference factorization ---------------------------------------------------
+#
+# The per-byte scan that factorization used before it moved to C-level bytes
+# methods (translate/count). It walks the input one symbol at a time.
+
+
+def reference_factorize(data, params):
+    """Every block as a :class:`ReferenceBlock`."""
+    if len(data) != params.n:
+        raise ValueError(f"data length {len(data)} != declared n {params.n}")
+    table = [-1] * 256
+    for pos, byte in enumerate(params.alphabet):
+        table[byte] = pos
+
+    def block(content, freq, pad_count=0):
+        reduced = None
+        if params.mode == "variable":
+            reduced = tuple(c for i, c in enumerate(freq) if i != params.alpha_index - 1)
+        return ReferenceBlock(content, len(content), tuple(freq), reduced, pad_count)
+
+    if params.mode == "fixed":
+        for offset, byte in enumerate(data):
+            if table[byte] < 0:
+                raise AlphabetError(byte, offset)
+        blocks = []
+        for start in range(0, params.n, params.fixed_len):
+            chunk = data[start : start + params.fixed_len]
+            freq = [0] * params.sigma
+            for byte in chunk:
+                freq[table[byte]] += 1
+            blocks.append(block(chunk, freq))
+        return blocks
+
+    alpha, apos, r = params.alpha_byte, params.alpha_index - 1, params.r
+    blocks = []
+    freq = [0] * params.sigma
+    start = 0
+    for offset, byte in enumerate(data):
+        pos = table[byte]
+        if pos < 0:
+            raise AlphabetError(byte, offset)
+        if byte == alpha and freq[apos] == r:
+            blocks.append(block(data[start:offset], freq))
+            start = offset + 1
+            freq = [0] * params.sigma
+        else:
+            freq[pos] += 1
+    residue = data[start:]
+    if params.n == 0:
+        return []
+    if not residue and blocks:
+        return blocks
+    pad = r - freq[apos]
+    freq[apos] = r
+    blocks.append(block(residue + bytes([alpha]) * pad, freq, pad_count=pad))
+    return blocks
+
+
+def reference_vector_count(length, params):
+    """How many count vectors a ``length``-symbol block's frequency field chooses from."""
+    if params.mode == "fixed":
+        return k_count(params.sigma, length)
+    if params.sigma == 1:
+        return 1
+    return k_count(params.sigma - 1, length - params.r)
+
+
+def reference_header_bytes(params):
+    """Header size from README's format table: magic, version, mode, sigma,
+    the alphabet, n, then alpha_index and r, or fixed_len."""
+    return 4 + 1 + 1 + 2 + params.sigma + 8 + (2 + 4 if params.mode == "variable" else 4)
+
+
+# -- reference accounting ------------------------------------------------------
+
+
+def reference_accounted_bits(blocks, params):
+    """The per-block pricing loop that the memoised ``vector_bits`` replaced."""
+    variable = params.mode == "variable"
+    length_bits = delta_bits = freq_bits = perm_bits = 0
+    real = 0.0
+    for block in blocks:
+        if variable:
+            length_bits += ceil_log2(block.length)
+            delta_bits += elias_delta_bit_length(block.length)
+            real += math.log2(block.length)
+        count = reference_vector_count(block.length, params)
+        freq_bits += ceil_log2(count)
+        real += log2_int(count)
+        arrangements = multinomial(block.freq)
+        perm_bits += ceil_log2(arrangements)
+        real += log2_int(arrangements)
+    payload = delta_bits + freq_bits + perm_bits
+    return AccountedBits(
+        bits_ceiled=length_bits + freq_bits + perm_bits,
+        bits_real=real,
+        length_bits=length_bits,
+        freq_bits=freq_bits,
+        perm_bits=perm_bits,
+        container_bits=reference_header_bytes(params) * 8 + 8 * (-(-payload // 8)),
+    )
+
+
+# -- reference encoder ---------------------------------------------------------
+#
+# The block loop encode() ran before it read blocks at their bounds: cut the
+# input block by block, then rank each block's content with the oracle walk.
+
+
+def reference_encode(data, params):
+    writer = BitWriter()
+    for block in reference_factorize(data, params):
+        vector = block.freq
+        if params.mode == "variable":
+            writer.write_elias_delta(block.length)
+            vector = block.reduced_freq
+        writer.write(
+            vector_to_index(vector) if vector else 0,
+            ceil_log2(reference_vector_count(block.length, params)),
+        )
+        writer.write(
+            _rank_incremental(*_symbol_ids(block.content, params.alphabet)),
+            ceil_log2(multinomial(block.freq)),
+        )
+    return EncodedContainer(params=params, payload=writer.getvalue(), payload_bits=writer.bit_length)

@@ -22,7 +22,7 @@ from enumcode.block_codec import (
     EncodedContainer,
     decode,
     encode,
-    factorize_variable,
+    factorize,
 )
 from enumcode.cli import main, read_sequence, sweep_file
 from enumcode.combinatorics import k_count, k_count_sum_form, multinomial
@@ -109,7 +109,7 @@ def test_criterion_4_reference_factorization_end_to_end():
     expected_ranks = (618, 852, 11, 11, 7, 2)
     with _Timer() as t:
         params = CodecParams.variable(b"acgt", b"a", 2, len(FIG_T))
-        blocks = factorize_variable(FIG_T, params)
+        blocks = factorize(FIG_T, params)
         lengths_ok = [b.length for b in blocks] == FIG_LENGTHS
         freqs_ok = [b.freq for b in blocks] == FIG_FREQS
         ranks = tuple(sequence_to_perm_index(b.content, params.alphabet) for b in blocks)

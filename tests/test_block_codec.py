@@ -6,17 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from enumcode.analysis import log2_int
 from enumcode.bitstream import BitWriter, elias_delta_bit_length
 from enumcode.block_codec import (
-    AccountedBits,
     AlphabetError,
     CodecParams,
     CorruptContainerError,
     DEFAULT_MAX_OUTPUT,
     EncodedContainer,
     FormatError,
-    _vector_count,
     accounted_bits,
     average_block_length,
     block_vectors,
@@ -25,15 +22,14 @@ from enumcode.block_codec import (
     delimiter_positions,
     encode,
     factorize,
-    factorize_fixed,
-    factorize_variable,
     vector_bits,
 )
 from enumcode.combinatorics import ceil_log2, k_count, multinomial
 from enumcode.composition_codec import vector_to_index
-from enumcode.permutation_codec import _rank_incremental, _symbol_ids, sequence_to_perm_index
+from enumcode.permutation_codec import sequence_to_perm_index
 
 from conftest import FIG_ALPHABET, FIG_BLOCKS, FIG_FREQS, FIG_LENGTHS, FIG_PAD, FIG_T
+from oracles import reference_accounted_bits, reference_encode, reference_factorize
 from test_acceptance import _dna_like
 
 
@@ -43,7 +39,7 @@ def variable_params(data, alpha=b"a", r=2, alphabet=FIG_ALPHABET):
 
 class TestFactorizeVariable:
     def test_reference_factorization(self):
-        blocks = factorize_variable(FIG_T, variable_params(FIG_T))
+        blocks = factorize(FIG_T, variable_params(FIG_T))
         assert [b.length for b in blocks] == FIG_LENGTHS
         assert [b.content for b in blocks] == FIG_BLOCKS
         assert [b.freq for b in blocks] == FIG_FREQS
@@ -54,49 +50,49 @@ class TestFactorizeVariable:
 
     def test_reference_block_count_formula(self):
         c_alpha = FIG_T.count(b"a"[0])
-        blocks = factorize_variable(FIG_T, variable_params(FIG_T))
+        blocks = factorize(FIG_T, variable_params(FIG_T))
         assert len(blocks) == c_alpha // 3 + 1 == 6
 
     def test_boundary_coincides_with_end(self):
         # exactly r delimiters at the end: one block, nothing padded
-        blocks = factorize_variable(b"aa", variable_params(b"aa"))
+        blocks = factorize(b"aa", variable_params(b"aa"))
         assert len(blocks) == 1
         assert blocks[0].content == b"aa"
         assert blocks[0].pad_count == 0
 
     def test_input_ending_on_consumed_delimiter(self):
         # "a|a" with r=1: the trailing residue is empty, so no final block
-        blocks = factorize_variable(b"aaaa", variable_params(b"aaaa", r=1))
+        blocks = factorize(b"aaaa", variable_params(b"aaaa", r=1))
         assert [b.content for b in blocks] == [b"a", b"a"]
         assert b"aaaa".count(b"a"[0]) // 2 == len(blocks)
 
     def test_input_without_delimiter_symbol(self):
-        blocks = factorize_variable(b"bbb", variable_params(b"bbb", alphabet=b"ab"))
+        blocks = factorize(b"bbb", variable_params(b"bbb", alphabet=b"ab"))
         assert [b.content for b in blocks] == [b"bbbaa"]
         assert blocks[0].pad_count == 2
 
     def test_empty_input(self):
-        assert factorize_variable(b"", variable_params(b"")) == []
+        assert factorize(b"", variable_params(b"")) == []
 
     def test_symbol_outside_alphabet(self):
         with pytest.raises(AlphabetError, match="offset 2"):
-            factorize_variable(b"acxg", variable_params(b"acxg"))
+            factorize(b"acxg", variable_params(b"acxg"))
 
     def test_length_mismatch_rejected(self):
         params = CodecParams.variable(FIG_ALPHABET, b"a", 2, 10)
         with pytest.raises(ValueError, match="declared n"):
-            factorize_variable(b"acg", params)
+            factorize(b"acg", params)
 
 
 class TestFactorizeFixed:
     def test_partition_arithmetic(self):
         params = CodecParams.fixed(b"ab", 4, 10)
-        blocks = factorize_fixed(b"abababab" + b"ab", params)
+        blocks = factorize(b"abababab" + b"ab", params)
         assert [b.length for b in blocks] == [4, 4, 2]
 
     def test_repeating_content(self):
         params = CodecParams.fixed(FIG_ALPHABET, 4, 8)
-        blocks = factorize_fixed(b"aacgaacg", params)
+        blocks = factorize(b"aacgaacg", params)
         assert len(blocks) == 2
         assert blocks[0].freq == blocks[1].freq == (2, 1, 1, 0)
         assert (
@@ -107,13 +103,13 @@ class TestFactorizeFixed:
 
     def test_single_full_block(self):
         params = CodecParams.fixed(FIG_ALPHABET, 4, 4)
-        blocks = factorize_fixed(b"acgt", params)
+        blocks = factorize(b"acgt", params)
         assert [b.length for b in blocks] == [4]
 
     def test_symbol_outside_alphabet(self):
         params = CodecParams.fixed(b"ab", 2, 3)
         with pytest.raises(AlphabetError, match="offset 1"):
-            factorize_fixed(b"axb", params)
+            factorize(b"axb", params)
 
 
 class TestCodecParams:
@@ -139,6 +135,15 @@ class TestCodecParams:
         with pytest.raises(ValueError):
             CodecParams(alphabet=b"ab", mode="sideways", n=1)
 
+    def test_header_fields_bound_r_and_fixed_len(self):
+        # both are u32 header fields; nothing is encoded with these values
+        with pytest.raises(ValueError, match="r <= 4294967295"):
+            CodecParams.variable(b"ab", b"a", 2**32, 1)
+        with pytest.raises(ValueError, match="fixed_len <= 4294967295"):
+            CodecParams.fixed(b"ab", 2**32, 1)
+        assert CodecParams.variable(b"ab", b"a", 2**32 - 1, 1).r == 2**32 - 1
+        assert CodecParams.fixed(b"ab", 2**32 - 1, 1).fixed_len == 2**32 - 1
+
     def test_helpers(self):
         params = CodecParams.variable(b"acgt", b"g", 3, 9)
         assert params.alpha_index == 3
@@ -156,7 +161,7 @@ class TestEncodeDecode:
         assert decode(revived) == FIG_T
 
     def test_reference_payload_accounting(self):
-        blocks = factorize_variable(FIG_T, variable_params(FIG_T))
+        blocks = factorize(FIG_T, variable_params(FIG_T))
         container = encode(FIG_T, variable_params(FIG_T))
         expected_bits = 0
         for block in blocks:
@@ -214,7 +219,7 @@ class TestEncodeDecode:
     def test_skip_rule_packs_nothing_for_uniform_blocks(self):
         data = b"aaaa"
         params = variable_params(data)
-        blocks = factorize_variable(data, params)
+        blocks = factorize(data, params)
         acct = accounted_bits(blocks, params)
         assert acct.perm_bits == 0
         assert acct.freq_bits == 0
@@ -265,7 +270,6 @@ class TestContainerFormat:
             + b"\x80"  # delta codeword for a single block of length 1
         )
         assert raw == expected
-        assert container.header_length() == len(raw) - 1
 
     def test_fixed_header_layout(self):
         params = CodecParams.fixed(b"ab", 2, 0)
@@ -332,16 +336,50 @@ class TestCorruptPayloads:
         with pytest.raises(CorruptContainerError, match="block 1.*permutation rank"):
             decode(container)
 
-    def test_error_names_the_bit_offset_of_the_block(self):
+    @pytest.mark.parametrize(
+        "params,fields,match,offset",
+        [
+            pytest.param(
+                CodecParams.fixed(b"ab", 3, 6),
+                # block 1: vector (1, 2) and its last arrangement, "bba";
+                # block 2, from bit 4: vector (1, 2) again, then rank 3 of 3
+                [(1, 2), (2, 2), (1, 2), (3, 2)],
+                "permutation rank 3",
+                4,
+                id="fixed-full",
+            ),
+            pytest.param(
+                CodecParams.fixed(b"ab", 3, 5),
+                # block 1 as above; block 2, from bit 4, is the short final
+                # block of 2 symbols, whose 3 vectors leave rank 3 out of range
+                [(1, 2), (2, 2), (3, 2)],
+                "frequency rank 3",
+                4,
+                id="fixed-short-final",
+            ),
+            pytest.param(
+                CodecParams.variable(b"ab", b"a", 1, 6),
+                # block 1: length 2 as a 4-bit Elias-delta codeword, its one
+                # vector in 0 bits, then "ba", rank 1 of 2; block 2, from
+                # bit 5: length 3, then rank 3 of the 3 arrangements of (1, 2)
+                [(2, None), (1, 1), (3, None), (3, 2)],
+                "permutation rank 3",
+                5,
+                id="variable",
+            ),
+        ],
+    )
+    def test_error_names_the_bit_offset_of_the_block(self, params, fields, match, offset):
         w = BitWriter()
-        w.write(1, 2)  # block 1: frequency vector (1, 2)
-        w.write(2, 2)  # and its last arrangement, "bba"
-        w.write(1, 2)  # block 2, from bit 4: vector (1, 2) again
-        w.write(3, 2)  # out of range
-        container = self._fixed_container(w, data=b"bbaabb")
-        with pytest.raises(CorruptContainerError, match="payload bit 4, block 2: permutation rank 3") as exc:
+        for value, width in fields:
+            if width is None:
+                w.write_elias_delta(value)
+            else:
+                w.write(value, width)
+        container = EncodedContainer(params=params, payload=w.getvalue())
+        with pytest.raises(CorruptContainerError, match=f"payload bit {offset}, block 2: {match}") as exc:
             decode(container)
-        assert (exc.value.block, exc.value.bit_offset) == (2, 4)
+        assert (exc.value.block, exc.value.bit_offset) == (2, offset)
 
     def test_truncated_payload(self):
         params = variable_params(FIG_T)
@@ -434,7 +472,7 @@ class TestCorruptPayloads:
 class TestAccounting:
     def test_reference_component_budget(self):
         params = variable_params(FIG_T)
-        blocks = factorize_variable(FIG_T, params)
+        blocks = factorize(FIG_T, params)
         acct = accounted_bits(blocks, params)
         # per-block widths computed from the reference freq vectors
         assert [ceil_log2(b.length) for b in blocks] == [3, 3, 2, 2, 3, 2]
@@ -449,26 +487,26 @@ class TestAccounting:
 
     def test_first_block_frequency_field_width(self):
         # 21 three-dimensional vectors sum to 5, so the field is 5 bits wide
-        blocks = factorize_variable(FIG_T, variable_params(FIG_T))
+        blocks = factorize(FIG_T, variable_params(FIG_T))
         assert blocks[0].freq[0] == 2 and blocks[0].freq[1:] == (1, 2, 2)
         assert k_count(3, 5) == 21
         assert ceil_log2(21) == 5
 
     def test_uniform_block_needs_no_permutation_bits(self):
         params = CodecParams.fixed(b"ab", 4, 4)
-        blocks = factorize_fixed(b"aaaa", params)
+        blocks = factorize(b"aaaa", params)
         acct = accounted_bits(blocks, params)
         assert acct.perm_bits == 0
 
     def test_fixed_mode_has_no_length_component(self):
         params = CodecParams.fixed(FIG_ALPHABET, 4, len(FIG_T))
-        blocks = factorize_fixed(FIG_T, params)
+        blocks = factorize(FIG_T, params)
         acct = accounted_bits(blocks, params)
         assert acct.length_bits == 0
         assert acct.bits_ceiled == acct.freq_bits + acct.perm_bits
 
     def test_average_block_length(self):
-        blocks = factorize_variable(FIG_T, variable_params(FIG_T))
+        blocks = factorize(FIG_T, variable_params(FIG_T))
         assert average_block_length(blocks) == pytest.approx(sum(FIG_LENGTHS) / 6)
         assert average_block_length([]) == 0.0
 
@@ -507,7 +545,7 @@ def test_variable_round_trip_property(case):
 @settings(deadline=None)
 def test_variable_structural_invariants(case):
     data, params = case
-    blocks = factorize_variable(data, params)
+    blocks = factorize(data, params)
     if not data:
         assert blocks == []
         return
@@ -541,7 +579,7 @@ def test_fixed_round_trip_property(case):
     data, params = case
     container = EncodedContainer.from_bytes(encode(data, params).to_bytes())
     assert decode(container) == data
-    for b in factorize_fixed(data, params):
+    for b in factorize(data, params):
         assert vector_to_index(b.freq) < k_count(params.sigma, b.length)
 
 
@@ -549,10 +587,7 @@ def test_fixed_round_trip_property(case):
 @settings(deadline=None)
 def test_container_size_matches_declared_widths(case):
     data, params = case
-    if params.mode == "variable":
-        blocks = factorize_variable(data, params)
-    else:
-        blocks = factorize_fixed(data, params)
+    blocks = factorize(data, params)
     container = encode(data, params)
     assert container_bits(blocks, params) == len(container.to_bytes()) * 8
 
@@ -585,39 +620,6 @@ def count_only_cases(draw):
     return data, CodecParams.fixed(alphabet, draw(st.integers(1, len(data) + 3)), len(data))
 
 
-def reference_accounted_bits(blocks, params):
-    """The per-block pricing loop that the memoised :func:`vector_bits` replaced."""
-    variable = params.mode == "variable"
-    length_bits = delta_bits = freq_bits = perm_bits = 0
-    real = 0.0
-    for block in blocks:
-        if variable:
-            length_bits += ceil_log2(block.length)
-            delta_bits += elias_delta_bit_length(block.length)
-            real += math.log2(block.length)
-        if not variable:
-            count = k_count(params.sigma, block.length)
-        elif params.sigma == 1:
-            count = 1
-        else:
-            count = k_count(params.sigma - 1, block.length - params.r)
-        freq_bits += ceil_log2(count)
-        real += log2_int(count)
-        arrangements = multinomial(block.freq)
-        perm_bits += ceil_log2(arrangements)
-        real += log2_int(arrangements)
-    payload = delta_bits + freq_bits + perm_bits
-    header = EncodedContainer(params=params, payload=b"").header_length()
-    return AccountedBits(
-        bits_ceiled=length_bits + freq_bits + perm_bits,
-        bits_real=real,
-        length_bits=length_bits,
-        freq_bits=freq_bits,
-        perm_bits=perm_bits,
-        container_bits=header * 8 + 8 * (-(-payload // 8)),
-    )
-
-
 DNA_LIKE = _dna_like(1, n=3000)
 
 
@@ -629,7 +631,7 @@ DNA_LIKE = _dna_like(1, n=3000)
 def test_block_vectors_match_factorize(case):
     data, params = case
     try:
-        blocks = factorize(data, params)
+        blocks = reference_factorize(data, params)
     except AlphabetError as exc:
         with pytest.raises(AlphabetError) as raised:
             block_vectors(data, params)
@@ -646,73 +648,14 @@ def test_block_vectors_match_factorize(case):
         assert block_vectors(data, params, positions) == expected
 
 
-# -- reference factorization ---------------------------------------------------
-#
-# The per-byte scan that factorization used before it moved to C-level bytes
-# methods (translate/find/count). Kept as an oracle: it walks the input one
-# symbol at a time, exactly as the module docstring describes the scheme.
-
-
-def reference_factorize(data, params):
-    """(content, length, freq, reduced_freq, pad_count) of every block."""
-    if len(data) != params.n:
-        raise ValueError(f"data length {len(data)} != declared n {params.n}")
-    table = [-1] * 256
-    for pos, byte in enumerate(params.alphabet):
-        table[byte] = pos
-
-    def block(content, freq, pad_count=0):
-        reduced = None
-        if params.mode == "variable":
-            reduced = tuple(c for i, c in enumerate(freq) if i != params.alpha_index - 1)
-        return (content, len(content), tuple(freq), reduced, pad_count)
-
-    if params.mode == "fixed":
-        for offset, byte in enumerate(data):
-            if table[byte] < 0:
-                raise AlphabetError(byte, offset)
-        blocks = []
-        for start in range(0, params.n, params.fixed_len):
-            chunk = data[start : start + params.fixed_len]
-            freq = [0] * params.sigma
-            for byte in chunk:
-                freq[table[byte]] += 1
-            blocks.append(block(chunk, freq))
-        return blocks
-
-    alpha, apos, r = params.alpha_byte, params.alpha_index - 1, params.r
-    blocks = []
-    freq = [0] * params.sigma
-    start = 0
-    for offset, byte in enumerate(data):
-        pos = table[byte]
-        if pos < 0:
-            raise AlphabetError(byte, offset)
-        if byte == alpha and freq[apos] == r:
-            blocks.append(block(data[start:offset], freq))
-            start = offset + 1
-            freq = [0] * params.sigma
-        else:
-            freq[pos] += 1
-    residue = data[start:]
-    if params.n == 0:
-        return []
-    if not residue and blocks:
-        return blocks
-    pad = r - freq[apos]
-    freq[apos] = r
-    blocks.append(block(residue + bytes([alpha]) * pad, freq, pad_count=pad))
-    return blocks
-
-
 def factorize_fields(data, params):
     """The oracle's tuple for each block; reduced_freq is the vector encode ranks."""
     if params.mode == "fixed":
-        return [(b.content, b.length, b.freq, None, b.pad_count) for b in factorize_fixed(data, params)]
+        return [(b.content, b.length, b.freq, None, b.pad_count) for b in factorize(data, params)]
     apos = params.alpha_index - 1
     return [
         (b.content, b.length, b.freq, b.freq[:apos] + b.freq[apos + 1 :], b.pad_count)
-        for b in factorize_variable(data, params)
+        for b in factorize(data, params)
     ]
 
 
@@ -782,32 +725,6 @@ def reference_cases(draw):
 def test_factorization_matches_reference(case):
     data, params = case
     assert_matches_reference(data, params)
-
-
-# -- reference encoder ---------------------------------------------------------
-#
-# The block loop encode() ran before it read blocks at their bounds: cut the
-# input with factorize(), then rank each block's content with the oracle walk.
-
-
-def reference_encode(data, params):
-    writer = BitWriter()
-    variable = params.mode == "variable"
-    for block in factorize(data, params):
-        vector = block.freq
-        if variable:
-            writer.write_elias_delta(block.length)
-            apos = params.alpha_index - 1
-            vector = vector[:apos] + vector[apos + 1 :]
-        writer.write(
-            vector_to_index(vector) if vector else 0,
-            ceil_log2(_vector_count(block.length, params)),
-        )
-        writer.write(
-            _rank_incremental(*_symbol_ids(block.content, params.alphabet)),
-            ceil_log2(multinomial(block.freq)),
-        )
-    return EncodedContainer(params=params, payload=writer.getvalue(), payload_bits=writer.bit_length)
 
 
 @st.composite

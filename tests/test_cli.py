@@ -1,19 +1,15 @@
 import csv
 import hashlib
 import random
+from statistics import fmean
 
 import pytest
 
-from enumcode.block_codec import (
-    CodecParams,
-    accounted_bits,
-    average_block_length,
-    encode,
-    factorize,
-)
+from enumcode.block_codec import CodecParams, encode
 from enumcode.cli import main, sweep_file
 
 from conftest import COMPOSITIONS_4_4, FIG_T, PERMS_2110
+from oracles import reference_accounted_bits, reference_factorize
 from test_acceptance import _dna_like
 
 
@@ -99,6 +95,14 @@ class TestExitCodes:
 
     def test_variable_mode_needs_alpha(self, fig_file):
         assert main(["encode", str(fig_file)]) == 2
+
+    def test_block_length_wider_than_its_header_field(self, tmp_path, fig_file, capsys):
+        # fixed_len is a u32 header field: rejected before anything is encoded
+        enc = tmp_path / "wide.enum"
+        args = ["encode", str(fig_file), "--mode", "fixed", "--L", str(2**32), "--out", str(enc)]
+        assert main(args) == 2
+        assert "fixed_len <= 4294967295" in capsys.readouterr().err
+        assert not enc.exists()
 
     def test_alphabet_violation_with_offset(self, tmp_path, capsys):
         src = tmp_path / "bad.txt"
@@ -218,7 +222,7 @@ class TestSweep:
     def test_point_matches_independent_accounting(self, tmp_path):
         (path,) = make_corpus(tmp_path, count=1)
         # the sweep reads count vectors at the block bounds; the oracle cuts
-        # every block with factorize and prices it with accounted_bits
+        # every block symbol by symbol and prices it block by block
         inputs = [path.read_bytes(), *(_dna_like(seed, n=2000) for seed in (1, 2, 5))]
         inputs.append(b"acgt" * 101 + b"a")  # ends on a consumed delimiter at r=1
         for data in inputs:
@@ -229,10 +233,10 @@ class TestSweep:
                     params = CodecParams.variable(alphabet, point.alpha, point.r, len(data))
                 else:
                     params = CodecParams.fixed(alphabet, point.fixed_len, len(data))
-                blocks = factorize(data, params)
-                acct = accounted_bits(blocks, params)
+                blocks = reference_factorize(data, params)
+                acct = reference_accounted_bits(blocks, params)
                 assert point.blocks == len(blocks)
-                assert point.avg_block_len == average_block_length(blocks)
+                assert point.avg_block_len == fmean(b.length for b in blocks)
                 assert point.bits_ceiled == acct.bits_ceiled
                 assert point.bits_real == acct.bits_real
                 assert point.bits_per_base == pytest.approx(acct.bits_ceiled / len(data))

