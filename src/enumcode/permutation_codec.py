@@ -27,11 +27,16 @@ greedy walk (:func:`_unrank_walk`) reads each symbol off v = pid * m_i // A_i
 by a scan of the small remaining counts, so each symbol costs three big-int
 products and three divisions, two of them exact divisions by m_i, and it
 emits the rest as one run once a single symbol kind remains. Wider counts
-unrank top down (:func:`_unrank_split`): the rank, read as the exact
-arithmetic-code value rank / arrangements, is decoded from its leading bits
-under a rigorous error bound that never lets a symbol be guessed, and each
-decoded stretch refreshes the exact state through the same (P, Q, T)
-triples and exact division as the rank, so every output is exact.
+(:func:`_unrank_chunks`) read the rank as the exact arithmetic-code value
+rank / arrangements and decode symbols from its leading bits under a
+rigorous error bound that never lets a symbol be guessed: each chunk
+decodes up to ``_CHUNK`` symbols from the top ``_WINDOW`` bits with
+small-int arithmetic (:func:`_decode_leaf`), then one exact update applies
+the chunk's small (P, Q, T) triple to the full-width state, one long
+division by the small Q and two products by small P and T. Every output
+is exact. Each chunk costs time in proportion to the count's width, so a
+block unranks in time quadratic in that width, while the rank's product
+tree is subquadratic.
 
 :func:`_rank_incremental` and :func:`_unrank_incremental` take a big-int
 step for every smaller symbol kind instead; they stay as test oracles.
@@ -260,7 +265,7 @@ def perm_index_to_sequence(
         raise ValueError(
             f"permutation rank {pid} out of range (multiset has {arrangements} arrangements)"
         )
-    return _render(alphabet, _unrank_split(pid, arrangements, remaining_counts))
+    return _render(alphabet, _unrank_chunks(pid, arrangements, remaining_counts))
 
 
 def _unrank_walk(pid: int, arrangements: int, counts: list[int]) -> list[int]:
@@ -323,40 +328,40 @@ def _unrank_incremental(pid: int, arrangements: int, remaining_counts: list[int]
     return out
 
 
-# Up to this many bits of arrangement count the walk beats the top-down
-# unrank (tools/rank_curve.py measures both).
-_UNRANK_SPLIT_BITS = 4096
-# The approximate decoder decodes symbol by symbol once its denominator has at
-# most this many bits.
-_LEAF_BITS = 64
-# Symbols per leaf call at most, so a long stretch of likely symbols is
-# combined by a product tree rather than by a quadratic running product.
-_LEAF_SYMBOLS = 64
-# Bits of the error bound kept when a state drops its low bits; the leaf
-# drops them once the bound has twice as many.
+# Up to this many bits of arrangement count the walk beats the chunked unrank
+# (tools/rank_curve.py measures both).
+_WALK_BITS = 2048
+# Leading bits of (rank, arrangement count) each chunk decodes from, and the
+# most symbols it decodes before one exact update of the full-width state.
+_WINDOW = 256
+_CHUNK = 64
+# Bits of the error bound the leaf keeps when it drops its low bits, which it
+# does once the bound has twice as many.
 _GUARD_BITS = 16
 
 
-def _unrank_split(pid: int, arrangements: int, counts: list[int]) -> list[int]:
-    """The rank-``pid`` symbol ids decoded top-down; consumes ``counts``.
+def _unrank_chunks(pid: int, arrangements: int, counts: list[int]) -> list[int]:
+    """The rank-``pid`` symbol ids, a chunk of symbols at a time; consumes ``counts``.
 
     x = pid / arrangements is an exact arithmetic-code value: the walk picks
     the symbol j with cum_j <= x * m < cum_j + c_j (cum_j counts the remaining
     symbols below j, m all of them) and continues with (x * m - cum_j) / c_j.
-    Each round hands the top half of the bits of (pid, arrangements) to
-    :func:`_decode_approx`, then refreshes the exact state from the triple of
-    the stretch it decoded (:func:`_refresh`). If nothing was decoded, or the
-    refresh rejects the stretch, the round takes one exact step instead: with
-    a zero error bound a leaf step is the walk's step. The walk finishes once
-    the arrangement count has at most ``_UNRANK_SPLIT_BITS`` bits, or fewer
-    bits than symbols remain: the walk's steps cost time in proportion to
-    that width, the product trees here in proportion to the symbol count.
+    While the arrangement count has more than ``_WALK_BITS`` bits, each chunk
+    decodes up to ``_CHUNK`` symbols with :func:`_decode_leaf` from the top
+    ``_WINDOW`` bits of (pid, arrangements), whose error bound is one unit of
+    the shortened count, then applies the chunk's small (p, q, t) triple to
+    the full-width state (:func:`_refresh`). If nothing was decoded, or the
+    refresh rejects the chunk, it is undone and one exact step is taken
+    instead: with a zero error bound a leaf step is the walk's step. Each
+    update costs time in proportion to the count's width, so a block costs
+    time in proportion to its width squared. The walk takes over once the
+    count has at most ``_WALK_BITS`` bits.
     """
     out: list[int] = []
-    while arrangements.bit_length() > max(_UNRANK_SPLIT_BITS, sum(counts)):
+    while arrangements.bit_length() > _WALK_BITS:
+        shift = max(arrangements.bit_length() - _WINDOW, 0)
         before, saved = len(out), counts[:]
-        shift = arrangements.bit_length() // 2
-        triple = _decode_approx(*_shorten(pid, arrangements, 0, shift), counts, out)
+        triple = _decode_leaf(pid >> shift, arrangements >> shift, 1, counts, out, _CHUNK)
         state = _refresh(pid, arrangements, *triple) if len(out) > before else None
         if state is None:
             counts[:] = saved
@@ -373,101 +378,78 @@ def _refresh(pid: int, arrangements: int, p: int, q: int, t: int) -> tuple[int, 
     pid - T * A / Q and A * P / Q are exact quotients for every stretch the
     counts allow, and the new rank lies in [0, A * P / Q) exactly when the
     stretch is the prefix ``pid`` encodes; otherwise this returns None.
+    Long division costs the product of the divisor's and the quotient's
+    widths, so the wide A is divided by the small Q once: with
+    A = W * Q + R, A * T / Q is W * T + R * T / Q, and R * T / Q is exact
+    too, a quotient below T.
     """
-    pid -= _exact_quotient(t * arrangements, q)
-    arrangements = _exact_quotient(arrangements * p, q)
+    whole, part = divmod(arrangements, q)
+    pid -= whole * t + part * t // q
+    arrangements = whole * p + part * p // q
     return (pid, arrangements) if 0 <= pid < arrangements else None
 
 
-def _shorten(num: int, den: int, err: int, shift: int) -> tuple[int, int, int]:
-    """(num, den, err) without ``shift`` low bits, keeping |num/den - x| <= err/den.
-
-    Clamping num to [0, den] only tightens the bound, since x lies in [0, 1).
-    Dropping the bits then moves num/den by less than 1 / (den >> shift), so
-    the bound becomes ceil(err / 2**shift) + 1. ``den >> shift`` must be
-    positive.
-    """
-    num = min(max(num, 0), den)
-    return num >> shift, den >> shift, ((err - 1) >> shift) + 2
-
-
-def _decode_approx(num: int, den: int, err: int, counts: list[int], out: list[int]):
-    """Decode the symbols of an x known only as |num/den - x| <= err/den.
+def _decode_leaf(num: int, den: int, err: int, counts: list[int], out: list[int], limit: int):
+    """Decode up to ``limit`` symbols of an x known only as |num/den - x| <= err/den.
 
     A symbol is decoded only when both ends of the bound pick it, so this
-    stops at the first ambiguous symbol and never guesses. It decodes a
-    stretch from the top half of its bits recursively, down to small-int
-    leaves (:func:`_decode_leaf`), and moves past that stretch by multiplies
-    and shifts alone: x' = (x * Q - T) / P, so num, den, err become
-    num * Q - T * den, den * P, err * Q. Appends the symbol ids to ``out``,
-    consumes ``counts`` and returns the (P, Q, T) triple of everything it
-    decoded, combined as :func:`_rank_split` combines triples.
-    """
-    triples = []
-    while True:
-        shift = err.bit_length() - _GUARD_BITS
-        if shift >= den.bit_length():
-            break  # the bound no longer tells any symbols apart
-        if shift > 0:
-            num, den, err = _shorten(num, den, err, shift)
-        before = len(out)
-        if den.bit_length() <= _LEAF_BITS:
-            p, q, t = _decode_leaf(num, den, err, counts, out, _LEAF_SYMBOLS)
-            done = len(out) - before < _LEAF_SYMBOLS  # it met an ambiguous symbol
-        else:
-            p, q, t = _decode_approx(*_shorten(num, den, err, den.bit_length() // 2), counts, out)
-            if len(out) == before:
-                # the top half cannot tell the next symbol; the full state may
-                p, q, t = _decode_leaf(num, den, err, counts, out, 1)
-            done = len(out) == before
-        triples.append((p, q, t))
-        if done:
-            break
-        num, den, err = num * q - t * den, den * p, err * q
-    return _pair_up(triples, 1)[0] if triples else (1, 1, 0)
+    stops at the first ambiguous symbol and never guesses; it also stops
+    where a single symbol kind is left, whose run the walk emits at once.
+    Moving past symbol j turns num, den, err into num * m - cum_j * den,
+    den * c_j and err * m. Appends the symbol ids to ``out``, consumes
+    ``counts`` and returns the (P, Q, T) triple of the decoded stretch,
+    combined as :func:`_rank_split` combines triples: x = (T + P * x') / Q.
 
-
-def _decode_leaf(num: int, den: int, err: int, counts: list[int], out: list[int], limit: int):
-    """Decode up to ``limit`` symbols one at a time.
-
-    Same contract as :func:`_decode_approx`; it also stops where a single
-    symbol kind is left, whose run the walk emits at once. The state drops
-    its low bits whenever the bound outgrows ``2 * _GUARD_BITS`` bits, so its
-    numbers stay small.
+    The state drops its low bits whenever the bound outgrows
+    ``2 * _GUARD_BITS`` bits, so its numbers stay small. Clamping num to
+    [0, den] only tightens the bound, since x lies in [0, 1); dropping
+    ``shift`` bits then moves num/den by less than 1 / (den >> shift), so the
+    bound becomes ceil(err / 2**shift) + 1. A symbol j is decoded when
+    floor(x * m) provably lies in [cum_j, cum_j + c_j): one floor division
+    gives the low end, and one product compares the high end against
+    cum_j + c_j.
     """
     p = q = 1
     t = 0
     remaining = sum(counts)
+    append = out.append
+    keep = _GUARD_BITS
+    guard = 2 * keep
     while limit and remaining:
-        if err.bit_length() > 2 * _GUARD_BITS:
-            shift = err.bit_length() - _GUARD_BITS
-            if shift >= den.bit_length():
-                break
-            num, den, err = _shorten(num, den, err, shift)
-        # floor(x * remaining) lies in [low, high]; 0 <= x < 1 bounds both
-        scaled, spread = num * remaining, err * remaining
+        if err >> guard:
+            shift = err.bit_length() - keep
+            if num < 0:
+                num = 0
+            elif num > den:
+                num = den
+            den >>= shift
+            if not den:
+                break  # the bound no longer tells any symbols apart
+            num >>= shift
+            err = ((err - 1) >> shift) + 2
+        scaled = num * remaining
+        spread = err * remaining
         low = (scaled - spread) // den
-        high = (scaled + spread) // den
         if low < 0:
             low = 0
-        if high >= remaining:
-            high = remaining - 1
-            if low > high:
-                low = high
-        below = 0
-        for j, c in enumerate(counts):
-            if low < below + c:
-                break
-            below += c
-        if high >= below + c or c == remaining:
+        j = 0
+        top = counts[0]
+        while low >= top:
+            j += 1
+            top += counts[j]
+        c = counts[j]
+        if c == remaining or (top < remaining and scaled + spread >= top * den):
             break
-        num, den, err = scaled - below * den, den * c, spread
+        below = top - c
+        num = scaled - below * den
+        den *= c
+        err = spread
         t = t * remaining + p * below
         p *= c
         q *= remaining
         counts[j] = c - 1
         remaining -= 1
-        out.append(j)
+        append(j)
         limit -= 1
     return p, q, t
 

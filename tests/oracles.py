@@ -1,8 +1,9 @@
-"""Slow, independent oracles for the block codec.
+"""Slow, independent oracles for the block codec and the unrank's leaf.
 
-Each one walks the scheme as the ``block_codec`` module docstring describes
-it, without the library's block cutter (``_cut``) or its pricing memo, so a
-check against them does not compare the code under test with itself.
+Each block-codec oracle walks the scheme as the ``block_codec`` module
+docstring describes it, without the library's block cutter (``_cut``) or its
+pricing memo, so a check against them does not compare the code under test
+with itself. The leaf oracle is the permutation unrank's first leaf decoder.
 """
 
 import math
@@ -13,7 +14,7 @@ from enumcode.bitstream import BitWriter, elias_delta_bit_length
 from enumcode.block_codec import AccountedBits, AlphabetError, EncodedContainer
 from enumcode.combinatorics import ceil_log2, k_count, multinomial
 from enumcode.composition_codec import vector_to_index
-from enumcode.permutation_codec import _rank_incremental, _symbol_ids
+from enumcode.permutation_codec import _GUARD_BITS, _rank_incremental, _symbol_ids
 
 
 class ReferenceBlock(NamedTuple):
@@ -149,3 +150,64 @@ def reference_encode(data, params):
             ceil_log2(multinomial(block.freq)),
         )
     return EncodedContainer(params=params, payload=writer.getvalue(), payload_bits=writer.bit_length)
+
+
+# -- reference leaf decoder ----------------------------------------------------
+#
+# The unrank's first leaf decoder, before it was made leaner: it shortens the
+# state through ``_shorten`` and computes both ends of floor(x * m) by floor
+# division, clamping each to [0, m).
+
+
+def _shorten(num, den, err, shift):
+    """(num, den, err) without ``shift`` low bits, keeping |num/den - x| <= err/den.
+
+    Clamping num to [0, den] only tightens the bound, since x lies in [0, 1).
+    Dropping the bits then moves num/den by less than 1 / (den >> shift), so
+    the bound becomes ceil(err / 2**shift) + 1.
+    """
+    num = min(max(num, 0), den)
+    return num >> shift, den >> shift, ((err - 1) >> shift) + 2
+
+
+def reference_decode_leaf(num, den, err, counts, out, limit):
+    """Decode up to ``limit`` symbols of an x known as |num/den - x| <= err/den.
+
+    Appends the symbol ids to ``out``, consumes ``counts`` and returns the
+    (P, Q, T) triple of the decoded stretch, as ``_decode_leaf`` does.
+    """
+    p = q = 1
+    t = 0
+    remaining = sum(counts)
+    while limit and remaining:
+        if err.bit_length() > 2 * _GUARD_BITS:
+            shift = err.bit_length() - _GUARD_BITS
+            if shift >= den.bit_length():
+                break
+            num, den, err = _shorten(num, den, err, shift)
+        # floor(x * remaining) lies in [low, high]; 0 <= x < 1 bounds both
+        scaled, spread = num * remaining, err * remaining
+        low = (scaled - spread) // den
+        high = (scaled + spread) // den
+        if low < 0:
+            low = 0
+        if high >= remaining:
+            high = remaining - 1
+            if low > high:
+                low = high
+        below = 0
+        for j, c in enumerate(counts):
+            if low < below + c:
+                break
+            below += c
+        if high >= below + c or c == remaining:
+            break
+        num, den, err = scaled - below * den, den * c, spread
+        t = t * remaining + p * below
+        p *= c
+        q *= remaining
+        counts[j] = c - 1
+        remaining -= 1
+        out.append(j)
+        limit -= 1
+    return p, q, t

@@ -121,6 +121,34 @@ def test_elias_delta_round_trip_up_to_64_bits(items):
     assert r.bits_remaining < 8
 
 
+def ones(width):
+    return (1 << width) - 1
+
+
+@pytest.mark.parametrize("nbits", range(1, 65))
+def test_elias_delta_at_every_offset_and_one_bit_short(nbits):
+    # codewords of 1 to 76 bits, inside and across the reader's 65-bit window
+    lowest = 2 ** (nbits - 1)
+    length = elias_delta_bit_length(lowest)
+    for value in {lowest, ones(nbits), lowest | random.Random(nbits).getrandbits(nbits - 1)}:
+        for offset in range(8):
+            w = BitWriter()
+            w.write(ones(offset), offset)  # set bits before and after, so no read strays
+            w.write_elias_delta(value)
+            w.write(ones(-w.bit_length % 8), -w.bit_length % 8)
+            data = w.getvalue()
+            r = BitReader(data + b"\xff" * 9)
+            assert r.read(offset) == ones(offset)
+            assert r.read_elias_delta() == value
+            assert r.position == offset + length
+            # cut at the last byte boundary before the codeword's last bit: one
+            # bit short at the offset where the codeword ends a byte
+            r = BitReader(data[: (offset + length - 1) // 8])
+            r.read(min(offset, r.bits_remaining))
+            with pytest.raises(BitstreamError, match="exhausted"):
+                r.read_elias_delta()
+
+
 @pytest.mark.parametrize(
     "data,skip",
     [

@@ -10,15 +10,16 @@ from hypothesis import strategies as st
 from enumcode import permutation_codec
 from enumcode.combinatorics import multinomial
 from enumcode.permutation_codec import (
-    _LEAF_BITS,
+    _CHUNK,
     _SPLIT_MIN,
-    _UNRANK_SPLIT_BITS,
+    _WALK_BITS,
+    _decode_leaf,
     _rank_incremental,
     _rank_split,
     _rank_walk,
     _symbol_ids,
+    _unrank_chunks,
     _unrank_incremental,
-    _unrank_split,
     _unrank_walk,
     enumerate_perms,
     frequency_vector,
@@ -27,6 +28,7 @@ from enumcode.permutation_codec import (
 )
 
 from conftest import PERMS_2110
+from oracles import reference_decode_leaf
 
 
 def brute_force_perms(counts, alphabet):
@@ -259,9 +261,10 @@ def ranks_to_try(counts, rng):
     return {0, min(1, arrangements - 1), arrangements - 1, arrangements // 2, rng.randrange(arrangements)}
 
 
-def check_unrank_split(rank, counts):
-    """The top-down unrank of ``rank`` down to the narrowest counts, checked
-    against the walk; fails if any refresh rejected a decoded stretch."""
+def check_unrank_chunks(rank, counts):
+    """The chunked unrank of ``rank``, handing over to the walk at its own
+    threshold and at the narrowest counts, checked against the oracle walk;
+    fails if any refresh rejected a decoded chunk."""
     refresh = permutation_codec._refresh
     rejected = 0
 
@@ -272,11 +275,13 @@ def check_unrank_split(rank, counts):
         return state
 
     arrangements = multinomial(counts)
-    with mock.patch.object(permutation_codec, "_refresh", counting_refresh):
-        with mock.patch.object(permutation_codec, "_UNRANK_SPLIT_BITS", _LEAF_BITS):
-            ids = _unrank_split(rank, arrangements, list(counts))
-    assert rejected == 0, f"{rejected} decoded stretches rejected"
-    assert ids == _unrank_incremental(rank, arrangements, list(counts))
+    expected = _unrank_incremental(rank, arrangements, list(counts))
+    for walk_bits in (_WALK_BITS, 1):
+        with mock.patch.object(permutation_codec, "_refresh", counting_refresh):
+            with mock.patch.object(permutation_codec, "_WALK_BITS", walk_bits):
+                ids = _unrank_chunks(rank, arrangements, list(counts))
+        assert rejected == 0, f"{rejected} decoded chunks rejected, walk from {walk_bits} bits"
+        assert ids == expected, walk_bits
     return ids
 
 
@@ -297,9 +302,9 @@ def test_split_unrank_matches_walk_and_inverts_rank(kind, sigma, length, seed, a
         seq = [alphabet[j] for j in rng.choice(list(boundary_aligned(ids).values()))]
     ids, counts = _symbol_ids(seq, alphabet)
     for rank in ranks_to_try(counts, rng):
-        got = check_unrank_split(rank, counts)
+        got = check_unrank_chunks(rank, counts)
         assert sequence_to_perm_index([alphabet[j] for j in got], alphabet) == rank
-    assert check_unrank_split(sequence_to_perm_index(seq, alphabet), counts) == ids
+    assert check_unrank_chunks(sequence_to_perm_index(seq, alphabet), counts) == ids
 
 
 @pytest.mark.parametrize("length", [4096, 8192])
@@ -309,8 +314,8 @@ def test_split_unrank_long_blocks(length):
     for name, block in {"random": seq, **boundary_aligned(seq)}.items():
         ids, counts = _symbol_ids(block, "acgt")
         for rank in ranks_to_try(counts, rng):
-            check_unrank_split(rank, counts)
-        assert check_unrank_split(_rank_split(ids, list(counts)), counts) == ids, name
+            check_unrank_chunks(rank, counts)
+        assert check_unrank_chunks(_rank_split(ids, list(counts)), counts) == ids, name
 
 
 @pytest.mark.parametrize("name", list(boundary_aligned(b"acgt")))
@@ -319,12 +324,81 @@ def test_boundary_aligned_blocks_unrank_fast(name):
     # took over 4 s on sorted runs of 512 symbols; the walk takes about 0.08 s.
     seq = bytes(boundary_aligned(random.Random(3).choices(b"acgt", k=8192))[name])
     counts = frequency_vector(seq, b"acgt")
-    # wide enough for the top-down unrank
-    assert multinomial(counts).bit_length() > max(_UNRANK_SPLIT_BITS, len(seq))
+    # wide enough for the chunked unrank
+    assert multinomial(counts).bit_length() > _WALK_BITS
     rank = sequence_to_perm_index(seq, b"acgt")
     start = time.perf_counter()
     assert perm_index_to_sequence(rank, counts, b"acgt") == seq
     assert time.perf_counter() - start < 0.5
+
+
+@st.composite
+def leaf_windows(draw):
+    """(num, den, err, counts, limit) with |num/den - x| <= err/den for an x in [0, 1)."""
+    sigma = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 256]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    counts = [rng.choice([0, 0, 1, 2, 7, 60, 1000]) for _ in range(sigma)]
+    den = draw(st.integers(1, 2 ** draw(st.integers(1, 320))))
+    err = draw(st.integers(0, 2**20))
+    num = draw(st.integers(-err, den + err - 1)) if err else draw(st.integers(0, den - 1))
+    if draw(st.booleans()):
+        # x at any distance from the lower or upper end of a random prefix's
+        # interval, T/Q or (T + P)/Q, where some symbol sits on a boundary
+        p = q = 1
+        t = 0
+        remaining, rest = sum(counts), list(counts)
+        for _ in range(rng.randrange(min(remaining, 2 * _CHUNK) + 1)):
+            k = rng.choice([j for j, c in enumerate(rest) if c])
+            t = t * remaining + p * sum(rest[:k])
+            p *= rest[k]
+            q *= remaining
+            rest[k] -= 1
+            remaining -= 1
+        end = t + p * draw(st.integers(0, 1))
+        offset = rng.getrandbits(rng.randrange(den.bit_length() + 1))
+        num = end * den // q + rng.choice((-offset, offset))
+        num = min(max(num, -err), den + err - 1 if err else den - 1)
+    return num, den, err, counts, draw(st.integers(1, _CHUNK))
+
+
+@settings(deadline=None, max_examples=300)
+@given(leaf_windows())
+def test_leaf_matches_the_oracle_leaf(window):
+    num, den, err, counts, limit = window
+    got, expected = [], []
+    got_counts, expected_counts = list(counts), list(counts)
+    triple = _decode_leaf(num, den, err, got_counts, got, limit)
+    assert triple == reference_decode_leaf(num, den, err, expected_counts, expected, limit)
+    assert (got, got_counts) == (expected, expected_counts)
+
+
+def test_leaf_matches_the_oracle_leaf_on_unrank_states():
+    # every state the unrank hands its leaf, down to the narrowest counts
+    calls = 0
+
+    def checked_leaf(num, den, err, counts, out, limit):
+        nonlocal calls
+        calls += 1
+        expected, expected_counts = [], list(counts)
+        triple = reference_decode_leaf(num, den, err, expected_counts, expected, limit)
+        before = len(out)
+        assert _decode_leaf(num, den, err, counts, out, limit) == triple
+        assert (out[before:], counts) == (expected, expected_counts)
+        return triple
+
+    rng = random.Random(5)
+    dna = rng.choices(b"acgt", k=4096)
+    blocks = [bytes(dna), bytes(rng.choices(range(256), k=600))]
+    blocks += [bytes(block) for block in boundary_aligned(dna).values()]
+    with mock.patch.object(permutation_codec, "_decode_leaf", checked_leaf):
+        with mock.patch.object(permutation_codec, "_WALK_BITS", 1):
+            for block in blocks:
+                alphabet = bytes(sorted(set(block)))
+                ids, counts = _symbol_ids(block, alphabet)
+                arrangements = multinomial(counts)
+                rank = _rank_split(ids, list(counts))
+                assert _unrank_chunks(rank, arrangements, list(counts)) == ids
+    assert calls > 200
 
 
 @st.composite

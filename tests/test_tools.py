@@ -19,3 +19,21 @@ def test_sweep_time_oracle_check_passes(monkeypatch):
     sweep_time = importlib.import_module("sweep_time")
     # exits non-zero on any point that differs from the oracles in tests/oracles.py
     sweep_time.check_against_oracle(_dna_like(3, n=2000))
+
+
+def test_rank_curve_rows_agree_and_invert(monkeypatch):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    rank_curve = importlib.import_module("rank_curve")
+
+    def once(fn):
+        fn()
+        return 0.0
+
+    # one untimed call per column; measure still exits on any rank that
+    # differs from the walk's and any unrank that does not give the block back
+    monkeypatch.setattr(rank_curve, "seconds", once)
+    rows = rank_curve.blocks()
+    for name in ("dna/2048", "sigma=256/16"):
+        row = rank_curve.measure(name, *rows[name])
+        assert row["length"] == int(name.split("/")[1])
+        assert row["chunk_unrank_s"] == row["unrank_s"] == 0.0

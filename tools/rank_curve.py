@@ -8,8 +8,9 @@ Each row ranks one block with the walk (``_rank_walk``), the oracle walk
 (``_rank_incremental``), the product tree (``_rank_split``) and the
 dispatching ``sequence_to_perm_index`` (``rank_s``), then unranks the rank
 with the walk (``_unrank_walk``), the oracle walk (``_unrank_incremental``),
-top down (``_unrank_split``) and through ``perm_index_to_sequence``
-(``unrank_s``), and writes it with ``BitWriter.write`` as a field of its
+the chunked unrank alone (``chunk_unrank_s``: ``_unrank_chunks`` run down to
+a one-run count instead of handing over to the walk) and the dispatching
+``perm_index_to_sequence`` (``unrank_s``), and writes it with ``BitWriter.write`` as a field of its
 real width. Every rank must agree and every unrank must give the block back.
 Each time is the best of three runs, in seconds, each run repeated until it
 takes 0.2 s or more (``timeit.Timer.autorange``).
@@ -23,11 +24,14 @@ The rows:
 - ``skew=K:1/L``: L symbols over 2 kinds, the second drawn with odds 1 in
   K + 1 (seed 3), long blocks of 1 bit per symbol or less.
 
-The output is one JSON object keyed by row. The permutation codec's
-``_SPLIT_MIN`` and ``_UNRANK_SPLIT_BITS`` are read against the ``dna`` and
-``sigma`` rows. The ``skew`` rows show where the rank walk would beat the
-tree on long blocks if their count is narrow enough. The whole curve takes
-a few minutes, most of it at L = 65536.
+The output is one JSON object keyed by row. The permutation codec's two
+thresholds are read against it: ``_SPLIT_MIN`` (rank by tree from this many
+symbols) against ``walk_rank_s`` and ``split_rank_s``, and ``_WALK_BITS``
+(unrank by walk up to this count width) against ``walk_unrank_s`` and
+``chunk_unrank_s``.
+The ``skew`` rows show where the rank walk would beat the tree on long
+blocks if their count is narrow enough. The whole curve takes a few
+minutes, most of it at L = 65536.
 """
 
 from __future__ import annotations
@@ -37,10 +41,12 @@ import random
 import sys
 import timeit
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
+from enumcode import permutation_codec  # noqa: E402
 from enumcode.bitstream import BitWriter  # noqa: E402
 from enumcode.combinatorics import ceil_log2, multinomial  # noqa: E402
 from enumcode.permutation_codec import (  # noqa: E402
@@ -48,8 +54,8 @@ from enumcode.permutation_codec import (  # noqa: E402
     _rank_split,
     _rank_walk,
     _symbol_ids,
+    _unrank_chunks,
     _unrank_incremental,
-    _unrank_split,
     _unrank_walk,
     perm_index_to_sequence,
     sequence_to_perm_index,
@@ -90,9 +96,18 @@ def measure(name: str, block: bytes, alphabet: bytes) -> dict:
     for other in (_rank_incremental, _rank_split):
         if other(ids, list(counts)) != rank:
             raise SystemExit(f"{other.__name__} and _rank_walk differ on {name}")
-    for unrank in (_unrank_walk, _unrank_incremental, _unrank_split):
-        if unrank(rank, arrangements, list(counts)) != ids:
-            raise SystemExit(f"{unrank.__name__} does not invert the rank on {name}")
+    # column -> (unrank, the thresholds it runs under)
+    unranks = {
+        "walk_unrank_s": (_unrank_walk, {}),
+        "incremental_unrank_s": (_unrank_incremental, {}),
+        "chunk_unrank_s": (_unrank_chunks, {"_WALK_BITS": 1}),
+    }
+    unrank_times = {}
+    for column, (unrank, thresholds) in unranks.items():
+        with mock.patch.dict(vars(permutation_codec), thresholds):
+            if unrank(rank, arrangements, list(counts)) != ids:
+                raise SystemExit(f"{column} does not invert the rank on {name}")
+            unrank_times[column] = seconds(lambda: unrank(rank, arrangements, list(counts)))
     width = ceil_log2(arrangements)
     return {
         "sigma": len(alphabet),
@@ -102,11 +117,7 @@ def measure(name: str, block: bytes, alphabet: bytes) -> dict:
         "incremental_rank_s": seconds(lambda: _rank_incremental(ids, list(counts))),
         "split_rank_s": seconds(lambda: _rank_split(ids, list(counts))),
         "rank_s": seconds(lambda: sequence_to_perm_index(block, alphabet)),
-        "walk_unrank_s": seconds(lambda: _unrank_walk(rank, arrangements, list(counts))),
-        "incremental_unrank_s": seconds(
-            lambda: _unrank_incremental(rank, arrangements, list(counts))
-        ),
-        "split_unrank_s": seconds(lambda: _unrank_split(rank, arrangements, list(counts))),
+        **unrank_times,
         "unrank_s": seconds(lambda: perm_index_to_sequence(rank, counts, alphabet)),
         "write_s": seconds(lambda: BitWriter().write(rank, width)),
     }
