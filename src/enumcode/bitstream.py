@@ -86,24 +86,33 @@ class BitReader:
         return (window >> shift) & ((1 << width) - 1)
 
     def read_elias_delta(self) -> int:
-        # the zero run and its closing one bit come from one window of at most
-        # 65 bits: a run of 65 zeros is malformed, a shorter one ran out
+        # A legal codeword has at most 6 + 1 + 6 + 63 = 76 bits (a zero run, its
+        # closing one bit, the rest of the bit count, the value below its top
+        # bit), so one window of up to 76 bits holds it whole. A run of 65
+        # zeros is malformed; a run of 7 to 64 gives a bit count of 128 or more.
         pos = self._pos
-        width = min(65, len(self._data) * 8 - pos)
+        available = len(self._data) * 8 - pos
+        width = min(76, available)
         end = pos + width
         last = (end + 7) >> 3
         window = int.from_bytes(self._data[pos >> 3 : last], "big") >> (last * 8 - end)
         window &= (1 << width) - 1
-        if not window:
-            raise BitstreamError(
-                "malformed length codeword" if width == 65 else "bit stream exhausted"
-            )
         zeros = width - window.bit_length()
-        self._pos = pos + zeros + 1
-        nbits = (1 << zeros) | self.read(zeros)
+        if zeros >= 65:
+            raise BitstreamError("malformed length codeword")
+        prefix = 2 * zeros + 1  # the zero run and the whole bit count
+        if prefix > available:
+            raise BitstreamError("bit stream exhausted")
+        if zeros > 6:
+            raise BitstreamError("length codeword exceeds 64-bit range")
+        nbits = window >> (width - prefix) & ((1 << (zeros + 1)) - 1)
         if nbits > 64:
             raise BitstreamError("length codeword exceeds 64-bit range")
-        return (1 << (nbits - 1)) | self.read(nbits - 1)
+        size = prefix + nbits - 1
+        if size > width:
+            raise BitstreamError("bit stream exhausted")
+        self._pos = pos + size
+        return (1 << (nbits - 1)) | (window >> (width - size) & ((1 << (nbits - 1)) - 1))
 
     @property
     def position(self) -> int:

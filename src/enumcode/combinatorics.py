@@ -24,15 +24,16 @@ def multinomial(counts: Iterable[int]) -> int:
     """Number of distinct arrangements of a multiset with these counts.
 
     Equals (sum counts)! / prod(c_i!); exactly 1 when at most one count is
-    non-zero.
+    non-zero. A zero count leaves the product as it is, so it is skipped.
     """
     result = 1
     total = 0
     for c in counts:
-        if c < 0:
+        if c > 0:
+            total += c
+            result *= math.comb(total, c)
+        elif c:
             raise ValueError("counts must be non-negative")
-        total += c
-        result *= math.comb(total, c)
     return result
 
 

@@ -12,15 +12,25 @@ a_i sums the remaining counts of the symbols below the one at i. Consuming
 that symbol, whose remaining count is b_i, scales A_i by b_i / m_i. Both
 quotients are exact: each counts arrangements.
 
-Short blocks rank with that walk directly (:func:`_rank_walk`): a_i is a
-sum of small ints, so each symbol costs two big-int products and two exact
-divisions by the small m_i whatever the alphabet size, on a number as wide
-as the count. Longer blocks rank with a product tree (:func:`_rank_split`,
-binary splitting): far fewer operations on wide numbers, each a Karatsuba
-multiplication, and one exact division at the end (``_SPLIT_MIN``;
-``tools/rank_curve.py`` measures both).
-Byte sequences over a byte alphabet become symbol ids through
-``bytes.translate``, never through a per-symbol lookup.
+The rank is picked by the width of the arrangement count, which sets the
+cost of every big-int step, not by the block's length. While the count has
+at most ``_RANK_WALK_BITS`` bits, the walk runs directly
+(:func:`_rank_walk`): a_i is a sum of small ints, so each symbol costs two
+big-int products and two exact divisions by the small m_i whatever the
+alphabet size, on a number as wide as the count. Wider counts rank in chunks
+(:func:`_rank_chunks`), the way they unrank: each chunk of ``_CHUNK``
+symbols folds into a small (P, Q, T) triple with small-int arithmetic, and
+one update applies it to the full-width rank and count, one long division
+by the small Q and products by the small T and P; the walk finishes once
+the count is narrow. Like the chunked unrank this is quadratic in the
+count's width, so the widest counts rank with a product tree
+(:func:`_rank_split`, binary splitting): far fewer operations on wide
+numbers, each a Karatsuba multiplication, and one exact division at the end.
+The tree takes over once the width times the bits per symbol exceeds
+``_SPLIT_BITS``, at about 2^17 bits on DNA and 2^15 over 256 kinds.
+``tools/rank_curve.py`` measures all three. Byte sequences over a byte
+alphabet become symbol ids through ``bytes.translate``, never through a
+per-symbol lookup.
 
 Unranking inverts that walk. While the arrangement count is narrow, the
 greedy walk (:func:`_unrank_walk`) reads each symbol off v = pid * m_i // A_i
@@ -35,8 +45,7 @@ small-int arithmetic (:func:`_decode_leaf`), then one exact update applies
 the chunk's small (P, Q, T) triple to the full-width state, one long
 division by the small Q and two products by small P and T. Every output
 is exact. Each chunk costs time in proportion to the count's width, so a
-block unranks in time quadratic in that width, while the rank's product
-tree is subquadratic.
+block unranks in time quadratic in that width.
 
 :func:`_rank_incremental` and :func:`_unrank_incremental` take a big-int
 step for every smaller symbol kind instead; they stay as test oracles.
@@ -44,6 +53,7 @@ step for every smaller symbol kind instead; they stay as test oracles.
 
 from __future__ import annotations
 
+import math
 from typing import Hashable, Iterable, Sequence
 
 from .combinatorics import multinomial
@@ -95,8 +105,17 @@ def _symbol_ids(seq: Iterable[Hashable], alphabet: Alphabet) -> tuple[list[int],
     return ids, counts
 
 
-# Blocks shorter than this rank with the walk, longer ones with the product tree.
-_SPLIT_MIN = 512
+# The arrangement count's width picks the rank: up to _RANK_WALK_BITS bits
+# the walk, above it chunks of _CHUNK symbols down to the walk, and the
+# product tree once the width times the bits per symbol exceeds _SPLIT_BITS.
+# The chunks' cost grows with the symbols they span as well as with the
+# width, so the tree takes over at narrower counts over larger alphabets
+# (tools/rank_curve.py measures all three).
+_RANK_WALK_BITS = 512
+_SPLIT_BITS = 1 << 18
+# Symbols per rank chunk, and the most an unrank chunk decodes, before one
+# exact update of the full-width state.
+_CHUNK = 64
 # Symbols per product-tree leaf, ranked with a plain loop.
 _LEAF = 16
 
@@ -122,11 +141,11 @@ def sequence_to_perm_index(
         if counts is None:
             counts = found
     counts = list(counts)
-    if len(ids) >= _SPLIT_MIN:
-        return _rank_split(ids, counts)
     if arrangements is None:
         arrangements = multinomial(counts)
-    return _rank_walk(ids, counts, arrangements)
+    if arrangements.bit_length() ** 2 > _SPLIT_BITS * len(ids):
+        return _rank_split(ids, counts)
+    return _rank_chunks(ids, counts, arrangements)
 
 
 _BYTE_IDS = bytes(range(256))
@@ -187,19 +206,10 @@ def _rank_split(ids: list[int], counts: list[int]) -> int:
     ranges combine as (P_L P_R, Q_L Q_R, T_L Q_R + P_L T_R). Over the whole
     sequence A_0 = Q / P, so the rank A_0 * T / Q is exactly T / P.
     """
-    level = []
-    remaining = len(ids)
-    for start in range(0, len(ids), _LEAF):
-        p = q = 1
-        t = 0
-        for k in ids[start : start + _LEAF]:
-            b = counts[k]
-            t = t * remaining + p * sum(counts[:k])
-            p *= b
-            q *= remaining
-            counts[k] = b - 1
-            remaining -= 1
-        level.append((p, q, t))
+    level = [
+        _stretch(ids[start : start + _LEAF], counts, len(ids) - start)
+        for start in range(0, len(ids), _LEAF)
+    ]
     level = _pair_up(level, 2)
     if len(level) == 2:  # the root's Q is never needed
         (pl, _, tl), (pr, qr, tr) = level
@@ -207,6 +217,65 @@ def _rank_split(ids: list[int], counts: list[int]) -> int:
     else:
         p, _, t = level[0] if level else (1, 1, 0)
     return _exact_quotient(t, p)
+
+
+def _rank_chunks(ids: Sequence[int], counts: list[int], arrangements: int) -> int:
+    """The rank a chunk of symbols at a time, then by the walk; consumes ``counts``.
+
+    ``arrangements`` is the multinomial of ``counts``. While it has more than
+    ``_RANK_WALK_BITS`` bits, the next ``_CHUNK`` symbols give a small
+    (p, q, t) triple (:func:`_stretch`), which adds A * T / Q to the rank and
+    turns A into A * P / Q (:func:`_advance`): one long division of the wide
+    count by the small Q and products by the small T and P, where the walk
+    takes two big-int steps per symbol.
+    """
+    rank = 0
+    start = 0
+    while arrangements.bit_length() > _RANK_WALK_BITS:
+        stop = start + _CHUNK
+        offset, arrangements = _advance(
+            arrangements, *_stretch(ids[start:stop], counts, len(ids) - start)
+        )
+        rank += offset
+        start = stop
+    return rank + _rank_walk(ids[start:], counts, arrangements)
+
+
+def _stretch(ids: Sequence[int], counts: list[int], remaining: int) -> tuple[int, int, int]:
+    """The (P, Q, T) triple of a stretch of symbol ids; consumes ``counts``.
+
+    ``remaining`` counts the symbols left from the stretch's first one on.
+    Each symbol multiplies P by its remaining count b_i and turns T into
+    T * m_i + P * a_i, all small ints; Q, the product of the m_i, is a
+    falling factorial.
+    """
+    q = math.perm(remaining, len(ids))
+    p = 1
+    t = 0
+    for k in ids:
+        b = counts[k]
+        if k:
+            t = t * remaining + p * sum(counts[:k])
+        else:
+            t *= remaining
+        p *= b
+        counts[k] = b - 1
+        remaining -= 1
+    return p, q, t
+
+
+def _advance(arrangements: int, p: int, q: int, t: int) -> tuple[int, int]:
+    """(A * T / Q, A * P / Q) for the count A before a stretch with triple (p, q, t).
+
+    The first is what the stretch adds to the rank, the second the count
+    after it; both are exact quotients for every stretch the counts allow.
+    Long division costs the product of the divisor's and the quotient's
+    widths, so the wide A is divided by the small Q once: with
+    A = W * Q + R, A * T / Q is W * T + R * T / Q, and R * T / Q is exact
+    too, a quotient below T.
+    """
+    whole, part = divmod(arrangements, q)
+    return whole * t + part * t // q, whole * p + part * p // q
 
 
 def _pair_up(level: list[tuple[int, int, int]], size: int) -> list[tuple[int, int, int]]:
@@ -331,10 +400,8 @@ def _unrank_incremental(pid: int, arrangements: int, remaining_counts: list[int]
 # Up to this many bits of arrangement count the walk beats the chunked unrank
 # (tools/rank_curve.py measures both).
 _WALK_BITS = 2048
-# Leading bits of (rank, arrangement count) each chunk decodes from, and the
-# most symbols it decodes before one exact update of the full-width state.
+# Leading bits of (rank, arrangement count) each unrank chunk decodes from.
 _WINDOW = 256
-_CHUNK = 64
 # Bits of the error bound the leaf keeps when it drops its low bits, which it
 # does once the bound has twice as many.
 _GUARD_BITS = 16
@@ -375,17 +442,12 @@ def _unrank_chunks(pid: int, arrangements: int, counts: list[int]) -> list[int]:
 def _refresh(pid: int, arrangements: int, p: int, q: int, t: int) -> tuple[int, int] | None:
     """The exact (rank, arrangement count) after a stretch with triple (p, q, t).
 
-    pid - T * A / Q and A * P / Q are exact quotients for every stretch the
-    counts allow, and the new rank lies in [0, A * P / Q) exactly when the
-    stretch is the prefix ``pid`` encodes; otherwise this returns None.
-    Long division costs the product of the divisor's and the quotient's
-    widths, so the wide A is divided by the small Q once: with
-    A = W * Q + R, A * T / Q is W * T + R * T / Q, and R * T / Q is exact
-    too, a quotient below T.
+    The new rank, pid - A * T / Q (:func:`_advance`), lies in [0, A * P / Q)
+    exactly when the stretch is the prefix ``pid`` encodes; otherwise this
+    returns None.
     """
-    whole, part = divmod(arrangements, q)
-    pid -= whole * t + part * t // q
-    arrangements = whole * p + part * p // q
+    offset, arrangements = _advance(arrangements, p, q, t)
+    pid -= offset
     return (pid, arrangements) if 0 <= pid < arrangements else None
 
 

@@ -1,16 +1,18 @@
-"""Slow, independent oracles for the block codec and the unrank's leaf.
+"""Slow, independent oracles for the block codec, the unrank's leaf and the
+Elias-delta reader.
 
 Each block-codec oracle walks the scheme as the ``block_codec`` module
 docstring describes it, without the library's block cutter (``_cut``) or its
 pricing memo, so a check against them does not compare the code under test
-with itself. The leaf oracle is the permutation unrank's first leaf decoder.
+with itself. The leaf oracle is the permutation unrank's first leaf decoder,
+and the reader oracle reads a codeword field by field.
 """
 
 import math
 from typing import NamedTuple
 
 from enumcode.analysis import log2_int
-from enumcode.bitstream import BitWriter, elias_delta_bit_length
+from enumcode.bitstream import BitReader, BitstreamError, BitWriter, elias_delta_bit_length
 from enumcode.block_codec import AccountedBits, AlphabetError, EncodedContainer
 from enumcode.combinatorics import ceil_log2, k_count, multinomial
 from enumcode.composition_codec import vector_to_index
@@ -211,3 +213,32 @@ def reference_decode_leaf(num, den, err, counts, out, limit):
         out.append(j)
         limit -= 1
     return p, q, t
+
+
+# -- reference Elias-delta reader ----------------------------------------------
+#
+# The reader before it took a whole codeword from one window: one window finds
+# the zero run, then two ``read`` calls take the bit count and the value.
+
+
+class ReferenceBitReader(BitReader):
+    __slots__ = ()
+
+    def read_elias_delta(self):
+        # a run of 65 zeros is malformed, a shorter one ran out
+        pos = self._pos
+        width = min(65, len(self._data) * 8 - pos)
+        end = pos + width
+        last = (end + 7) >> 3
+        window = int.from_bytes(self._data[pos >> 3 : last], "big") >> (last * 8 - end)
+        window &= (1 << width) - 1
+        if not window:
+            raise BitstreamError(
+                "malformed length codeword" if width == 65 else "bit stream exhausted"
+            )
+        zeros = width - window.bit_length()
+        self._pos = pos + zeros + 1
+        nbits = (1 << zeros) | self.read(zeros)
+        if nbits > 64:
+            raise BitstreamError("length codeword exceeds 64-bit range")
+        return (1 << (nbits - 1)) | self.read(nbits - 1)

@@ -11,6 +11,8 @@ from enumcode.bitstream import (
     elias_delta_bit_length,
 )
 
+from oracles import ReferenceBitReader
+
 
 def test_msb_first_packing():
     w = BitWriter()
@@ -147,6 +149,58 @@ def test_elias_delta_at_every_offset_and_one_bit_short(nbits):
             r.read(min(offset, r.bits_remaining))
             with pytest.raises(BitstreamError, match="exhausted"):
                 r.read_elias_delta()
+
+
+def read_outcome(reader_type, data, skip):
+    """The value and end position of the codeword after ``skip`` bits, or the error."""
+    r = reader_type(data)
+    r.read(skip)
+    try:
+        value = r.read_elias_delta()
+    except BitstreamError as exc:
+        return "error", str(exc)
+    return value, r.position
+
+
+def check_every_truncation(bits, skip):
+    """Both readers agree on ``bits`` (a '0'/'1' string) cut at every byte."""
+    bits += "0" * (-len(bits) % 8)
+    data = int(bits, 2).to_bytes(len(bits) // 8, "big") if bits else b""
+    for cut in range(len(data) + 1):
+        head = data[:cut]
+        at = min(skip, len(head) * 8)
+        assert read_outcome(BitReader, head, at) == read_outcome(ReferenceBitReader, head, at), (
+            bits,
+            skip,
+            cut,
+        )
+
+
+@pytest.mark.parametrize("nbits", range(1, 65))
+def test_elias_delta_matches_the_field_by_field_reader(nbits):
+    # every codeword length, at every bit offset, followed by ones or by
+    # zeros, cut at every byte: the same value and end, or the same error
+    rng = random.Random(nbits)
+    lowest = 2 ** (nbits - 1)
+    for value in {lowest, ones(nbits), lowest | rng.getrandbits(nbits - 1)}:
+        w = BitWriter()
+        w.write_elias_delta(value)
+        data = w.getvalue()
+        codeword = format(int.from_bytes(data, "big"), f"0{len(data) * 8}b")[: w.bit_length]
+        for skip in range(8):
+            for tail in ("", "0" * 80, "1" * 80):
+                check_every_truncation("1" * skip + codeword + tail, skip)
+
+
+@pytest.mark.parametrize("zeros", range(0, 80))
+def test_elias_delta_matches_the_field_by_field_reader_on_any_zero_run(zeros):
+    # zero runs of every length, legal, past 64 bits or malformed, then random bits
+    rng = random.Random(zeros)
+    for skip in range(0, 8, 3):
+        for _ in range(3):
+            rest = format(rng.getrandbits(100), "0100b")
+            check_every_truncation("1" * skip + "0" * zeros + "1" + rest, skip)
+            check_every_truncation("1" * skip + "0" * zeros, skip)
 
 
 @pytest.mark.parametrize(

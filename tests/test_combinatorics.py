@@ -52,8 +52,18 @@ class TestMultinomial:
         assert multinomial(counts) == expected
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            multinomial((1, -1))
+        for counts in [(1, -1), (-1,), (0, -1), (-2, 0, 3), (0, 0, 0, -1)]:
+            with pytest.raises(ValueError, match="non-negative"):
+                multinomial(counts)
+
+    @given(st.lists(st.sampled_from([0, 0, 0, 1, 2, 5, 40]), max_size=300))
+    def test_zero_counts_match_factorials(self, counts):
+        # zero counts are skipped; the integer is the factorial quotient
+        expected = math.factorial(sum(counts))
+        for c in counts:
+            expected //= math.factorial(c)
+        assert multinomial(counts) == expected
+        assert multinomial(iter(counts)) == expected
 
     @given(st.lists(st.integers(0, 12), min_size=1, max_size=6), st.randoms())
     def test_invariant_under_count_permutation(self, counts, rng):

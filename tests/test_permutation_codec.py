@@ -11,9 +11,11 @@ from enumcode import permutation_codec
 from enumcode.combinatorics import multinomial
 from enumcode.permutation_codec import (
     _CHUNK,
-    _SPLIT_MIN,
+    _RANK_WALK_BITS,
+    _SPLIT_BITS,
     _WALK_BITS,
     _decode_leaf,
+    _rank_chunks,
     _rank_incremental,
     _rank_split,
     _rank_walk,
@@ -220,7 +222,7 @@ def test_split_rank_matches_incremental_oracle(kind, sigma, length, seed):
     assert sequence_to_perm_index(seq, alphabet) == expected
 
 
-@pytest.mark.parametrize("length", [_SPLIT_MIN - 1, _SPLIT_MIN, 4096])
+@pytest.mark.parametrize("length", [511, 512, 4096])
 @pytest.mark.parametrize("kind", ["str", "bytes", "list"])
 def test_round_trip_around_split_threshold(kind, length):
     alphabet = ALPHABETS[kind][:4]
@@ -229,6 +231,113 @@ def test_round_trip_around_split_threshold(kind, length):
     rank = sequence_to_perm_index(seq, alphabet)
     assert 0 <= rank < multinomial(counts)
     assert perm_index_to_sequence(rank, counts, alphabet) == seq
+
+
+# Each rank path on its own and every hand-over between them: the walk bound
+# and the tree bound at 1 bit, as measured, and beyond any count.
+RANK_BOUNDS = [
+    {"_RANK_WALK_BITS": walk_bits, "_SPLIT_BITS": split_bits}
+    for walk_bits in (1, _RANK_WALK_BITS, 10**9)
+    for split_bits in (1, _SPLIT_BITS, 10**9)
+]
+# Block lengths that keep the oracle walk fast: counts of up to ~2000 bits.
+ORACLE_LENGTHS = {2: 2000, 4: 1000, 20: 450, 256: 250}
+
+
+def skewed_block(rng, sigma, length, shape):
+    """``length`` symbols over ``sigma`` byte kinds: uniform, or one kind K times
+    likelier for a ``shape`` of "K:1"."""
+    weights = [1] * sigma
+    if shape != "uniform":
+        weights[rng.randrange(sigma)] = int(shape.split(":")[0])
+    return bytes(rng.choices(range(sigma), weights=weights, k=length))
+
+
+def ranks_on_every_path(seq, alphabet):
+    """The rank under each of ``RANK_BOUNDS``, with and without the counts passed."""
+    counts = frequency_vector(seq, alphabet)
+    arrangements = multinomial(counts)
+    ranks = set()
+    for bounds in RANK_BOUNDS:
+        with mock.patch.dict(vars(permutation_codec), bounds):
+            ranks.add(sequence_to_perm_index(seq, alphabet))
+            ranks.add(sequence_to_perm_index(seq, alphabet, counts, arrangements))
+    return ranks
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sampled_from([2, 4, 20, 256]),
+    st.sampled_from(["uniform", "100:1", "1000:1"]),
+    st.floats(0, 1),
+    st.integers(0, 2**32),
+)
+def test_rank_paths_match_incremental_oracle(sigma, shape, fraction, seed):
+    alphabet = bytes(range(sigma))
+    length = int(fraction * ORACLE_LENGTHS[sigma])
+    seq = skewed_block(random.Random(seed), sigma, length, shape)
+    expected = _rank_incremental(*_symbol_ids(seq, alphabet))
+    assert ranks_on_every_path(seq, alphabet) == {expected}
+    assert ranks_on_every_path(list(seq), list(alphabet)) == {expected}
+
+
+def crossing_length(seq, alphabet, past_bound):
+    """A prefix length of ``seq`` whose count is past a bound one symbol
+    shorter is not; ``past_bound(width, length)`` tells, for the count's width."""
+
+    def past(length):
+        width = multinomial(frequency_vector(seq[:length], alphabet)).bit_length()
+        return past_bound(width, length)
+
+    low, high = 1, len(seq)
+    assert past(high) and not past(low)
+    while high - low > 1:
+        mid = (low + high) // 2
+        if past(mid):
+            high = mid
+        else:
+            low = mid
+    return high
+
+
+@pytest.mark.parametrize("sigma", [2, 4, 20, 256])
+@pytest.mark.parametrize("shape", ["uniform", "100:1"])
+def test_rank_on_both_sides_of_the_walk_bound(sigma, shape):
+    alphabet = bytes(range(sigma))
+    seq = skewed_block(random.Random(sigma), sigma, 20000, shape)
+    crossing = crossing_length(seq, alphabet, lambda width, _: width > _RANK_WALK_BITS)
+    for length in (crossing - 1, crossing, crossing + _CHUNK, crossing + 2 * _CHUNK + 1):
+        block = seq[:length]
+        expected = _rank_incremental(*_symbol_ids(block, alphabet))
+        assert ranks_on_every_path(block, alphabet) == {expected}, length
+
+
+@pytest.mark.parametrize("sigma", [20, 256])
+def test_rank_on_both_sides_of_the_tree_bound(sigma):
+    # too long for the oracle walk: the chunks and the tree check each other
+    alphabet = bytes(range(sigma))
+    seq = bytes(random.Random(7).choices(alphabet, k=20000))
+    crossing = crossing_length(
+        seq, alphabet, lambda width, length: width * width > _SPLIT_BITS * length
+    )
+    for length, path in ((crossing - 1, "_rank_chunks"), (crossing, "_rank_split")):
+        block = seq[:length]
+        ids, counts = _symbol_ids(block, alphabet)
+        expected = _rank_split(ids, list(counts))
+        assert _rank_chunks(ids, list(counts), multinomial(counts)) == expected
+        rank = getattr(permutation_codec, path)
+        with mock.patch.object(permutation_codec, path, wraps=rank) as used:
+            assert sequence_to_perm_index(block, alphabet) == expected
+        assert used.called, path
+
+
+def test_rank_of_a_64k_dna_block_matches_the_tree():
+    # the tree is the oracle where the oracle walk would take seconds
+    block = random.Random(65536).choices(b"acgt", k=65536)
+    ids, counts = _symbol_ids(block, b"acgt")
+    expected = _rank_split(ids, list(counts))
+    with mock.patch.object(permutation_codec, "_rank_split", side_effect=AssertionError):
+        assert sequence_to_perm_index(bytes(block), b"acgt") == expected  # in chunks
 
 
 def test_unrank_emits_final_run():

@@ -36,4 +36,5 @@ def test_rank_curve_rows_agree_and_invert(monkeypatch):
     for name in ("dna/2048", "sigma=256/16"):
         row = rank_curve.measure(name, *rows[name])
         assert row["length"] == int(name.split("/")[1])
+        assert row["chunk_rank_s"] == row["rank_s"] == 0.0
         assert row["chunk_unrank_s"] == row["unrank_s"] == 0.0

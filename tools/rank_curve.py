@@ -5,13 +5,17 @@ Usage (from the repository root):
     python3 tools/rank_curve.py
 
 Each row ranks one block with the walk (``_rank_walk``), the oracle walk
-(``_rank_incremental``), the product tree (``_rank_split``) and the
-dispatching ``sequence_to_perm_index`` (``rank_s``), then unranks the rank
-with the walk (``_unrank_walk``), the oracle walk (``_unrank_incremental``),
-the chunked unrank alone (``chunk_unrank_s``: ``_unrank_chunks`` run down to
-a one-run count instead of handing over to the walk) and the dispatching
-``perm_index_to_sequence`` (``unrank_s``), and writes it with ``BitWriter.write`` as a field of its
-real width. Every rank must agree and every unrank must give the block back.
+(``_rank_incremental``), the product tree (``_rank_split``), the chunked
+rank alone (``chunk_rank_s``: ``_rank_chunks`` run down to a one-run count
+instead of handing over to the walk) and the dispatching
+``sequence_to_perm_index`` (``rank_s``, given only the block and the
+alphabet, so it also counts the block and builds its arrangement count).
+It unranks the rank with the walk (``_unrank_walk``), the oracle walk
+(``_unrank_incremental``), the chunked unrank alone (``chunk_unrank_s``:
+``_unrank_chunks`` run down to a one-run count instead of handing over to
+the walk) and the dispatching ``perm_index_to_sequence`` (``unrank_s``), and
+writes it with ``BitWriter.write`` as a field of its real width. Every rank
+must agree and every unrank must give the block back.
 Each time is the best of three runs, in seconds, each run repeated until it
 takes 0.2 s or more (``timeit.Timer.autorange``).
 
@@ -24,14 +28,17 @@ The rows:
 - ``skew=K:1/L``: L symbols over 2 kinds, the second drawn with odds 1 in
   K + 1 (seed 3), long blocks of 1 bit per symbol or less.
 
-The output is one JSON object keyed by row. The permutation codec's two
-thresholds are read against it: ``_SPLIT_MIN`` (rank by tree from this many
-symbols) against ``walk_rank_s`` and ``split_rank_s``, and ``_WALK_BITS``
-(unrank by walk up to this count width) against ``walk_unrank_s`` and
-``chunk_unrank_s``.
-The ``skew`` rows show where the rank walk would beat the tree on long
-blocks if their count is narrow enough. The whole curve takes a few
-minutes, most of it at L = 65536.
+The output is one JSON object keyed by row; ``width_bits`` is the width of
+the block's arrangement count, which every threshold of the permutation
+codec reads. The rank has two: ``_RANK_WALK_BITS`` (rank by walk up to this
+count width, in chunks above it) against ``walk_rank_s`` and
+``chunk_rank_s``, and ``_SPLIT_BITS`` (rank by tree once the count width
+times its bits per symbol, ``width_bits ** 2 / length``, exceeds this)
+against ``chunk_rank_s`` and ``split_rank_s``. The unrank has one,
+``_WALK_BITS`` (unrank by walk up to this count width), read against
+``walk_unrank_s`` and ``chunk_unrank_s``. The ``skew`` rows are long blocks
+with narrow counts, where the walk and the chunks beat the tree. The whole
+curve takes a few minutes, most of it at L = 65536.
 """
 
 from __future__ import annotations
@@ -50,6 +57,7 @@ from enumcode import permutation_codec  # noqa: E402
 from enumcode.bitstream import BitWriter  # noqa: E402
 from enumcode.combinatorics import ceil_log2, multinomial  # noqa: E402
 from enumcode.permutation_codec import (  # noqa: E402
+    _rank_chunks,
     _rank_incremental,
     _rank_split,
     _rank_walk,
@@ -96,6 +104,10 @@ def measure(name: str, block: bytes, alphabet: bytes) -> dict:
     for other in (_rank_incremental, _rank_split):
         if other(ids, list(counts)) != rank:
             raise SystemExit(f"{other.__name__} and _rank_walk differ on {name}")
+    with mock.patch.object(permutation_codec, "_RANK_WALK_BITS", 1):
+        if _rank_chunks(ids, list(counts), arrangements) != rank:
+            raise SystemExit(f"_rank_chunks and _rank_walk differ on {name}")
+        chunk_rank_s = seconds(lambda: _rank_chunks(ids, list(counts), arrangements))
     # column -> (unrank, the thresholds it runs under)
     unranks = {
         "walk_unrank_s": (_unrank_walk, {}),
@@ -116,6 +128,7 @@ def measure(name: str, block: bytes, alphabet: bytes) -> dict:
         "walk_rank_s": seconds(lambda: _rank_walk(ids, list(counts), arrangements)),
         "incremental_rank_s": seconds(lambda: _rank_incremental(ids, list(counts))),
         "split_rank_s": seconds(lambda: _rank_split(ids, list(counts))),
+        "chunk_rank_s": chunk_rank_s,
         "rank_s": seconds(lambda: sequence_to_perm_index(block, alphabet)),
         **unrank_times,
         "unrank_s": seconds(lambda: perm_index_to_sequence(rank, counts, alphabet)),
