@@ -134,7 +134,11 @@ class CodecParams:
     @classmethod
     def variable(cls, alphabet: bytes, alpha: bytes | int, r: int, n: int) -> "CodecParams":
         """Build variable-mode params from the delimiter symbol itself."""
-        byte = alpha[0] if isinstance(alpha, (bytes, bytearray)) else int(alpha)
+        if isinstance(alpha, (bytes, bytearray)):
+            if len(alpha) != 1:
+                raise ValueError(f"delimiter must be one symbol, got {bytes(alpha)!r}")
+            alpha = alpha[0]
+        byte = int(alpha)
         try:
             index = alphabet.index(byte) + 1
         except ValueError:

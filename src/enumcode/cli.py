@@ -73,21 +73,24 @@ def read_sequence(path: str, fasta: bool = False, fasta_map: str | None = None) 
     if fasta_map:
         table = bytearray(range(256))
         for pair in fasta_map.split(","):
-            src, _, dst = pair.partition("=")
-            if len(src) != 1 or len(dst) != 1:
+            src, _, dst = pair.upper().partition("=")
+            if len(src) != 1 or len(dst) != 1 or max(ord(src), ord(dst)) > 0xFF:
                 raise ValueError(f"bad --fasta-map entry {pair!r} (want FROM=TO)")
-            table[ord(src.upper())] = ord(dst.upper())
+            table[ord(src)] = ord(dst)
         cleaned = cleaned.translate(bytes(table))
     check_alphabet(cleaned, b"ACGT")
     return bytes(cleaned)
 
 
+def _distinct(values, option: str):
+    if len(set(values)) != len(values):
+        raise ValueError(f"{option} entries must be distinct")
+    return values
+
+
 def discover_alphabet(data: bytes, override: str | None) -> bytes:
     if override:
-        alphabet = override.encode("latin-1")
-        if len(set(alphabet)) != len(alphabet):
-            raise ValueError("--alphabet entries must be distinct")
-        return alphabet
+        return _distinct(override.encode("latin-1"), "--alphabet")
     return bytes(sorted(set(data)))
 
 
@@ -428,25 +431,26 @@ def non_negative_int(text: str) -> int:
     return value
 
 
-def _parse_int_set(text: str) -> tuple[int, ...]:
+def _parse_int_set(text: str, option: str) -> tuple[int, ...]:
     values = tuple(int(part) for part in text.split(","))
     if not values or any(v < 1 for v in values):
         raise ValueError("parameter sets need positive integers")
-    return values
+    return _distinct(values, option)
 
 
 def cmd_sweep(args) -> int:
-    r_set = _parse_int_set(args.r_set) if args.r_set else R_SET_DEFAULT
-    l_set = _parse_int_set(args.L_set) if args.L_set else L_SET_DEFAULT
+    r_set = _parse_int_set(args.r_set, "--r-set") if args.r_set else R_SET_DEFAULT
+    l_set = _parse_int_set(args.L_set, "--L-set") if args.L_set else L_SET_DEFAULT
+    alphas = None
+    if args.alphas:
+        alphas = (args.alphas.upper() if args.fasta else args.alphas).encode("latin-1")
+        _distinct(alphas, "--alphas")
     sweeps: list[FileSweep] = []
     failures = 0
     for path in sorted(args.inputs):
         try:
             data = read_sequence(path, args.fasta, args.fasta_map)
             alphabet = discover_alphabet(data, args.alphabet)
-            alphas = None
-            if args.alphas:
-                alphas = (args.alphas.upper() if args.fasta else args.alphas).encode("latin-1")
             sweeps.append(
                 sweep_file(
                     Path(path).name,

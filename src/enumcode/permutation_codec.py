@@ -22,15 +22,13 @@ alphabet size, on a number as wide as the count. Wider counts rank in chunks
 symbols folds into a small (P, Q, T) triple with small-int arithmetic, and
 one update applies it to the full-width rank and count, one long division
 by the small Q and products by the small T and P; the walk finishes once
-the count is narrow. Like the chunked unrank this is quadratic in the
-count's width, so the widest counts rank with a product tree
-(:func:`_rank_split`, binary splitting): far fewer operations on wide
-numbers, each a Karatsuba multiplication, and one exact division at the end.
-The tree takes over once the width times the bits per symbol exceeds
-``_SPLIT_BITS``, at about 2^17 bits on DNA and 2^15 over 256 kinds.
-``tools/rank_curve.py`` measures all three. Byte sequences over a byte
-alphabet become symbol ids through ``bytes.translate``, never through a
-per-symbol lookup.
+the count is narrow. Like the chunked unrank, this is quadratic in the
+count's width. A product tree (binary splitting) ranks the widest counts
+faster, but by at most 2.4x where measured (1.1x at 131072 DNA symbols, 2x
+at 32768 symbols over 256 kinds), and only on blocks whose unrank is slower
+still, so the rank does without one. ``tools/rank_curve.py`` measures both
+paths and the tree. Byte sequences over a byte alphabet become symbol ids
+through ``bytes.translate``, never through a per-symbol lookup.
 
 Unranking inverts that walk. While the arrangement count is narrow, the
 greedy walk (:func:`_unrank_walk`) reads each symbol off v = pid * m_i // A_i
@@ -105,19 +103,12 @@ def _symbol_ids(seq: Iterable[Hashable], alphabet: Alphabet) -> tuple[list[int],
     return ids, counts
 
 
-# The arrangement count's width picks the rank: up to _RANK_WALK_BITS bits
-# the walk, above it chunks of _CHUNK symbols down to the walk, and the
-# product tree once the width times the bits per symbol exceeds _SPLIT_BITS.
-# The chunks' cost grows with the symbols they span as well as with the
-# width, so the tree takes over at narrower counts over larger alphabets
-# (tools/rank_curve.py measures all three).
+# Up to this many bits of arrangement count the walk ranks, above it chunks
+# of _CHUNK symbols down to the walk (tools/rank_curve.py measures both).
 _RANK_WALK_BITS = 512
-_SPLIT_BITS = 1 << 18
 # Symbols per rank chunk, and the most an unrank chunk decodes, before one
 # exact update of the full-width state.
 _CHUNK = 64
-# Symbols per product-tree leaf, ranked with a plain loop.
-_LEAF = 16
 
 
 def sequence_to_perm_index(
@@ -143,8 +134,6 @@ def sequence_to_perm_index(
     counts = list(counts)
     if arrangements is None:
         arrangements = multinomial(counts)
-    if arrangements.bit_length() ** 2 > _SPLIT_BITS * len(ids):
-        return _rank_split(ids, counts)
     return _rank_chunks(ids, counts, arrangements)
 
 
@@ -196,27 +185,6 @@ def _rank_incremental(ids: list[int], counts: list[int]) -> int:
         counts[k] -= 1
         remaining -= 1
     return rank
-
-
-def _rank_split(ids: list[int], counts: list[int]) -> int:
-    """The rank by binary splitting (Haible & Papanikolaou); consumes ``counts``.
-
-    Over a range of positions, (P, Q, T) = (prod b_i, prod m_i, T) with
-    T / Q = sum_i (a_i / m_i) * prod_{t<i in range} (b_t / m_t). Adjacent
-    ranges combine as (P_L P_R, Q_L Q_R, T_L Q_R + P_L T_R). Over the whole
-    sequence A_0 = Q / P, so the rank A_0 * T / Q is exactly T / P.
-    """
-    level = [
-        _stretch(ids[start : start + _LEAF], counts, len(ids) - start)
-        for start in range(0, len(ids), _LEAF)
-    ]
-    level = _pair_up(level, 2)
-    if len(level) == 2:  # the root's Q is never needed
-        (pl, _, tl), (pr, qr, tr) = level
-        p, t = pl * pr, tl * qr + pl * tr
-    else:
-        p, _, t = level[0] if level else (1, 1, 0)
-    return _exact_quotient(t, p)
 
 
 def _rank_chunks(ids: Sequence[int], counts: list[int], arrangements: int) -> int:
@@ -276,42 +244,6 @@ def _advance(arrangements: int, p: int, q: int, t: int) -> tuple[int, int]:
     """
     whole, part = divmod(arrangements, q)
     return whole * t + part * t // q, whole * p + part * p // q
-
-
-def _pair_up(level: list[tuple[int, int, int]], size: int) -> list[tuple[int, int, int]]:
-    """Combine adjacent (P, Q, T) triples pairwise until at most ``size`` remain."""
-    while len(level) > size:
-        paired = [
-            (pl * pr, ql * qr, tl * qr + pl * tr)
-            for (pl, ql, tl), (pr, qr, tr) in zip(level[::2], level[1::2])
-        ]
-        if len(level) % 2:
-            paired.append(level[-1])
-        level = paired
-    return level
-
-
-def _exact_quotient(t: int, p: int) -> int:
-    """t // p for a p > 0 known to divide t >= 0, without long division.
-
-    CPython's long division is quadratic, so this divides 2-adically instead:
-    strip the factors of 2 from both, then multiply t by the inverse of the
-    odd p modulo 2**k, where k exceeds the quotient's bit length. Newton's
-    iteration x <- x * (2 - p * x) doubles the inverse's valid bits per step.
-    """
-    if not t:
-        return 0
-    shift = (p & -p).bit_length() - 1
-    t >>= shift
-    p >>= shift
-    k = t.bit_length() - p.bit_length() + 2
-    inverse, bits = 1, 1
-    while bits < k:
-        bits = min(2 * bits, k)
-        mask = (1 << bits) - 1
-        inverse = inverse * (2 - (p & mask) * inverse) & mask
-    mask = (1 << k) - 1
-    return (t & mask) * inverse & mask
 
 
 def perm_index_to_sequence(
@@ -460,7 +392,7 @@ def _decode_leaf(num: int, den: int, err: int, counts: list[int], out: list[int]
     Moving past symbol j turns num, den, err into num * m - cum_j * den,
     den * c_j and err * m. Appends the symbol ids to ``out``, consumes
     ``counts`` and returns the (P, Q, T) triple of the decoded stretch,
-    combined as :func:`_rank_split` combines triples: x = (T + P * x') / Q.
+    as :func:`_stretch` builds it: x = (T + P * x') / Q.
 
     The state drops its low bits whenever the bound outgrows
     ``2 * _GUARD_BITS`` bits, so its numbers stay small. Clamping num to

@@ -1,11 +1,13 @@
-"""Slow, independent oracles for the block codec, the unrank's leaf and the
-Elias-delta reader.
+"""Slow, independent oracles for the block codec, the permutation rank, the
+unrank's leaf and the Elias-delta reader.
 
 Each block-codec oracle walks the scheme as the ``block_codec`` module
 docstring describes it, without the library's block cutter (``_cut``) or its
 pricing memo, so a check against them does not compare the code under test
-with itself. The leaf oracle is the permutation unrank's first leaf decoder,
-and the reader oracle reads a codeword field by field.
+with itself. The rank oracle is the product tree the rank used for its
+widest counts, fast enough to check blocks of 64k symbols. The leaf oracle
+is the permutation unrank's first leaf decoder, and the reader oracle reads
+a codeword field by field.
 """
 
 import math
@@ -152,6 +154,73 @@ def reference_encode(data, params):
             ceil_log2(multinomial(block.freq)),
         )
     return EncodedContainer(params=params, payload=writer.getvalue(), payload_bits=writer.bit_length)
+
+
+# -- reference product-tree rank ----------------------------------------------
+#
+# The rank by binary splitting, which ranked the widest counts before the
+# chunked rank took them all. Its own leaf loop builds the (P, Q, T) triples,
+# so it checks ``_stretch`` rather than sharing it.
+
+
+def reference_rank_split(ids, counts):
+    """The rank by binary splitting (Haible & Papanikolaou); consumes ``counts``.
+
+    Over a range of positions, (P, Q, T) = (prod b_i, prod m_i, T) with
+    T / Q = sum_i (a_i / m_i) * prod_{t<i in range} (b_t / m_t). Adjacent
+    ranges combine as (P_L P_R, Q_L Q_R, T_L Q_R + P_L T_R). Over the whole
+    sequence A_0 = Q / P, so the rank A_0 * T / Q is exactly T / P.
+    """
+    leaf = 16  # symbols per leaf, ranked with a plain loop
+    level = []
+    remaining = len(ids)
+    for start in range(0, len(ids), leaf):
+        p = q = 1
+        t = 0
+        for k in ids[start : start + leaf]:
+            t = t * remaining + p * sum(counts[:k])
+            p *= counts[k]
+            q *= remaining
+            counts[k] -= 1
+            remaining -= 1
+        level.append((p, q, t))
+    while len(level) > 2:
+        paired = [
+            (pl * pr, ql * qr, tl * qr + pl * tr)
+            for (pl, ql, tl), (pr, qr, tr) in zip(level[::2], level[1::2])
+        ]
+        if len(level) % 2:
+            paired.append(level[-1])
+        level = paired
+    if len(level) == 2:  # the root's Q is never needed
+        (pl, _, tl), (pr, qr, tr) = level
+        p, t = pl * pr, tl * qr + pl * tr
+    else:
+        p, _, t = level[0] if level else (1, 1, 0)
+    return _exact_quotient(t, p)
+
+
+def _exact_quotient(t, p):
+    """t // p for a p > 0 known to divide t >= 0, without long division.
+
+    CPython's long division is quadratic, so this divides 2-adically instead:
+    strip the factors of 2 from both, then multiply t by the inverse of the
+    odd p modulo 2**k, where k exceeds the quotient's bit length. Newton's
+    iteration x <- x * (2 - p * x) doubles the inverse's valid bits per step.
+    """
+    if not t:
+        return 0
+    shift = (p & -p).bit_length() - 1
+    t >>= shift
+    p >>= shift
+    k = t.bit_length() - p.bit_length() + 2
+    inverse, bits = 1, 1
+    while bits < k:
+        bits = min(2 * bits, k)
+        mask = (1 << bits) - 1
+        inverse = inverse * (2 - (p & mask) * inverse) & mask
+    mask = (1 << k) - 1
+    return (t & mask) * inverse & mask
 
 
 # -- reference leaf decoder ----------------------------------------------------

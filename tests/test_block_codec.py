@@ -120,6 +120,9 @@ class TestCodecParams:
             CodecParams(alphabet=b"ab", mode="variable", n=1, alpha_index=1, r=0)
         with pytest.raises(ValueError):
             CodecParams.variable(b"ab", b"x", 1, 1)
+        for alpha in (b"", b"ab", bytearray(b"ba")):
+            with pytest.raises(ValueError, match="delimiter must be one symbol"):
+                CodecParams.variable(b"ab", alpha, 1, 1)
 
     def test_fixed_validation(self):
         with pytest.raises(ValueError):

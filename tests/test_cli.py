@@ -84,6 +84,16 @@ class TestEncodeDecode:
         assert main(["encode", str(src), "--fasta", "--alpha", "A", "--r", "2"]) == 4
         assert "byte 0x52 at offset 6 is not" in capsys.readouterr().err
 
+    def test_fasta_map_rejects_malformed_entries(self, tmp_path, capsys):
+        src = tmp_path / "seq.fa"
+        src.write_bytes(b">h\nACGTN\n")
+        # a FROM or TO outside Latin-1, and a FROM whose uppercase is two
+        # characters, are malformed entries, not tracebacks
+        for entry in ("\u0100=A", "\u00df=A", "N=\u0100", "\u00ff=A", "N=AC", "NA"):
+            args = ["encode", str(src), "--fasta", "--fasta-map", entry, "--alpha", "A", "--r", "2"]
+            assert main(args) == 2, entry
+            assert f"bad --fasta-map entry {entry!r} (want FROM=TO)" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_missing_input(self, tmp_path):
@@ -95,6 +105,12 @@ class TestExitCodes:
 
     def test_variable_mode_needs_alpha(self, fig_file):
         assert main(["encode", str(fig_file)]) == 2
+
+    def test_delimiter_must_be_one_symbol(self, tmp_path, fig_file, capsys):
+        out = tmp_path / "out.enum"
+        assert main(["encode", str(fig_file), "--alpha", "ag", "--r", "1", "--out", str(out)]) == 2
+        assert "delimiter must be one symbol" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_block_length_wider_than_its_header_field(self, tmp_path, fig_file, capsys):
         # fixed_len is a u32 header field: rejected before anything is encoded
@@ -254,6 +270,22 @@ class TestSweep:
         assert "skipping" not in capsys.readouterr().err
         rows = list(csv.DictReader(points.open()))
         assert [(row["mode"], row["alpha"]) for row in rows] == [("variable", "A"), ("fixed", "")]
+
+    def test_repeated_entries_are_usage_errors(self, tmp_path, capsys):
+        # rejected before any file is read: the input does not exist
+        missing = str(tmp_path / "missing.txt")
+        points = tmp_path / "points.csv"
+        for option, value in (("--alphas", "aa"), ("--r-set", "2,4,2"), ("--L-set", "8,8")):
+            args = ["sweep", missing, option, value, "--points", str(points)]
+            assert main(args) == 2, option
+            err = capsys.readouterr().err
+            assert f"{option} entries must be distinct" in err
+            assert "skipping" not in err
+        # --fasta uppercases --alphas before the check
+        args = ["sweep", missing, "--fasta", "--alphas", "aA"]
+        assert main(args) == 2
+        assert "--alphas entries must be distinct" in capsys.readouterr().err
+        assert not points.exists()
 
     def test_deterministic(self, tmp_path, capsys):
         paths = make_corpus(tmp_path)

@@ -12,12 +12,9 @@ from enumcode.combinatorics import multinomial
 from enumcode.permutation_codec import (
     _CHUNK,
     _RANK_WALK_BITS,
-    _SPLIT_BITS,
     _WALK_BITS,
     _decode_leaf,
-    _rank_chunks,
     _rank_incremental,
-    _rank_split,
     _rank_walk,
     _symbol_ids,
     _unrank_chunks,
@@ -30,7 +27,7 @@ from enumcode.permutation_codec import (
 )
 
 from conftest import PERMS_2110
-from oracles import reference_decode_leaf
+from oracles import reference_decode_leaf, reference_rank_split
 
 
 def brute_force_perms(counts, alphabet):
@@ -218,7 +215,7 @@ def test_split_rank_matches_incremental_oracle(kind, sigma, length, seed):
     seq = random_sequence(random.Random(seed), alphabet, length)
     ids, counts = _symbol_ids(seq, alphabet)
     expected = _rank_incremental(ids, list(counts))
-    assert _rank_split(ids, list(counts)) == expected
+    assert reference_rank_split(ids, list(counts)) == expected
     assert sequence_to_perm_index(seq, alphabet) == expected
 
 
@@ -233,13 +230,9 @@ def test_round_trip_around_split_threshold(kind, length):
     assert perm_index_to_sequence(rank, counts, alphabet) == seq
 
 
-# Each rank path on its own and every hand-over between them: the walk bound
-# and the tree bound at 1 bit, as measured, and beyond any count.
-RANK_BOUNDS = [
-    {"_RANK_WALK_BITS": walk_bits, "_SPLIT_BITS": split_bits}
-    for walk_bits in (1, _RANK_WALK_BITS, 10**9)
-    for split_bits in (1, _SPLIT_BITS, 10**9)
-]
+# Each rank path on its own and the hand-over between them: the walk bound at
+# 1 bit, as measured, and beyond any count.
+RANK_BOUNDS = [{"_RANK_WALK_BITS": walk_bits} for walk_bits in (1, _RANK_WALK_BITS, 10**9)]
 # Block lengths that keep the oracle walk fast: counts of up to ~2000 bits.
 ORACLE_LENGTHS = {2: 2000, 4: 1000, 20: 450, 256: 250}
 
@@ -314,30 +307,25 @@ def test_rank_on_both_sides_of_the_walk_bound(sigma, shape):
 
 @pytest.mark.parametrize("sigma", [20, 256])
 def test_rank_on_both_sides_of_the_tree_bound(sigma):
-    # too long for the oracle walk: the chunks and the tree check each other
+    # Too long for the oracle walk: the chunks and the tree oracle check each
+    # other where the rank once handed over to a product tree, at a count
+    # width whose square passed 2**18 times the block's length.
     alphabet = bytes(range(sigma))
     seq = bytes(random.Random(7).choices(alphabet, k=20000))
-    crossing = crossing_length(
-        seq, alphabet, lambda width, length: width * width > _SPLIT_BITS * length
-    )
-    for length, path in ((crossing - 1, "_rank_chunks"), (crossing, "_rank_split")):
+    crossing = crossing_length(seq, alphabet, lambda width, length: width * width > 2**18 * length)
+    for length in (crossing - 1, crossing):
         block = seq[:length]
         ids, counts = _symbol_ids(block, alphabet)
-        expected = _rank_split(ids, list(counts))
-        assert _rank_chunks(ids, list(counts), multinomial(counts)) == expected
-        rank = getattr(permutation_codec, path)
-        with mock.patch.object(permutation_codec, path, wraps=rank) as used:
-            assert sequence_to_perm_index(block, alphabet) == expected
-        assert used.called, path
+        rank = sequence_to_perm_index(block, alphabet)
+        assert rank == reference_rank_split(ids, list(counts)), length
+        assert perm_index_to_sequence(rank, counts, alphabet) == block, length
 
 
 def test_rank_of_a_64k_dna_block_matches_the_tree():
     # the tree is the oracle where the oracle walk would take seconds
     block = random.Random(65536).choices(b"acgt", k=65536)
     ids, counts = _symbol_ids(block, b"acgt")
-    expected = _rank_split(ids, list(counts))
-    with mock.patch.object(permutation_codec, "_rank_split", side_effect=AssertionError):
-        assert sequence_to_perm_index(bytes(block), b"acgt") == expected  # in chunks
+    assert sequence_to_perm_index(bytes(block), b"acgt") == reference_rank_split(ids, counts)
 
 
 def test_unrank_emits_final_run():
@@ -424,7 +412,7 @@ def test_split_unrank_long_blocks(length):
         ids, counts = _symbol_ids(block, "acgt")
         for rank in ranks_to_try(counts, rng):
             check_unrank_chunks(rank, counts)
-        assert check_unrank_chunks(_rank_split(ids, list(counts)), counts) == ids, name
+        assert check_unrank_chunks(reference_rank_split(ids, list(counts)), counts) == ids, name
 
 
 @pytest.mark.parametrize("name", list(boundary_aligned(b"acgt")))
@@ -505,7 +493,7 @@ def test_leaf_matches_the_oracle_leaf_on_unrank_states():
                 alphabet = bytes(sorted(set(block)))
                 ids, counts = _symbol_ids(block, alphabet)
                 arrangements = multinomial(counts)
-                rank = _rank_split(ids, list(counts))
+                rank = reference_rank_split(ids, list(counts))
                 assert _unrank_chunks(rank, arrangements, list(counts)) == ids
     assert calls > 200
 

@@ -5,7 +5,8 @@ Usage (from the repository root):
     python3 tools/rank_curve.py
 
 Each row ranks one block with the walk (``_rank_walk``), the oracle walk
-(``_rank_incremental``), the product tree (``_rank_split``), the chunked
+(``_rank_incremental``), the product tree (``reference_rank_split`` from
+``tests/oracles.py``, which the rank no longer uses), the chunked
 rank alone (``chunk_rank_s``: ``_rank_chunks`` run down to a one-run count
 instead of handing over to the walk) and the dispatching
 ``sequence_to_perm_index`` (``rank_s``, given only the block and the
@@ -30,15 +31,14 @@ The rows:
 
 The output is one JSON object keyed by row; ``width_bits`` is the width of
 the block's arrangement count, which every threshold of the permutation
-codec reads. The rank has two: ``_RANK_WALK_BITS`` (rank by walk up to this
-count width, in chunks above it) against ``walk_rank_s`` and
-``chunk_rank_s``, and ``_SPLIT_BITS`` (rank by tree once the count width
-times its bits per symbol, ``width_bits ** 2 / length``, exceeds this)
-against ``chunk_rank_s`` and ``split_rank_s``. The unrank has one,
-``_WALK_BITS`` (unrank by walk up to this count width), read against
-``walk_unrank_s`` and ``chunk_unrank_s``. The ``skew`` rows are long blocks
-with narrow counts, where the walk and the chunks beat the tree. The whole
-curve takes a few minutes, most of it at L = 65536.
+codec reads. There are two: ``_RANK_WALK_BITS`` (rank by walk up to this
+count width, in chunks above it), read against ``walk_rank_s`` and
+``chunk_rank_s``, and ``_WALK_BITS`` (unrank by walk up to this count
+width, in chunks above it), read against ``walk_unrank_s`` and
+``chunk_unrank_s``. ``split_rank_s`` against ``chunk_rank_s`` shows what a
+product tree would win on the widest counts. The ``skew`` rows are long
+blocks with narrow counts, where the walk and the chunks beat the tree. The
+whole curve takes a few minutes, most of it at L = 65536.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ from enumcode.combinatorics import ceil_log2, multinomial  # noqa: E402
 from enumcode.permutation_codec import (  # noqa: E402
     _rank_chunks,
     _rank_incremental,
-    _rank_split,
     _rank_walk,
     _symbol_ids,
     _unrank_chunks,
@@ -68,6 +67,7 @@ from enumcode.permutation_codec import (  # noqa: E402
     perm_index_to_sequence,
     sequence_to_perm_index,
 )
+from oracles import reference_rank_split  # noqa: E402
 from test_acceptance import _dna_like  # noqa: E402
 
 DNA_LENGTHS = (16, 51, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 65536)
@@ -101,7 +101,7 @@ def measure(name: str, block: bytes, alphabet: bytes) -> dict:
     ids, counts = _symbol_ids(block, alphabet)
     arrangements = multinomial(counts)
     rank = _rank_walk(ids, list(counts), arrangements)
-    for other in (_rank_incremental, _rank_split):
+    for other in (_rank_incremental, reference_rank_split):
         if other(ids, list(counts)) != rank:
             raise SystemExit(f"{other.__name__} and _rank_walk differ on {name}")
     with mock.patch.object(permutation_codec, "_RANK_WALK_BITS", 1):
@@ -127,7 +127,7 @@ def measure(name: str, block: bytes, alphabet: bytes) -> dict:
         "width_bits": width,
         "walk_rank_s": seconds(lambda: _rank_walk(ids, list(counts), arrangements)),
         "incremental_rank_s": seconds(lambda: _rank_incremental(ids, list(counts))),
-        "split_rank_s": seconds(lambda: _rank_split(ids, list(counts))),
+        "split_rank_s": seconds(lambda: reference_rank_split(ids, list(counts))),
         "chunk_rank_s": chunk_rank_s,
         "rank_s": seconds(lambda: sequence_to_perm_index(block, alphabet)),
         **unrank_times,
