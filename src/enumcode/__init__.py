@@ -4,13 +4,7 @@ Rank/unrank primitives for frequency vectors and multiset permutations, a
 bit-exact block codec built on them, and entropy analytics.
 """
 
-from .analysis import (
-    EntropyReport,
-    enumeration_gain,
-    finite_set_h0,
-    log2_int,
-    naive_vs_enumerated,
-)
+from .analysis import enumeration_gain, finite_set_h0, log2_int, naive_vs_enumerated
 from .block_codec import (
     AccountedBits,
     AlphabetError,
@@ -27,13 +21,7 @@ from .block_codec import (
     factorize,
     vector_bits,
 )
-from .combinatorics import (
-    binomial,
-    ceil_log2,
-    k_count,
-    k_count_sum_form,
-    multinomial,
-)
+from .combinatorics import ceil_log2, k_count, multinomial
 from .composition_codec import enumerate_all, index_to_vector, vector_to_index
 from .permutation_codec import (
     enumerate_perms,
@@ -51,11 +39,9 @@ __all__ = [
     "CodecParams",
     "CorruptContainerError",
     "EncodedContainer",
-    "EntropyReport",
     "FormatError",
     "MODE_FIXED",
     "MODE_VARIABLE",
-    "binomial",
     "block_vectors",
     "ceil_log2",
     "decode",
@@ -68,7 +54,6 @@ __all__ = [
     "frequency_vector",
     "index_to_vector",
     "k_count",
-    "k_count_sum_form",
     "log2_int",
     "multinomial",
     "naive_vs_enumerated",

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from typing import IO, Iterable
 
 from .combinatorics import k_count, multinomial
@@ -84,19 +83,3 @@ def write_comparison_csv(stream: IO[str], sigma: int, n_max: int) -> None:
     writer.writerow(["n", "naive_bits", "enum_bits", "gap"])
     for n, naive, enum in naive_vs_enumerated(sigma, n_max):
         writer.writerow([n, f"{naive:.6f}", f"{enum:.6f}", f"{naive - enum:.6f}"])
-
-
-@dataclass(frozen=True)
-class EntropyReport:
-    """Per-file bit accounting produced by the parameter sweep."""
-
-    file_id: str
-    n: int
-    counts: tuple[int, ...]
-    finite_set_h0_bits_per_base: float
-    fixed_len_bits_per_base: float
-    variable_len_bits_per_base: float
-    alpha: int | None  # delimiter byte of the best variable-mode point
-    r: int | None
-    fixed_len: int | None
-    average_block_length: float

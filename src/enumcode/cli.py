@@ -11,11 +11,11 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from statistics import fmean
 
-from .analysis import EntropyReport, finite_set_h0, write_comparison_csv
+from .analysis import finite_set_h0, write_comparison_csv
 from .block_codec import (
     AlphabetError,
     CodecParams,
@@ -88,19 +88,23 @@ def _distinct(values, option: str):
     return values
 
 
-def discover_alphabet(data: bytes, override: str | None) -> bytes:
-    if override:
-        return _distinct(override.encode("latin-1"), "--alphabet")
+def _symbols(text: str, args) -> bytes:
+    """An option's symbols as bytes; ``--fasta`` uppercases them as it does the sequence."""
+    return (text.upper() if args.fasta else text).encode("latin-1")
+
+
+def discover_alphabet(data: bytes, args) -> bytes:
+    if args.alphabet:
+        return _distinct(_symbols(args.alphabet, args), "--alphabet")
     return bytes(sorted(set(data)))
 
 
 def _build_params(data: bytes, args) -> CodecParams:
-    alphabet = discover_alphabet(data, args.alphabet)
+    alphabet = discover_alphabet(data, args)
     if args.mode == MODE_VARIABLE:
         if not args.alpha or args.r is None:
             raise ValueError("variable mode needs --alpha and --r")
-        alpha = args.alpha.upper() if args.fasta else args.alpha
-        return CodecParams.variable(alphabet, alpha.encode("latin-1"), args.r, len(data))
+        return CodecParams.variable(alphabet, _symbols(args.alpha, args), args.r, len(data))
     if args.L is None:
         raise ValueError("fixed mode needs --L")
     return CodecParams.fixed(alphabet, args.L, len(data))
@@ -197,7 +201,6 @@ class SweepPoint:
     bits_ceiled: int
     bits_real: float
     container_bits: int
-    best: bool = False
 
     @property
     def bits_per_base(self) -> float:
@@ -206,7 +209,10 @@ class SweepPoint:
 
 @dataclass(frozen=True)
 class FileSweep:
-    report: EntropyReport
+    file_id: str
+    n: int
+    counts: tuple[int, ...]
+    h0_bits_per_base: float
     points: list[SweepPoint]
     best_variable: SweepPoint
     best_fixed: SweepPoint
@@ -277,24 +283,16 @@ def sweep_file(
         (p for p in variable_points if p.r == r_cap),
         key=lambda p: (p.bits_ceiled, alpha_order[p.alpha]),
     )
-
-    points = [
-        replace(p, best=True) if (p is best_variable or p is best_fixed) else p
-        for p in points
-    ]
-    report = EntropyReport(
-        file_id=file_id,
-        n=n,
-        counts=counts,
-        finite_set_h0_bits_per_base=finite_set_h0(counts) / n,
-        fixed_len_bits_per_base=best_fixed.bits_per_base,
-        variable_len_bits_per_base=best_variable.bits_per_base,
-        alpha=best_variable.alpha,
-        r=best_variable.r,
-        fixed_len=best_fixed.fixed_len,
-        average_block_length=best_variable.avg_block_len,
+    return FileSweep(
+        file_id,
+        n,
+        counts,
+        finite_set_h0(counts) / n,
+        points,
+        best_variable,
+        best_fixed,
+        best_variable_rcap,
     )
-    return FileSweep(report, points, best_variable, best_fixed, best_variable_rcap)
 
 
 _REPORT_COLUMNS = [
@@ -317,9 +315,9 @@ def _averages(sweeps: list[FileSweep]) -> list[float]:
     """Mean h0, best fixed, best variable and best r-capped variable bits per base."""
     rows = [
         (
-            s.report.finite_set_h0_bits_per_base,
-            s.report.fixed_len_bits_per_base,
-            s.report.variable_len_bits_per_base,
+            s.h0_bits_per_base,
+            s.best_fixed.bits_per_base,
+            s.best_variable.bits_per_base,
             s.best_variable_rcap.bits_per_base,
         )
         for s in sweeps
@@ -332,20 +330,19 @@ def write_report_csv(stream, sweeps: list[FileSweep]) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(_REPORT_COLUMNS)
     for sweep in sweeps:
-        rep = sweep.report
-        rcap = sweep.best_variable_rcap
+        fixed, var, rcap = sweep.best_fixed, sweep.best_variable, sweep.best_variable_rcap
         writer.writerow(
             [
-                rep.file_id,
-                rep.n,
-                " ".join(str(c) for c in rep.counts),
-                f"{rep.finite_set_h0_bits_per_base:.6f}",
-                f"{rep.fixed_len_bits_per_base:.6f}",
-                rep.fixed_len,
-                f"{rep.variable_len_bits_per_base:.6f}",
-                render_symbol(rep.alpha),
-                rep.r,
-                f"{rep.average_block_length:.2f}",
+                sweep.file_id,
+                sweep.n,
+                " ".join(str(c) for c in sweep.counts),
+                f"{sweep.h0_bits_per_base:.6f}",
+                f"{fixed.bits_per_base:.6f}",
+                fixed.fixed_len,
+                f"{var.bits_per_base:.6f}",
+                render_symbol(var.alpha),
+                var.r,
+                f"{var.avg_block_len:.2f}",
                 f"{rcap.bits_per_base:.6f}",
                 render_symbol(rcap.alpha),
             ]
@@ -394,7 +391,7 @@ def write_points_csv(stream, sweeps: list[FileSweep]) -> None:
                     f"{p.bits_real / p.n:.6f}",
                     p.container_bits,
                     f"{p.container_bits / p.n:.6f}",
-                    int(p.best),
+                    int(p is sweep.best_variable or p is sweep.best_fixed),
                 ]
             )
 
@@ -407,13 +404,12 @@ def print_sweep_summary(sweeps: list[FileSweep]) -> None:
     )
     print(header)
     for sweep in sweeps:
-        rep = sweep.report
-        rcap = sweep.best_variable_rcap
+        fixed, var, rcap = sweep.best_fixed, sweep.best_variable, sweep.best_variable_rcap
         print(
-            f"{rep.file_id:<16} {rep.n:>9} {rep.finite_set_h0_bits_per_base:>8.4f} "
-            f"{rep.fixed_len_bits_per_base:>10.4f} {rep.fixed_len:>5} "
-            f"{rep.variable_len_bits_per_base:>8.4f} {render_symbol(rep.alpha):>5} "
-            f"{rep.r:>4} {rep.average_block_length:>8.1f} "
+            f"{sweep.file_id:<16} {sweep.n:>9} {sweep.h0_bits_per_base:>8.4f} "
+            f"{fixed.bits_per_base:>10.4f} {fixed.fixed_len:>5} "
+            f"{var.bits_per_base:>8.4f} {render_symbol(var.alpha):>5} "
+            f"{var.r:>4} {var.avg_block_len:>8.1f} "
             f"{rcap.bits_per_base:>13.4f} {render_symbol(rcap.alpha):>5}"
         )
     if sweeps:
@@ -443,14 +439,13 @@ def cmd_sweep(args) -> int:
     l_set = _parse_int_set(args.L_set, "--L-set") if args.L_set else L_SET_DEFAULT
     alphas = None
     if args.alphas:
-        alphas = (args.alphas.upper() if args.fasta else args.alphas).encode("latin-1")
-        _distinct(alphas, "--alphas")
+        alphas = _distinct(_symbols(args.alphas, args), "--alphas")
     sweeps: list[FileSweep] = []
     failures = 0
     for path in sorted(args.inputs):
         try:
             data = read_sequence(path, args.fasta, args.fasta_map)
-            alphabet = discover_alphabet(data, args.alphabet)
+            alphabet = discover_alphabet(data, args)
             sweeps.append(
                 sweep_file(
                     Path(path).name,

@@ -11,15 +11,6 @@ import math
 from typing import Iterable
 
 
-def binomial(n: int, k: int) -> int:
-    """C(n, k), defined as 0 when k < 0 or k > n."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
 def multinomial(counts: Iterable[int]) -> int:
     """Number of distinct arrangements of a multiset with these counts.
 
@@ -35,25 +26,6 @@ def multinomial(counts: Iterable[int]) -> int:
         elif c:
             raise ValueError("counts must be non-negative")
     return result
-
-
-def k_count_sum_form(sigma: int, inner_sum: int) -> int:
-    """Composition count evaluated by summing over the number of zero dimensions.
-
-    Slower than the closed form of :func:`k_count`; kept as an independent
-    cross-check. The summation's derivation assumes at least one positive
-    dimension, so the empty composition (inner_sum == 0) is returned directly.
-    """
-    if sigma < 1:
-        raise ValueError("sigma must be >= 1")
-    if inner_sum < 0:
-        raise ValueError("inner_sum must be >= 0")
-    if inner_sum == 0:
-        return 1
-    return sum(
-        binomial(inner_sum - 1, sigma - 1 - i) * binomial(sigma, i)
-        for i in range(sigma)
-    )
 
 
 def ceil_log2(count: int) -> int:

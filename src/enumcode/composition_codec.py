@@ -24,34 +24,19 @@ from typing import Iterable, Sequence
 from .combinatorics import k_count
 
 
-def _validated(counts: Iterable[int], inner_sum: int | None) -> tuple[int, ...]:
+def vector_to_index(counts: Iterable[int], *, trace: list[int] | None = None) -> int:
+    """Zero-based rank of ``counts`` among all vectors with the same inner sum.
+
+    The inner sum is the sum of ``counts``. ``trace``, when a list, receives
+    every count added to the rank, in order, one per unit of each free
+    dimension.
+    """
     vec = tuple(counts)
     if not vec:
         raise ValueError("frequency vector must have at least one dimension")
     for dim, c in enumerate(vec):
         if c < 0:
             raise ValueError(f"negative count {c} at dimension {dim}")
-    if inner_sum is not None and inner_sum != sum(vec):
-        raise ValueError(
-            f"declared inner sum {inner_sum} != actual sum {sum(vec)}"
-        )
-    return vec
-
-
-def vector_to_index(
-    counts: Iterable[int],
-    *,
-    inner_sum: int | None = None,
-    trace: list[int] | None = None,
-) -> int:
-    """Zero-based rank of ``counts`` among all vectors with the same inner sum.
-
-    ``inner_sum``, when given, is validated against the actual sum (encoders
-    declare it; a mismatch means the caller miscounted). ``trace``, when a
-    list, receives every count added to the rank, in order, one per unit of
-    each free dimension.
-    """
-    vec = _validated(counts, inner_sum)
     sigma = len(vec)
     remaining = sum(vec)
     index = 0

@@ -45,8 +45,8 @@ division by the small Q and two products by small P and T. Every output
 is exact. Each chunk costs time in proportion to the count's width, so a
 block unranks in time quadratic in that width.
 
-:func:`_rank_incremental` and :func:`_unrank_incremental` take a big-int
-step for every smaller symbol kind instead; they stay as test oracles.
+The older walks, which take a big-int step for every smaller symbol kind,
+are test oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -171,22 +171,6 @@ def _rank_walk(ids: Sequence[int], counts: list[int], arrangements: int) -> int:
     return rank
 
 
-def _rank_incremental(ids: list[int], counts: list[int]) -> int:
-    """The rank by the left-to-right walk; consumes ``counts``."""
-    rank = 0
-    remaining = len(ids)
-    arrangements = multinomial(counts)
-    for k in ids:
-        # arrangements of the suffix that start with a smaller symbol
-        for j in range(k):
-            if counts[j]:
-                rank += arrangements * counts[j] // remaining
-        arrangements = arrangements * counts[k] // remaining
-        counts[k] -= 1
-        remaining -= 1
-    return rank
-
-
 def _rank_chunks(ids: Sequence[int], counts: list[int], arrangements: int) -> int:
     """The rank a chunk of symbols at a time, then by the walk; consumes ``counts``.
 
@@ -297,35 +281,6 @@ def _unrank_walk(pid: int, arrangements: int, counts: list[int]) -> list[int]:
         counts[j] = c - 1
         remaining -= 1
         out.append(j)
-    return out
-
-
-def _unrank_incremental(pid: int, arrangements: int, remaining_counts: list[int]) -> list[int]:
-    """The rank-``pid`` symbol ids by the greedy walk; consumes ``remaining_counts``.
-
-    ``arrangements`` is the multinomial of the counts.
-    """
-    remaining = sum(remaining_counts)
-    out: list[int] = []
-    while remaining:
-        if arrangements == 1:
-            # one symbol kind is left: the rest is a single run of it
-            for j, cj in enumerate(remaining_counts):
-                out += [j] * cj
-            break
-        preceding = 0
-        for j, cj in enumerate(remaining_counts):
-            if not cj:
-                continue
-            here = arrangements * cj // remaining
-            if pid < preceding + here:
-                pid -= preceding
-                remaining_counts[j] -= 1
-                arrangements = here
-                remaining -= 1
-                out.append(j)
-                break
-            preceding += here
     return out
 
 
@@ -467,8 +422,6 @@ def enumerate_perms(
 
     current: list[int] = []
     for j, c in enumerate(counts):
-        if c < 0:
-            raise ValueError("counts must be non-negative")
         current.extend([j] * c)
     out = [_render(alphabet, current)]
     while _next_permutation(current):

@@ -1,13 +1,16 @@
-"""Slow, independent oracles for the block codec, the permutation rank, the
-unrank's leaf and the Elias-delta reader.
+"""Slow, independent oracles for the vector count, the block codec, the
+permutation rank and unrank, the unrank's leaf and the Elias-delta reader.
 
-Each block-codec oracle walks the scheme as the ``block_codec`` module
-docstring describes it, without the library's block cutter (``_cut``) or its
-pricing memo, so a check against them does not compare the code under test
-with itself. The rank oracle is the product tree the rank used for its
-widest counts, fast enough to check blocks of 64k symbols. The leaf oracle
-is the permutation unrank's first leaf decoder, and the reader oracle reads
-a codeword field by field.
+The count oracle is the paper's sum form of the vector count, which
+``k_count``'s closed form replaced. Each block-codec oracle walks the scheme
+as the ``block_codec`` module docstring describes it, without the library's
+block cutter (``_cut``) or its pricing memo, so a check against them does
+not compare the code under test with itself. The walk oracles rank and
+unrank with a big-int step for every smaller symbol kind, as the library's
+walks did before they summed the small counts first. The split oracle is the
+product tree the rank used for its widest counts, fast enough to check
+blocks of 64k symbols. The leaf oracle is the permutation unrank's first
+leaf decoder, and the reader oracle reads a codeword field by field.
 """
 
 import math
@@ -18,7 +21,7 @@ from enumcode.bitstream import BitReader, BitstreamError, BitWriter, elias_delta
 from enumcode.block_codec import AccountedBits, AlphabetError, EncodedContainer
 from enumcode.combinatorics import ceil_log2, k_count, multinomial
 from enumcode.composition_codec import vector_to_index
-from enumcode.permutation_codec import _GUARD_BITS, _rank_incremental, _symbol_ids
+from enumcode.permutation_codec import _GUARD_BITS, _symbol_ids
 
 
 class ReferenceBlock(NamedTuple):
@@ -27,6 +30,39 @@ class ReferenceBlock(NamedTuple):
     freq: tuple[int, ...]
     reduced_freq: tuple[int, ...] | None  # the vector variable mode ranks
     pad_count: int
+
+
+# -- reference composition count -----------------------------------------------
+#
+# The paper's form of the vector count, summed over the number of zero
+# dimensions, which the closed form C(n + sigma - 1, sigma - 1) replaced.
+
+
+def binomial(n, k):
+    """C(n, k), defined as 0 when k < 0 or k > n."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    if k < 0 or k > n:
+        return 0
+    return math.comb(n, k)
+
+
+def k_count_sum_form(sigma, inner_sum):
+    """Composition count evaluated by summing over the number of zero dimensions.
+
+    The summation's derivation assumes at least one positive dimension, so the
+    empty composition (inner_sum == 0) is returned directly.
+    """
+    if sigma < 1:
+        raise ValueError("sigma must be >= 1")
+    if inner_sum < 0:
+        raise ValueError("inner_sum must be >= 0")
+    if inner_sum == 0:
+        return 1
+    return sum(
+        binomial(inner_sum - 1, sigma - 1 - i) * binomial(sigma, i)
+        for i in range(sigma)
+    )
 
 
 # -- reference factorization ---------------------------------------------------
@@ -132,6 +168,57 @@ def reference_accounted_bits(blocks, params):
     )
 
 
+# -- reference walks -----------------------------------------------------------
+#
+# The permutation rank and unrank walks before they summed the small counts
+# below a symbol: both take a big-int step for every smaller symbol kind.
+
+
+def reference_rank_incremental(ids, counts):
+    """The rank by the left-to-right walk; consumes ``counts``."""
+    rank = 0
+    remaining = len(ids)
+    arrangements = multinomial(counts)
+    for k in ids:
+        # arrangements of the suffix that start with a smaller symbol
+        for j in range(k):
+            if counts[j]:
+                rank += arrangements * counts[j] // remaining
+        arrangements = arrangements * counts[k] // remaining
+        counts[k] -= 1
+        remaining -= 1
+    return rank
+
+
+def reference_unrank_incremental(pid, arrangements, remaining_counts):
+    """The rank-``pid`` symbol ids by the greedy walk; consumes ``remaining_counts``.
+
+    ``arrangements`` is the multinomial of the counts.
+    """
+    remaining = sum(remaining_counts)
+    out = []
+    while remaining:
+        if arrangements == 1:
+            # one symbol kind is left: the rest is a single run of it
+            for j, cj in enumerate(remaining_counts):
+                out += [j] * cj
+            break
+        preceding = 0
+        for j, cj in enumerate(remaining_counts):
+            if not cj:
+                continue
+            here = arrangements * cj // remaining
+            if pid < preceding + here:
+                pid -= preceding
+                remaining_counts[j] -= 1
+                arrangements = here
+                remaining -= 1
+                out.append(j)
+                break
+            preceding += here
+    return out
+
+
 # -- reference encoder ---------------------------------------------------------
 #
 # The block loop encode() ran before it read blocks at their bounds: cut the
@@ -150,7 +237,7 @@ def reference_encode(data, params):
             ceil_log2(reference_vector_count(block.length, params)),
         )
         writer.write(
-            _rank_incremental(*_symbol_ids(block.content, params.alphabet)),
+            reference_rank_incremental(*_symbol_ids(block.content, params.alphabet)),
             ceil_log2(multinomial(block.freq)),
         )
     return EncodedContainer(params=params, payload=writer.getvalue(), payload_bits=writer.bit_length)

@@ -73,6 +73,18 @@ class TestEncodeDecode:
         assert main(["decode", str(enc), "--out", str(dec)]) == 0
         assert dec.read_bytes() == b"ACGTACGTAA"
 
+    def test_fasta_alphabet_is_uppercased(self, tmp_path, capsys):
+        # --fasta uppercases the sequence, so --alphabet must follow, as --alpha does
+        src = tmp_path / "t.fa"
+        src.write_bytes(b">h\nacgtacgtaacc\ngtt\n")
+        enc = tmp_path / "t.enum"
+        dec = tmp_path / "t.out"
+        args = ["encode", str(src), "--fasta", "--alpha", "a", "--r", "2", "--alphabet", "tgca"]
+        assert main([*args, "--out", str(enc)]) == 0
+        assert "alphabet: TGCA" in capsys.readouterr().out
+        assert main(["decode", str(enc), "--out", str(dec)]) == 0
+        assert dec.read_bytes() == b"ACGTACGTAACCGTT"
+
     def test_fasta_rejects_unmapped_bases(self, tmp_path, capsys):
         src = tmp_path / "seq.fa"
         src.write_bytes(b">h\nACGTN\n")
@@ -270,6 +282,16 @@ class TestSweep:
         assert "skipping" not in capsys.readouterr().err
         rows = list(csv.DictReader(points.open()))
         assert [(row["mode"], row["alpha"]) for row in rows] == [("variable", "A"), ("fixed", "")]
+
+    def test_fasta_alphabet_is_uppercased(self, tmp_path, capsys):
+        src = tmp_path / "t.fa"
+        src.write_bytes(b">h\nacgtacgtaacc\ngtt\n")
+        report = tmp_path / "report.csv"
+        args = ["sweep", str(src), "--fasta", "--alphabet", "tgca", "--alphas", "a"]
+        assert main([*args, "--r-set", "2", "--L-set", "4", "--out", str(report)]) == 0
+        assert "skipping" not in capsys.readouterr().err
+        row = next(csv.DictReader(report.open()))
+        assert (row["counts"], row["alpha"]) == ("4 3 4 4", "A")
 
     def test_repeated_entries_are_usage_errors(self, tmp_path, capsys):
         # rejected before any file is read: the input does not exist

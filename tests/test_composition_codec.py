@@ -34,11 +34,6 @@ class TestRanking:
         vector_to_index(vec, trace=trace)
         assert len(trace) == sum(vec[:-1])
 
-    def test_declared_inner_sum_checked(self):
-        assert vector_to_index((2, 1, 1, 0), inner_sum=4) == 29
-        with pytest.raises(ValueError, match="inner sum"):
-            vector_to_index((2, 1, 1, 0), inner_sum=5)
-
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError, match="negative"):
             vector_to_index((2, -1, 3))

@@ -14,11 +14,9 @@ from enumcode.permutation_codec import (
     _RANK_WALK_BITS,
     _WALK_BITS,
     _decode_leaf,
-    _rank_incremental,
     _rank_walk,
     _symbol_ids,
     _unrank_chunks,
-    _unrank_incremental,
     _unrank_walk,
     enumerate_perms,
     frequency_vector,
@@ -27,7 +25,12 @@ from enumcode.permutation_codec import (
 )
 
 from conftest import PERMS_2110
-from oracles import reference_decode_leaf, reference_rank_split
+from oracles import (
+    reference_decode_leaf,
+    reference_rank_incremental,
+    reference_rank_split,
+    reference_unrank_incremental,
+)
 
 
 def brute_force_perms(counts, alphabet):
@@ -129,6 +132,8 @@ class TestEnumeration:
     def test_guard(self):
         with pytest.raises(ValueError, match="limit"):
             enumerate_perms((6, 6, 6), "abc", limit=100)
+        with pytest.raises(ValueError, match="non-negative"):
+            enumerate_perms((1, -1), "ab")
 
     @pytest.mark.parametrize(
         "counts,alphabet",
@@ -214,7 +219,7 @@ def test_split_rank_matches_incremental_oracle(kind, sigma, length, seed):
     alphabet = bytes(range(256)) if kind == "bytes256" else ALPHABETS[kind][:sigma]
     seq = random_sequence(random.Random(seed), alphabet, length)
     ids, counts = _symbol_ids(seq, alphabet)
-    expected = _rank_incremental(ids, list(counts))
+    expected = reference_rank_incremental(ids, list(counts))
     assert reference_rank_split(ids, list(counts)) == expected
     assert sequence_to_perm_index(seq, alphabet) == expected
 
@@ -269,7 +274,7 @@ def test_rank_paths_match_incremental_oracle(sigma, shape, fraction, seed):
     alphabet = bytes(range(sigma))
     length = int(fraction * ORACLE_LENGTHS[sigma])
     seq = skewed_block(random.Random(seed), sigma, length, shape)
-    expected = _rank_incremental(*_symbol_ids(seq, alphabet))
+    expected = reference_rank_incremental(*_symbol_ids(seq, alphabet))
     assert ranks_on_every_path(seq, alphabet) == {expected}
     assert ranks_on_every_path(list(seq), list(alphabet)) == {expected}
 
@@ -301,7 +306,7 @@ def test_rank_on_both_sides_of_the_walk_bound(sigma, shape):
     crossing = crossing_length(seq, alphabet, lambda width, _: width > _RANK_WALK_BITS)
     for length in (crossing - 1, crossing, crossing + _CHUNK, crossing + 2 * _CHUNK + 1):
         block = seq[:length]
-        expected = _rank_incremental(*_symbol_ids(block, alphabet))
+        expected = reference_rank_incremental(*_symbol_ids(block, alphabet))
         assert ranks_on_every_path(block, alphabet) == {expected}, length
 
 
@@ -372,7 +377,7 @@ def check_unrank_chunks(rank, counts):
         return state
 
     arrangements = multinomial(counts)
-    expected = _unrank_incremental(rank, arrangements, list(counts))
+    expected = reference_unrank_incremental(rank, arrangements, list(counts))
     for walk_bits in (_WALK_BITS, 1):
         with mock.patch.object(permutation_codec, "_refresh", counting_refresh):
             with mock.patch.object(permutation_codec, "_WALK_BITS", walk_bits):
@@ -524,10 +529,10 @@ def test_walks_match_the_oracle_walks(case, data):
     for k in ids:
         counts[k] += 1
     arrangements = multinomial(counts)
-    rank = _rank_incremental(ids, list(counts))
+    rank = reference_rank_incremental(ids, list(counts))
     # encode hands the walk the block's ids as bytes
     assert _rank_walk(bytes(ids), list(counts), arrangements) == rank
     assert _unrank_walk(rank, arrangements, list(counts)) == ids
     other = data.draw(st.integers(0, arrangements - 1))
-    expected = _unrank_incremental(other, arrangements, list(counts))
+    expected = reference_unrank_incremental(other, arrangements, list(counts))
     assert _unrank_walk(other, arrangements, list(counts)) == expected

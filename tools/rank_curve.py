@@ -5,18 +5,18 @@ Usage (from the repository root):
     python3 tools/rank_curve.py
 
 Each row ranks one block with the walk (``_rank_walk``), the oracle walk
-(``_rank_incremental``), the product tree (``reference_rank_split`` from
-``tests/oracles.py``, which the rank no longer uses), the chunked
-rank alone (``chunk_rank_s``: ``_rank_chunks`` run down to a one-run count
-instead of handing over to the walk) and the dispatching
+(``reference_rank_incremental`` from ``tests/oracles.py``), the product
+tree (``reference_rank_split``, an oracle too, which the rank no longer
+uses), the chunked rank alone (``chunk_rank_s``: ``_rank_chunks`` run down
+to a one-run count instead of handing over to the walk) and the dispatching
 ``sequence_to_perm_index`` (``rank_s``, given only the block and the
 alphabet, so it also counts the block and builds its arrangement count).
 It unranks the rank with the walk (``_unrank_walk``), the oracle walk
-(``_unrank_incremental``), the chunked unrank alone (``chunk_unrank_s``:
-``_unrank_chunks`` run down to a one-run count instead of handing over to
-the walk) and the dispatching ``perm_index_to_sequence`` (``unrank_s``), and
-writes it with ``BitWriter.write`` as a field of its real width. Every rank
-must agree and every unrank must give the block back.
+(``reference_unrank_incremental``), the chunked unrank alone
+(``chunk_unrank_s``: ``_unrank_chunks`` run down to a one-run count instead
+of handing over to the walk) and the dispatching ``perm_index_to_sequence``
+(``unrank_s``), and writes it with ``BitWriter.write`` as a field of its
+real width. Every rank must agree and every unrank must give the block back.
 Each time is the best of three runs, in seconds, each run repeated until it
 takes 0.2 s or more (``timeit.Timer.autorange``).
 
@@ -58,16 +58,18 @@ from enumcode.bitstream import BitWriter  # noqa: E402
 from enumcode.combinatorics import ceil_log2, multinomial  # noqa: E402
 from enumcode.permutation_codec import (  # noqa: E402
     _rank_chunks,
-    _rank_incremental,
     _rank_walk,
     _symbol_ids,
     _unrank_chunks,
-    _unrank_incremental,
     _unrank_walk,
     perm_index_to_sequence,
     sequence_to_perm_index,
 )
-from oracles import reference_rank_split  # noqa: E402
+from oracles import (  # noqa: E402
+    reference_rank_incremental,
+    reference_rank_split,
+    reference_unrank_incremental,
+)
 from test_acceptance import _dna_like  # noqa: E402
 
 DNA_LENGTHS = (16, 51, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 65536)
@@ -101,7 +103,7 @@ def measure(name: str, block: bytes, alphabet: bytes) -> dict:
     ids, counts = _symbol_ids(block, alphabet)
     arrangements = multinomial(counts)
     rank = _rank_walk(ids, list(counts), arrangements)
-    for other in (_rank_incremental, reference_rank_split):
+    for other in (reference_rank_incremental, reference_rank_split):
         if other(ids, list(counts)) != rank:
             raise SystemExit(f"{other.__name__} and _rank_walk differ on {name}")
     with mock.patch.object(permutation_codec, "_RANK_WALK_BITS", 1):
@@ -111,7 +113,7 @@ def measure(name: str, block: bytes, alphabet: bytes) -> dict:
     # column -> (unrank, the thresholds it runs under)
     unranks = {
         "walk_unrank_s": (_unrank_walk, {}),
-        "incremental_unrank_s": (_unrank_incremental, {}),
+        "incremental_unrank_s": (reference_unrank_incremental, {}),
         "chunk_unrank_s": (_unrank_chunks, {"_WALK_BITS": 1}),
     }
     unrank_times = {}
@@ -126,7 +128,7 @@ def measure(name: str, block: bytes, alphabet: bytes) -> dict:
         "length": len(block),
         "width_bits": width,
         "walk_rank_s": seconds(lambda: _rank_walk(ids, list(counts), arrangements)),
-        "incremental_rank_s": seconds(lambda: _rank_incremental(ids, list(counts))),
+        "incremental_rank_s": seconds(lambda: reference_rank_incremental(ids, list(counts))),
         "split_rank_s": seconds(lambda: reference_rank_split(ids, list(counts))),
         "chunk_rank_s": chunk_rank_s,
         "rank_s": seconds(lambda: sequence_to_perm_index(block, alphabet)),
