@@ -27,6 +27,7 @@ from .permutation_codec import (
     enumerate_perms,
     frequency_vector,
     perm_index_to_sequence,
+    perm_rank_and_count,
     sequence_to_perm_index,
 )
 
@@ -58,6 +59,7 @@ __all__ = [
     "multinomial",
     "naive_vs_enumerated",
     "perm_index_to_sequence",
+    "perm_rank_and_count",
     "sequence_to_perm_index",
     "vector_bits",
     "vector_to_index",

@@ -34,7 +34,7 @@ import struct
 from dataclasses import dataclass, field, replace
 from itertools import compress, repeat
 from statistics import fmean
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .analysis import log2_int
 from .bitstream import (
@@ -45,7 +45,11 @@ from .bitstream import (
 )
 from .combinatorics import ceil_log2, k_count, multinomial
 from .composition_codec import index_to_vector, vector_to_index
-from .permutation_codec import perm_index_to_sequence, sequence_to_perm_index
+from .permutation_codec import (
+    perm_index_to_sequence,
+    perm_rank_and_count,
+    sequence_to_perm_index,  # unused; perfbench/tracer.py traces this name until ROADMAP item 2
+)
 
 MAGIC = b"ENUM"
 VERSION = 1
@@ -294,32 +298,38 @@ def _vector_count(length: int, params: CodecParams) -> int:
 def encode(data: bytes, params: CodecParams) -> "EncodedContainer":
     """Serialize every block :func:`factorize` would cut into a container.
 
-    The blocks are sliced at :func:`_cut`'s bounds, and each block's
-    arrangement count both starts its rank and sets the width of its
-    permutation field.
+    The blocks are sliced at :func:`_cut`'s bounds. Each block's rank yields
+    its arrangement count, and the block is priced as :func:`vector_bits`
+    prices it (:func:`_block_cost`), which gives both field widths. The
+    container carries that accounting, the block count and the pad.
     """
-    contents, vectors, _ = _sliced(data, params)
+    contents, vectors, pad = _sliced(data, params)
     writer = BitWriter()
     variable = params.mode == MODE_VARIABLE
     if variable:
         # the delimiter's count is always r; _decode_block_fields puts it back
         apos = params.alpha_index - 1
+    by_length: dict[int, tuple[int, int, int, float, float]] = {}
+    costs = []
     for content, freq in zip(contents, vectors):
-        length = len(content)
+        rank, arrangements = perm_rank_and_count(content, params.alphabet, freq)
+        cost = _block_cost(freq, arrangements, params, by_length)
+        costs.append(cost)
+        _, _, freq_width, _, _, perm_width, _ = cost
         vector = freq
         if variable:
-            writer.write_elias_delta(length)
+            writer.write_elias_delta(len(content))
             vector = freq[:apos] + freq[apos + 1 :]
-        writer.write(
-            vector_to_index(vector) if vector else 0,
-            ceil_log2(_vector_count(length, params)),
-        )
-        arrangements = multinomial(freq)
-        writer.write(
-            sequence_to_perm_index(content, params.alphabet, freq, arrangements),
-            ceil_log2(arrangements),
-        )
-    return EncodedContainer(params=params, payload=writer.getvalue(), payload_bits=writer.bit_length)
+        writer.write(vector_to_index(vector) if vector else 0, freq_width)
+        writer.write(rank, perm_width)
+    return EncodedContainer(
+        params=params,
+        payload=writer.getvalue(),
+        payload_bits=writer.bit_length,
+        accounting=_accounted(costs, params),
+        blocks=len(costs),
+        pad=pad,
+    )
 
 
 def _check_room(reader: BitReader, min_width: int, what: str) -> None:
@@ -441,14 +451,20 @@ def decode(container: "EncodedContainer", max_output: int = DEFAULT_MAX_OUTPUT) 
 class EncodedContainer:
     """Header parameters plus the packed payload bits.
 
-    ``payload_bits`` is the used bit count before byte padding; it is
-    encoder-side metadata (indistinguishable from padding on the wire), so
-    it does not participate in equality.
+    ``payload_bits`` is the used bit count before byte padding. It and the
+    fields after it are encoder-side metadata, which the wire does not
+    carry, so they do not participate in equality: :func:`encode` sets
+    ``accounting`` (its blocks priced as :func:`vector_bits` prices them),
+    ``blocks`` and ``pad`` (the delimiters appended to the final block),
+    which :meth:`from_bytes` leaves None.
     """
 
     params: CodecParams
     payload: bytes
     payload_bits: int = field(default=-1, compare=False)
+    accounting: AccountedBits | None = field(default=None, compare=False)
+    blocks: int | None = field(default=None, compare=False)
+    pad: int | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.payload_bits < 0:
@@ -534,10 +550,11 @@ class AccountedBits:
 
 def _block_cost(
     freq: tuple[int, ...],
+    arrangements: int,
     params: CodecParams,
     by_length: dict[int, tuple[int, int, int, float, float]],
 ) -> tuple[int, int, int, float, float, int, float]:
-    """What one block with this count vector costs.
+    """What one block with this count vector and arrangement count costs.
 
     In order: its length, Elias-delta and frequency widths in bits, the
     exact log2 of its length and of its vector count, then its permutation
@@ -562,24 +579,20 @@ def _block_cost(
             log_length,
             log2_int(count),
         )
-    arrangements = multinomial(freq)
     return (*head, ceil_log2(arrangements), log2_int(arrangements))
 
 
-def vector_bits(vectors: list[tuple[int, ...]], params: CodecParams) -> AccountedBits:
-    """Price blocks from their count vectors alone; widths come from ``params``.
+def _accounted(
+    costs: Iterable[tuple[int, int, int, float, float, int, float]], params: CodecParams
+) -> AccountedBits:
+    """The budget of blocks with these :func:`_block_cost` terms, in block order.
 
-    Each distinct vector is priced once per call. ``bits_real`` adds every
-    block's logarithms in block order, so it does not depend on the memo.
+    ``bits_real`` adds every block's logarithms in that order, so two
+    callers that price the same blocks get the same float.
     """
-    by_length: dict[int, tuple[int, int, int, float, float]] = {}
-    costs = dict.fromkeys(vectors)
-    for freq in costs:
-        costs[freq] = _block_cost(freq, params, by_length)
     length_bits = delta_bits = freq_bits = perm_bits = 0
     real = 0.0
-    for freq in vectors:
-        length, delta, width, log_length, log_count, perm, log_arrangements = costs[freq]
+    for length, delta, width, log_length, log_count, perm, log_arrangements in costs:
         length_bits += length
         delta_bits += delta
         freq_bits += width
@@ -597,6 +610,20 @@ def vector_bits(vectors: list[tuple[int, ...]], params: CodecParams) -> Accounte
         perm_bits=perm_bits,
         container_bits=header * 8 + 8 * (-(-payload // 8)),
     )
+
+
+def vector_bits(vectors: list[tuple[int, ...]], params: CodecParams) -> AccountedBits:
+    """Price blocks from their count vectors alone; widths come from ``params``.
+
+    Each distinct vector is priced once per call, and :func:`_accounted`
+    adds the costs up in block order, so ``bits_real`` does not depend on
+    the memo.
+    """
+    by_length: dict[int, tuple[int, int, int, float, float]] = {}
+    costs = dict.fromkeys(vectors)
+    for freq in costs:
+        costs[freq] = _block_cost(freq, multinomial(freq), params, by_length)
+    return _accounted(map(costs.__getitem__, vectors), params)
 
 
 # perfbench/tracer.py looks these three names up in cli until ROADMAP item 2;

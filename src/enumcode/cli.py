@@ -60,7 +60,22 @@ def render_alphabet(alphabet: bytes) -> str:
     return "".join(render_symbol(b) for b in alphabet)
 
 
-def read_sequence(path: str, fasta: bool = False, fasta_map: str | None = None) -> bytes:
+def _fasta_table(args) -> bytes | None:
+    """The byte translation ``--fasta-map`` (such as ``N=A,R=G``) asks of ``--fasta`` input."""
+    if not (args.fasta and args.fasta_map):
+        return None
+    table = bytearray(range(256))
+    for pair in args.fasta_map.split(","):
+        src, _, dst = pair.upper().partition("=")
+        if len(src) != 1 or len(dst) != 1 or max(ord(src), ord(dst)) > 0xFF:
+            raise ValueError(f"bad --fasta-map entry {pair!r} (want FROM=TO)")
+        table[ord(src)] = ord(dst)
+    return bytes(table)
+
+
+def read_sequence(path: str, fasta: bool = False, table: bytes | None = None) -> bytes:
+    """A file's bytes; with ``fasta``, its sequence lines uppercased, mapped
+    through ``table`` and checked to be ACGT."""
     raw = Path(path).read_bytes()
     if not fasta:
         return raw
@@ -70,14 +85,8 @@ def read_sequence(path: str, fasta: bool = False, fasta_map: str | None = None) 
         if not line or line[:1] in (b">", b";"):
             continue
         cleaned += line.upper()
-    if fasta_map:
-        table = bytearray(range(256))
-        for pair in fasta_map.split(","):
-            src, _, dst = pair.upper().partition("=")
-            if len(src) != 1 or len(dst) != 1 or max(ord(src), ord(dst)) > 0xFF:
-                raise ValueError(f"bad --fasta-map entry {pair!r} (want FROM=TO)")
-            table[ord(src)] = ord(dst)
-        cleaned = cleaned.translate(bytes(table))
+    if table:
+        cleaned = cleaned.translate(table)
     check_alphabet(cleaned, b"ACGT")
     return bytes(cleaned)
 
@@ -93,14 +102,13 @@ def _symbols(text: str, args) -> bytes:
     return (text.upper() if args.fasta else text).encode("latin-1")
 
 
-def discover_alphabet(data: bytes, args) -> bytes:
-    if args.alphabet:
-        return _distinct(_symbols(args.alphabet, args), "--alphabet")
-    return bytes(sorted(set(data)))
+def _explicit_alphabet(args) -> bytes | None:
+    """The ``--alphabet`` symbols, or None when the input's own bytes are the alphabet."""
+    return _distinct(_symbols(args.alphabet, args), "--alphabet") if args.alphabet else None
 
 
 def _build_params(data: bytes, args) -> CodecParams:
-    alphabet = discover_alphabet(data, args)
+    alphabet = _explicit_alphabet(args) or bytes(sorted(set(data)))
     if args.mode == MODE_VARIABLE:
         if not args.alpha or args.r is None:
             raise ValueError("variable mode needs --alpha and --r")
@@ -111,14 +119,14 @@ def _build_params(data: bytes, args) -> CodecParams:
 
 
 def cmd_encode(args) -> int:
-    data = read_sequence(args.input, args.fasta, args.fasta_map)
+    data = read_sequence(args.input, args.fasta, _fasta_table(args))
     params = _build_params(data, args)
-    raw = encode(data, params).to_bytes()
+    container = encode(data, params)
+    raw = container.to_bytes()
     out_path = args.out or args.input + ".enum"
     Path(out_path).write_bytes(raw)
 
-    vectors, pad = block_vectors(data, params)
-    acct = vector_bits(vectors, params)
+    acct = container.accounting
     total_bits = 8 * len(raw)
     n = params.n
     print(f"input: {args.input}")
@@ -131,8 +139,8 @@ def cmd_encode(args) -> int:
         print(f"r: {params.r}")
     else:
         print(f"L: {params.fixed_len}")
-    print(f"blocks: {len(vectors)}")
-    print(f"pad: {pad}")
+    print(f"blocks: {container.blocks}")
+    print(f"pad: {container.pad}")
     print(f"container_bits: {total_bits}")
     print(f"container_bytes: {total_bits // 8}")
     print(f"accounted_bits_ceiled: {acct.bits_ceiled}")
@@ -440,12 +448,14 @@ def cmd_sweep(args) -> int:
     alphas = None
     if args.alphas:
         alphas = _distinct(_symbols(args.alphas, args), "--alphas")
+    # checked once, before any file is read: a bad option is a usage error
+    alphabet = _explicit_alphabet(args)
+    table = _fasta_table(args)
     sweeps: list[FileSweep] = []
     failures = 0
     for path in sorted(args.inputs):
         try:
-            data = read_sequence(path, args.fasta, args.fasta_map)
-            alphabet = discover_alphabet(data, args)
+            data = read_sequence(path, args.fasta, table)
             sweeps.append(
                 sweep_file(
                     Path(path).name,

@@ -12,25 +12,32 @@ a_i sums the remaining counts of the symbols below the one at i. Consuming
 that symbol, whose remaining count is b_i, scales A_i by b_i / m_i. Both
 quotients are exact: each counts arrangements.
 
-The rank is picked by the width of the arrangement count, which sets the
-cost of every big-int step, not by the block's length. While the count has
-at most ``_RANK_WALK_BITS`` bits, the walk runs directly
-(:func:`_rank_walk`): a_i is a sum of small ints, so each symbol costs two
-big-int products and two exact divisions by the small m_i whatever the
-alphabet size, on a number as wide as the count. Wider counts rank in chunks
-(:func:`_rank_chunks`), the way they unrank: each chunk of ``_CHUNK``
-symbols folds into a small (P, Q, T) triple with small-int arithmetic, and
-one update applies it to the full-width rank and count, one long division
-by the small Q and products by the small T and P; the walk finishes once
-the count is narrow. Like the chunked unrank, this is quadratic in the
-count's width. A product tree (binary splitting) ranks the widest counts
-faster, but by at most 2.4x where measured (1.1x at 131072 DNA symbols, 2x
-at 32768 symbols over 256 kinds), and only on blocks whose unrank is slower
-still, so the rank does without one. ``tools/rank_curve.py`` measures both
-paths and the tree. Byte sequences over a byte alphabet become symbol ids
-through ``bytes.translate``, never through a per-symbol lookup.
+The rank runs from the right (:func:`perm_rank_and_count`), so the
+arrangement count comes out of it: starting from the empty suffix, whose
+count is 1, each symbol adds A_{i+1} * a_i / b_i to the rank and scales the
+count by m_i / b_i, and after the first symbol the count is the block's
+multinomial, which sets the width of its permutation field. Which path runs
+is picked before the loop, by the width of that count, which sets the cost
+of every big-int step. A block of n symbols over sigma kinds with
+n * ceil(log2 sigma) at most ``_RANK_WALK_BITS`` has a count no wider, and
+so do blocks whose count ``math.lgamma`` estimates that narrow; they walk
+(:func:`_rank_walk`): a_i and b_i come from the suffix's small counts, so
+each symbol costs two big-int products and two exact divisions by the small
+b_i whatever the alphabet size, on a number as wide as the count. Only the
+wider blocks are counted first. They rank in chunks (:func:`_rank_chunks`),
+the way they unrank: each chunk of ``_CHUNK`` symbols folds into a small
+(P, Q, T) triple with small-int arithmetic, left to right, and the triples
+are applied from the last to the first, one long division of the full-width
+count by the small P and products by the small T and Q per chunk. Like the
+chunked unrank, this is quadratic in the count's width. A product tree
+(binary splitting) ranks the widest counts faster, but by at most 2.4x where
+measured (1.1x at 131072 DNA symbols, 2x at 32768 symbols over 256 kinds),
+and only on blocks whose unrank is slower still, so the rank does without
+one. ``tools/rank_curve.py`` measures both paths and the tree. Byte
+sequences over a byte alphabet become symbol ids through
+``bytes.translate``, never through a per-symbol lookup.
 
-Unranking inverts that walk. While the arrangement count is narrow, the
+Unranking decodes from the left. While the arrangement count is narrow, the
 greedy walk (:func:`_unrank_walk`) reads each symbol off v = pid * m_i // A_i
 by a scan of the small remaining counts, so each symbol costs three big-int
 products and three divisions, two of them exact divisions by m_i, and it
@@ -46,7 +53,8 @@ is exact. Each chunk costs time in proportion to the count's width, so a
 block unranks in time quadratic in that width.
 
 The older walks, which take a big-int step for every smaller symbol kind,
-are test oracles in ``tests/oracles.py``.
+and the left-to-right rank, which needs the count before it starts, are
+test oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -103,38 +111,51 @@ def _symbol_ids(seq: Iterable[Hashable], alphabet: Alphabet) -> tuple[list[int],
     return ids, counts
 
 
-# Up to this many bits of arrangement count the walk ranks, above it chunks
-# of _CHUNK symbols down to the walk (tools/rank_curve.py measures both).
+# A block whose arrangement count is at most this many bits wide ranks by the
+# walk, a wider one in chunks of _CHUNK symbols (tools/rank_curve.py measures
+# both). n * ceil(log2 sigma) bounds the width without counting the block;
+# math.lgamma estimates it for a block past that bound.
 _RANK_WALK_BITS = 512
 # Symbols per rank chunk, and the most an unrank chunk decodes, before one
 # exact update of the full-width state.
 _CHUNK = 64
+_LN2 = math.log(2)
 
 
-def sequence_to_perm_index(
-    seq: Sequence[Hashable],
-    alphabet: Alphabet,
-    counts: Sequence[int] | None = None,
-    arrangements: int | None = None,
-) -> int:
-    """Zero-based lexicographic rank of ``seq`` among arrangements of its multiset.
+def perm_rank_and_count(
+    seq: Sequence[Hashable], alphabet: Alphabet, counts: Sequence[int] | None = None
+) -> tuple[int, int]:
+    """(rank, arrangement count) of ``seq``: its zero-based lexicographic rank
+    among the arrangements of its multiset, and how many there are.
 
-    The empty sequence ranks 0. A caller that already has the frequency
-    vector of ``seq`` (in alphabet order) and its multinomial may pass them
-    as ``counts`` and ``arrangements``; they are trusted, not recounted.
+    The empty sequence ranks 0 of 1. A caller that already has the frequency
+    vector of ``seq`` (in alphabet order) may pass it as ``counts``; it is
+    trusted, not recounted, and read only by the chunked rank.
     """
     if isinstance(seq, (bytes, bytearray)) and isinstance(alphabet, (bytes, bytearray)):
         ids = _byte_ids(seq, alphabet)
-        if counts is None:
-            counts = list(map(seq.count, alphabet))
     else:
         ids, found = _symbol_ids(seq, alphabet)
         if counts is None:
             counts = found
-    counts = list(counts)
-    if arrangements is None:
-        arrangements = multinomial(counts)
-    return _rank_chunks(ids, counts, arrangements)
+    sigma = len(alphabet)
+    # sigma ** n bounds the count, so a block this short is narrow
+    if len(ids) * (sigma - 1).bit_length() > _RANK_WALK_BITS:
+        if counts is None:
+            counts = list(map(seq.count, alphabet))
+        if _estimated_width(counts, len(ids)) > _RANK_WALK_BITS:
+            return _rank_chunks(ids, list(counts))
+    return _rank_walk(ids, sigma)
+
+
+def sequence_to_perm_index(
+    seq: Sequence[Hashable], alphabet: Alphabet, counts: Sequence[int] | None = None
+) -> int:
+    """Zero-based lexicographic rank of ``seq`` among arrangements of its multiset.
+
+    The empty sequence ranks 0; ``counts`` is as for :func:`perm_rank_and_count`.
+    """
+    return perm_rank_and_count(seq, alphabet, counts)[0]
 
 
 _BYTE_IDS = bytes(range(256))
@@ -150,47 +171,63 @@ def _byte_ids(seq: bytes, alphabet: bytes) -> bytes:
     return seq.translate(bytes.maketrans(alphabet, _BYTE_IDS[: len(alphabet)]))
 
 
-def _rank_walk(ids: Sequence[int], counts: list[int], arrangements: int) -> int:
-    """The rank by the left-to-right walk at two big-int steps per symbol.
+def _estimated_width(counts: Sequence[int], n: int) -> float:
+    """log2 of the multinomial of ``counts``, which sum to ``n``, in floating point."""
+    return (math.lgamma(n + 1) - sum(math.lgamma(c + 1) for c in counts)) / _LN2
 
-    ``arrangements`` is the multinomial of ``counts``; consumes ``counts``.
+
+def _rank_walk(ids: Sequence[int], sigma: int) -> tuple[int, int]:
+    """(rank, arrangement count) by the right-to-left walk at two big-int steps per symbol.
+
+    A is the count of the suffix after the symbol, and m is the length of
+    the suffix from the symbol on, b the symbol's count in it, itself
+    included, and a the count of smaller symbols in it. The symbol adds
+    A * a / b to the rank and turns A into A * m / b, both exact quotients.
     """
     rank = 0
-    remaining = len(ids)
-    for k in ids:
-        if arrangements == 1:
-            break  # one symbol kind is left: nothing of the rest ranks below it
-        c = counts[k]
+    arrangements = 1
+    suffix = [0] * sigma
+    m = 0
+    for k in reversed(ids):
+        m += 1
+        b = suffix[k] + 1
+        suffix[k] = b
         if k:
-            below = sum(counts[:k])
+            below = sum(suffix[:k])
             if below:
-                rank += arrangements * below // remaining
-        arrangements = arrangements * c // remaining
-        counts[k] = c - 1
-        remaining -= 1
-    return rank
+                rank += arrangements * below // b
+        arrangements = arrangements * m // b
+    return rank, arrangements
 
 
-def _rank_chunks(ids: Sequence[int], counts: list[int], arrangements: int) -> int:
-    """The rank a chunk of symbols at a time, then by the walk; consumes ``counts``.
+def _rank_chunks(ids: Sequence[int], counts: list[int]) -> tuple[int, int]:
+    """(rank, arrangement count) a chunk of ``_CHUNK`` symbols at a time; consumes ``counts``.
 
-    ``arrangements`` is the multinomial of ``counts``. While it has more than
-    ``_RANK_WALK_BITS`` bits, the next ``_CHUNK`` symbols give a small
-    (p, q, t) triple (:func:`_stretch`), which adds A * T / Q to the rank and
-    turns A into A * P / Q (:func:`_advance`): one long division of the wide
-    count by the small Q and products by the small T and P, where the walk
-    takes two big-int steps per symbol.
+    Each chunk's (P, Q, T) triple comes left to right from :func:`_stretch`,
+    which needs the counts of the suffix from the chunk on. The fold then
+    runs from the last chunk to the first: with A the count after a chunk,
+    the chunk adds A * T / P to the rank and turns A into A * Q / P
+    (:func:`_advance` with P and Q swapped), one long division of the wide
+    count by the small P and products by the small T and Q, where the walk
+    takes two big-int steps per symbol. After the first chunk A is the count
+    of the whole block.
     """
+    n = len(ids)
+    triples = [
+        _stretch(ids[start : start + _CHUNK], counts, n - start) for start in range(0, n, _CHUNK)
+    ]
     rank = 0
-    start = 0
-    while arrangements.bit_length() > _RANK_WALK_BITS:
-        stop = start + _CHUNK
-        offset, arrangements = _advance(
-            arrangements, *_stretch(ids[start:stop], counts, len(ids) - start)
-        )
+    arrangements = 1
+    for p, q, t in reversed(triples):
+        if arrangements.bit_length() > 4 * q.bit_length():
+            # in lowest terms, which on DNA takes about 40% off the divisor
+            # and the factors of the wide steps; the gcd pays only on a count
+            # a few times wider than the triple
+            g = math.gcd(p, q, t)
+            p, q, t = p // g, q // g, t // g
+        offset, arrangements = _advance(arrangements, q, p, t)
         rank += offset
-        start = stop
-    return rank + _rank_walk(ids[start:], counts, arrangements)
+    return rank, arrangements
 
 
 def _stretch(ids: Sequence[int], counts: list[int], remaining: int) -> tuple[int, int, int]:

@@ -7,10 +7,12 @@ as the ``block_codec`` module docstring describes it, without the library's
 block cutter (``_cut``) or its pricing memo, so a check against them does
 not compare the code under test with itself. The walk oracles rank and
 unrank with a big-int step for every smaller symbol kind, as the library's
-walks did before they summed the small counts first. The split oracle is the
-product tree the rank used for its widest counts, fast enough to check
-blocks of 64k symbols. The leaf oracle is the permutation unrank's first
-leaf decoder, and the reader oracle reads a codeword field by field.
+walks did before they summed the small counts first. The left-to-right rank
+oracles are the rank before it ran from the right and yielded the
+arrangement count. The split oracle is the product tree the rank used for
+its widest counts, fast enough to check blocks of 64k symbols. The leaf
+oracle is the permutation unrank's first leaf decoder, and the reader oracle
+reads a codeword field by field.
 """
 
 import math
@@ -21,7 +23,7 @@ from enumcode.bitstream import BitReader, BitstreamError, BitWriter, elias_delta
 from enumcode.block_codec import AccountedBits, AlphabetError, EncodedContainer
 from enumcode.combinatorics import ceil_log2, k_count, multinomial
 from enumcode.composition_codec import vector_to_index
-from enumcode.permutation_codec import _GUARD_BITS, _symbol_ids
+from enumcode.permutation_codec import _CHUNK, _GUARD_BITS, _advance, _stretch, _symbol_ids
 
 
 class ReferenceBlock(NamedTuple):
@@ -217,6 +219,53 @@ def reference_unrank_incremental(pid, arrangements, remaining_counts):
                 break
             preceding += here
     return out
+
+
+# -- reference left-to-right rank ---------------------------------------------
+#
+# The rank before it ran from the right: it starts from the block's
+# multinomial, built beforehand, and walks the block from its first symbol,
+# in chunks while the count has more than 512 bits.
+
+
+def reference_rank_walk(ids, counts, arrangements):
+    """The rank by the left-to-right walk at two big-int steps per symbol.
+
+    ``arrangements`` is the multinomial of ``counts``; consumes ``counts``.
+    """
+    rank = 0
+    remaining = len(ids)
+    for k in ids:
+        if arrangements == 1:
+            break  # one symbol kind is left: nothing of the rest ranks below it
+        c = counts[k]
+        if k:
+            below = sum(counts[:k])
+            if below:
+                rank += arrangements * below // remaining
+        arrangements = arrangements * c // remaining
+        counts[k] = c - 1
+        remaining -= 1
+    return rank
+
+
+def reference_rank_chunks(ids, counts, arrangements):
+    """The rank a chunk of symbols at a time, then by the walk; consumes ``counts``.
+
+    ``arrangements`` is the multinomial of ``counts``. While it has more than
+    512 bits, the next ``_CHUNK`` symbols give a (P, Q, T) triple, which adds
+    A * T / Q to the rank and turns A into A * P / Q.
+    """
+    rank = 0
+    start = 0
+    while arrangements.bit_length() > 512:
+        stop = start + _CHUNK
+        offset, arrangements = _advance(
+            arrangements, *_stretch(ids[start:stop], counts, len(ids) - start)
+        )
+        rank += offset
+        start = stop
+    return rank + reference_rank_walk(ids[start:], counts, arrangements)
 
 
 # -- reference encoder ---------------------------------------------------------

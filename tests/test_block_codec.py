@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from enumcode import block_codec, permutation_codec
 from enumcode.bitstream import BitWriter, elias_delta_bit_length
 from enumcode.block_codec import (
     AlphabetError,
@@ -757,3 +758,43 @@ def test_encode_matches_reference(case):
     expected = reference_encode(data, params)
     assert got.to_bytes() == expected.to_bytes()
     assert got.payload_bits == expected.payload_bits
+
+
+@given(encode_cases())
+@settings(deadline=None, max_examples=200)
+@example((b"", CodecParams.variable(b"acgt", b"a", 2, 0)))
+@example((b"", CodecParams.fixed(b"acgt", 3, 0)))
+# a padded tail: the final "cg" owes both its delimiters
+@example((b"aacgtacg", CodecParams.variable(b"acgt", b"a", 2, 8)))
+# ends on a consumed delimiter: "ttgaacg", "ttaa", then the final 'a'
+@example((b"ttgaacgattaaa", CodecParams.variable(b"acgt", b"a", 2, 13)))
+@example((DNA_LIKE, CodecParams.variable(b"acgt", b"a", 2, len(DNA_LIKE))))
+@example((DNA_LIKE, CodecParams.fixed(b"acgt", 16, len(DNA_LIKE))))
+def test_encode_carries_the_accounting_of_its_blocks(case):
+    data, params = case
+    container = encode(data, params)
+    vectors, pad = block_vectors(data, params)
+    # exact, bits_real included: encode prices its blocks in block order
+    assert container.accounting == vector_bits(vectors, params)
+    assert (container.blocks, container.pad) == (len(vectors), pad)
+    assert container.accounting.container_bits == 8 * len(container.to_bytes())
+    assert container.payload_bits == (
+        container.accounting.freq_bits
+        + container.accounting.perm_bits
+        + sum(elias_delta_bit_length(sum(freq)) for freq in vectors if params.mode == "variable")
+    )
+
+
+def test_encode_builds_no_multinomial(monkeypatch):
+    # each block's rank yields its arrangement count, which prices the block too
+    def refuse(counts):
+        raise AssertionError("encode built a multinomial")
+
+    monkeypatch.setattr(block_codec, "multinomial", refuse)
+    monkeypatch.setattr(permutation_codec, "multinomial", refuse)
+    for params in (
+        CodecParams.variable(b"acgt", b"a", 16, len(DNA_LIKE)),
+        CodecParams.fixed(b"acgt", 64, len(DNA_LIKE)),
+        CodecParams.fixed(b"acgt", 2048, len(DNA_LIKE)),
+    ):
+        assert encode(DNA_LIKE, params).to_bytes() == reference_encode(DNA_LIKE, params).to_bytes()

@@ -309,6 +309,27 @@ class TestSweep:
         assert "--alphas entries must be distinct" in capsys.readouterr().err
         assert not points.exists()
 
+    @pytest.mark.parametrize(
+        "option,message",
+        [
+            (["--alphabet", "aacgt"], "--alphabet entries must be distinct"),
+            (["--fasta", "--fasta-map", "N=AC"], "bad --fasta-map entry 'N=AC' (want FROM=TO)"),
+        ],
+    )
+    def test_bad_alphabet_or_fasta_map_is_one_usage_error(self, tmp_path, capsys, option, message):
+        # checked once, before any file is read, as encode checks them
+        paths = []
+        for name in ("a.fa", "b.fa"):
+            path = tmp_path / name
+            path.write_bytes(b">h\nacgtacgt\n")
+            paths.append(str(path))
+        assert main(["sweep", *paths, *option, "--r-set", "2", "--L-set", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert main(["encode", paths[0], *option, "--alpha", "A", "--r", "2"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_deterministic(self, tmp_path, capsys):
         paths = make_corpus(tmp_path)
         args = ["sweep", *(str(p) for p in paths), "--r-set", "2", "--L-set", "4"]

@@ -14,6 +14,7 @@ from enumcode.permutation_codec import (
     _RANK_WALK_BITS,
     _WALK_BITS,
     _decode_leaf,
+    _rank_chunks,
     _rank_walk,
     _symbol_ids,
     _unrank_chunks,
@@ -21,14 +22,17 @@ from enumcode.permutation_codec import (
     enumerate_perms,
     frequency_vector,
     perm_index_to_sequence,
+    perm_rank_and_count,
     sequence_to_perm_index,
 )
 
 from conftest import PERMS_2110
 from oracles import (
     reference_decode_leaf,
+    reference_rank_chunks,
     reference_rank_incremental,
     reference_rank_split,
+    reference_rank_walk,
     reference_unrank_incremental,
 )
 
@@ -79,15 +83,36 @@ class TestRanking:
             sequence_to_perm_index(b"", b"")
 
     def test_given_counts_and_arrangements_are_not_recomputed(self):
+        # the rank yields the arrangement count, so it never builds a multinomial
         with mock.patch.object(permutation_codec, "multinomial", side_effect=AssertionError):
-            assert sequence_to_perm_index(b"gcaa", b"acgt", (2, 1, 1, 0), 12) == 11
-            assert sequence_to_perm_index("gcaa", "acgt", [2, 1, 1, 0], 12) == 11
+            for walk_bits in (1, 10**9):
+                with mock.patch.object(permutation_codec, "_RANK_WALK_BITS", walk_bits):
+                    assert perm_rank_and_count(b"gcaa", b"acgt", (2, 1, 1, 0)) == (11, 12)
+                    assert sequence_to_perm_index(b"gcaa", b"acgt", (2, 1, 1, 0)) == 11
+                    assert sequence_to_perm_index("gcaa", "acgt", [2, 1, 1, 0]) == 11
+                    counts = [2, 1, 1, 0]
+                    sequence_to_perm_index(b"gcaa", b"acgt", counts)
+                    assert counts == [2, 1, 1, 0]  # the caller's counts are not consumed
             assert perm_index_to_sequence(11, (2, 1, 1, 0), b"acgt", 12) == b"gcaa"
             with pytest.raises(ValueError, match="out of range"):
                 perm_index_to_sequence(12, (2, 1, 1, 0), b"acgt", 12)
-        counts = [2, 1, 1, 0]
-        sequence_to_perm_index(b"gcaa", b"acgt", counts, 12)
-        assert counts == [2, 1, 1, 0]  # the caller's counts are not consumed
+
+    def test_counts_only_when_the_block_may_be_wide(self):
+        class CountedBytes(bytes):
+            def count(self, *args):
+                self.counted += 1
+                return super().count(*args)
+
+        # 64 symbols over 256 kinds: at most 64 * 8 bits of count, so the
+        # walk ranks them without counting; one symbol more and each kind
+        # is counted once, to estimate the count's width
+        alphabet = bytes(range(256))
+        for length, counted in ((64, 0), (65, 256)):
+            block = CountedBytes(random.Random(length).choices(alphabet, k=length))
+            block.counted = 0
+            expected = reference_rank_incremental(*_symbol_ids(block, alphabet))
+            assert sequence_to_perm_index(block, alphabet) == expected
+            assert block.counted == counted
 
 
 class TestUnranking:
@@ -254,12 +279,11 @@ def skewed_block(rng, sigma, length, shape):
 def ranks_on_every_path(seq, alphabet):
     """The rank under each of ``RANK_BOUNDS``, with and without the counts passed."""
     counts = frequency_vector(seq, alphabet)
-    arrangements = multinomial(counts)
     ranks = set()
     for bounds in RANK_BOUNDS:
         with mock.patch.dict(vars(permutation_codec), bounds):
             ranks.add(sequence_to_perm_index(seq, alphabet))
-            ranks.add(sequence_to_perm_index(seq, alphabet, counts, arrangements))
+            ranks.add(sequence_to_perm_index(seq, alphabet, counts))
     return ranks
 
 
@@ -277,6 +301,29 @@ def test_rank_paths_match_incremental_oracle(sigma, shape, fraction, seed):
     expected = reference_rank_incremental(*_symbol_ids(seq, alphabet))
     assert ranks_on_every_path(seq, alphabet) == {expected}
     assert ranks_on_every_path(list(seq), list(alphabet)) == {expected}
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.sampled_from([1, 2, 4, 20, 256]),
+    st.sampled_from(["uniform", "100:1", "1000:1"]),
+    st.integers(0, 3000),
+    st.integers(0, 2**32),
+)
+def test_rank_and_count_match_the_oracles(sigma, shape, length, seed):
+    alphabet = bytes(range(sigma))
+    seq = skewed_block(random.Random(seed), sigma, length, shape)
+    ids, counts = _symbol_ids(seq, alphabet)
+    expected = (reference_rank_incremental(ids, list(counts)), multinomial(counts))
+    # a 1-bit bound sends all but the shortest blocks to the chunks, 10**9 all to the walk
+    for walk_bits in (1, 10**9):
+        with mock.patch.object(permutation_codec, "_RANK_WALK_BITS", walk_bits):
+            assert perm_rank_and_count(seq, alphabet) == expected
+            assert perm_rank_and_count(seq, alphabet, counts) == expected
+    assert _rank_walk(ids, sigma) == expected
+    assert _rank_chunks(ids, list(counts)) == expected
+    # the rank before it ran from the right, from the multinomial
+    assert reference_rank_chunks(ids, list(counts), expected[1]) == expected[0]
 
 
 def crossing_length(seq, alphabet, past_bound):
@@ -531,7 +578,8 @@ def test_walks_match_the_oracle_walks(case, data):
     arrangements = multinomial(counts)
     rank = reference_rank_incremental(ids, list(counts))
     # encode hands the walk the block's ids as bytes
-    assert _rank_walk(bytes(ids), list(counts), arrangements) == rank
+    assert _rank_walk(bytes(ids), sigma) == (rank, arrangements)
+    assert reference_rank_walk(bytes(ids), list(counts), arrangements) == rank
     assert _unrank_walk(rank, arrangements, list(counts)) == ids
     other = data.draw(st.integers(0, arrangements - 1))
     expected = reference_unrank_incremental(other, arrangements, list(counts))

@@ -4,21 +4,28 @@ Usage (from the repository root):
 
     python3 tools/rank_curve.py
 
-Each row ranks one block with the walk (``_rank_walk``), the oracle walk
-(``reference_rank_incremental`` from ``tests/oracles.py``), the product
-tree (``reference_rank_split``, an oracle too, which the rank no longer
-uses), the chunked rank alone (``chunk_rank_s``: ``_rank_chunks`` run down
-to a one-run count instead of handing over to the walk) and the dispatching
-``sequence_to_perm_index`` (``rank_s``, given only the block and the
-alphabet, so it also counts the block and builds its arrangement count).
-It unranks the rank with the walk (``_unrank_walk``), the oracle walk
-(``reference_unrank_incremental``), the chunked unrank alone
-(``chunk_unrank_s``: ``_unrank_chunks`` run down to a one-run count instead
-of handing over to the walk) and the dispatching ``perm_index_to_sequence``
-(``unrank_s``), and writes it with ``BitWriter.write`` as a field of its
-real width. Every rank must agree and every unrank must give the block back.
-Each time is the best of three runs, in seconds, each run repeated until it
-takes 0.2 s or more (``timeit.Timer.autorange``).
+Each row ranks one block with the right-to-left walk alone (``walk_rank_s``:
+``_rank_walk``), the oracle walk (``reference_rank_incremental`` from
+``tests/oracles.py``), the product tree (``reference_rank_split``, an oracle
+too, which the rank no longer uses), the chunked rank alone
+(``chunk_rank_s``: ``_rank_chunks``), and ``perm_rank_and_count`` given the
+block, the alphabet and the counts, as ``encode`` calls it
+(``count_rank_s``). ``parent_rank_s`` times the rank as ``encode`` took it
+before the rank ran from the right: the block's multinomial, then the
+left-to-right rank from it (``reference_rank_chunks``, an oracle). The
+dispatching ``sequence_to_perm_index`` (``rank_s``) is given only the block
+and the alphabet, so it also counts the block when the count may be wide.
+The walk, the chunks and ``perm_rank_and_count`` must also give the
+block's arrangement count. The rank is unranked with the walk
+(``_unrank_walk``), the oracle walk (``reference_unrank_incremental``), the
+chunked unrank alone (``chunk_unrank_s``: ``_unrank_chunks`` run down to a
+one-run count instead of handing over to the walk) and the dispatching
+``perm_index_to_sequence`` (``unrank_s``), and written with
+``BitWriter.write`` as a field of its real width. Every rank must agree and
+every unrank must give the block back. Each time is the best of three runs,
+in seconds, each run repeated until it takes 0.2 s or more
+(``timeit.Timer.autorange``); ``count_rank_s`` and ``parent_rank_s`` take
+three such measurements each, in turn, and keep the best.
 
 The rows:
 
@@ -30,15 +37,16 @@ The rows:
   K + 1 (seed 3), long blocks of 1 bit per symbol or less.
 
 The output is one JSON object keyed by row; ``width_bits`` is the width of
-the block's arrangement count, which every threshold of the permutation
-codec reads. There are two: ``_RANK_WALK_BITS`` (rank by walk up to this
-count width, in chunks above it), read against ``walk_rank_s`` and
-``chunk_rank_s``, and ``_WALK_BITS`` (unrank by walk up to this count
-width, in chunks above it), read against ``walk_unrank_s`` and
-``chunk_unrank_s``. ``split_rank_s`` against ``chunk_rank_s`` shows what a
-product tree would win on the widest counts. The ``skew`` rows are long
-blocks with narrow counts, where the walk and the chunks beat the tree. The
-whole curve takes a few minutes, most of it at L = 65536.
+the block's arrangement count. Two thresholds read it: ``_RANK_WALK_BITS``
+(rank by walk up to this count width, estimated, in chunks above it), read
+against ``walk_rank_s`` and ``chunk_rank_s``, and ``_WALK_BITS`` (unrank by
+walk up to this count width, in chunks above it), read against
+``walk_unrank_s`` and ``chunk_unrank_s``. ``count_rank_s`` against
+``parent_rank_s`` shows what ranking from the right saves ``encode``, and
+``split_rank_s`` against ``chunk_rank_s`` what a product tree would win on
+the widest counts. The ``skew`` rows are long blocks with narrow counts,
+where the walk and the chunks beat the tree. The whole curve takes a few
+minutes, most of it at L = 65536.
 """
 
 from __future__ import annotations
@@ -57,15 +65,18 @@ from enumcode import permutation_codec  # noqa: E402
 from enumcode.bitstream import BitWriter  # noqa: E402
 from enumcode.combinatorics import ceil_log2, multinomial  # noqa: E402
 from enumcode.permutation_codec import (  # noqa: E402
+    _byte_ids,
     _rank_chunks,
     _rank_walk,
     _symbol_ids,
     _unrank_chunks,
     _unrank_walk,
     perm_index_to_sequence,
+    perm_rank_and_count,
     sequence_to_perm_index,
 )
 from oracles import (  # noqa: E402
+    reference_rank_chunks,
     reference_rank_incremental,
     reference_rank_split,
     reference_unrank_incremental,
@@ -82,6 +93,16 @@ def seconds(fn) -> float:
     timer = timeit.Timer(fn)
     number, _ = timer.autorange()
     return min(timer.repeat(3, number)) / number
+
+
+def alternating(first, second, rounds: int = 3) -> tuple[float, float]:
+    """:func:`seconds` of two calls, best of ``rounds`` runs taken in turn, so
+    that a host slowing down during the row slows both alike."""
+    best_first = best_second = float("inf")
+    for _ in range(rounds):
+        best_first = min(best_first, seconds(first))
+        best_second = min(best_second, seconds(second))
+    return best_first, best_second
 
 
 def blocks() -> dict[str, tuple[bytes, bytes]]:
@@ -102,14 +123,18 @@ def blocks() -> dict[str, tuple[bytes, bytes]]:
 def measure(name: str, block: bytes, alphabet: bytes) -> dict:
     ids, counts = _symbol_ids(block, alphabet)
     arrangements = multinomial(counts)
-    rank = _rank_walk(ids, list(counts), arrangements)
-    for other in (reference_rank_incremental, reference_rank_split):
+    rank = reference_rank_incremental(ids, list(counts))
+    ranks = {
+        "_rank_walk": lambda: _rank_walk(ids, len(alphabet)),
+        "_rank_chunks": lambda: _rank_chunks(ids, list(counts)),
+        "perm_rank_and_count": lambda: perm_rank_and_count(block, alphabet, counts),
+    }
+    for label, fn in ranks.items():
+        if fn() != (rank, arrangements):
+            raise SystemExit(f"{label} and the oracle walk differ on {name}")
+    for other in (reference_rank_split, parent_rank):
         if other(ids, list(counts)) != rank:
-            raise SystemExit(f"{other.__name__} and _rank_walk differ on {name}")
-    with mock.patch.object(permutation_codec, "_RANK_WALK_BITS", 1):
-        if _rank_chunks(ids, list(counts), arrangements) != rank:
-            raise SystemExit(f"_rank_chunks and _rank_walk differ on {name}")
-        chunk_rank_s = seconds(lambda: _rank_chunks(ids, list(counts), arrangements))
+            raise SystemExit(f"{other.__name__} and the oracle walk differ on {name}")
     # column -> (unrank, the thresholds it runs under)
     unranks = {
         "walk_unrank_s": (_unrank_walk, {}),
@@ -122,20 +147,32 @@ def measure(name: str, block: bytes, alphabet: bytes) -> dict:
             if unrank(rank, arrangements, list(counts)) != ids:
                 raise SystemExit(f"{column} does not invert the rank on {name}")
             unrank_times[column] = seconds(lambda: unrank(rank, arrangements, list(counts)))
+    count_rank_s, parent_rank_s = alternating(
+        ranks["perm_rank_and_count"],
+        lambda: parent_rank(_byte_ids(block, alphabet), list(counts)),
+    )
     width = ceil_log2(arrangements)
     return {
         "sigma": len(alphabet),
         "length": len(block),
         "width_bits": width,
-        "walk_rank_s": seconds(lambda: _rank_walk(ids, list(counts), arrangements)),
+        "walk_rank_s": seconds(ranks["_rank_walk"]),
         "incremental_rank_s": seconds(lambda: reference_rank_incremental(ids, list(counts))),
         "split_rank_s": seconds(lambda: reference_rank_split(ids, list(counts))),
-        "chunk_rank_s": chunk_rank_s,
+        "chunk_rank_s": seconds(ranks["_rank_chunks"]),
+        "count_rank_s": count_rank_s,
+        "parent_rank_s": parent_rank_s,
         "rank_s": seconds(lambda: sequence_to_perm_index(block, alphabet)),
         **unrank_times,
         "unrank_s": seconds(lambda: perm_index_to_sequence(rank, counts, alphabet)),
         "write_s": seconds(lambda: BitWriter().write(rank, width)),
     }
+
+
+def parent_rank(ids, counts) -> int:
+    """The rank as encode took it before the rank ran from the right: the
+    block's multinomial, then the left-to-right rank from it; consumes ``counts``."""
+    return reference_rank_chunks(ids, counts, multinomial(counts))
 
 
 def main() -> None:
