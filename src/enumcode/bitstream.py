@@ -41,14 +41,12 @@ class BitWriter:
         self._nbits = nbits
 
     def write_elias_delta(self, value: int) -> None:
-        """Append the Elias delta codeword for ``value`` (>= 1)."""
-        if value < 1:
-            raise ValueError("Elias delta encodes values >= 1")
+        """Append the Elias delta codeword for ``value`` (>= 1) as one field:
+        the zero run is the field's leading zeros, then the bit count, then
+        the value below its top bit."""
+        width = elias_delta_bit_length(value)
         nbits = value.bit_length()
-        lbits = nbits.bit_length()
-        self.write(0, lbits - 1)
-        self.write(nbits, lbits)
-        self.write(value & ((1 << (nbits - 1)) - 1), nbits - 1)
+        self.write((nbits << (nbits - 1)) | (value & ((1 << (nbits - 1)) - 1)), width)
 
     @property
     def bit_length(self) -> int:

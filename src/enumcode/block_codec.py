@@ -301,7 +301,7 @@ def encode(data: bytes, params: CodecParams) -> "EncodedContainer":
     The blocks are sliced at :func:`_cut`'s bounds. Each block's rank yields
     its arrangement count, and the block is priced as :func:`vector_bits`
     prices it (:func:`_block_cost`), which gives both field widths. The
-    container carries that accounting, the block count and the pad.
+    container carries that accounting and the pad.
     """
     contents, vectors, pad = _sliced(data, params)
     writer = BitWriter()
@@ -309,11 +309,10 @@ def encode(data: bytes, params: CodecParams) -> "EncodedContainer":
     if variable:
         # the delimiter's count is always r; _decode_block_fields puts it back
         apos = params.alpha_index - 1
-    by_length: dict[int, tuple[int, int, int, float, float]] = {}
     costs = []
     for content, freq in zip(contents, vectors):
         rank, arrangements = perm_rank_and_count(content, params.alphabet, freq)
-        cost = _block_cost(freq, arrangements, params, by_length)
+        cost = _block_cost(freq, arrangements, params)
         costs.append(cost)
         _, _, freq_width, _, _, perm_width, _ = cost
         vector = freq
@@ -327,7 +326,6 @@ def encode(data: bytes, params: CodecParams) -> "EncodedContainer":
         payload=writer.getvalue(),
         payload_bits=writer.bit_length,
         accounting=_accounted(costs, params),
-        blocks=len(costs),
         pad=pad,
     )
 
@@ -454,16 +452,15 @@ class EncodedContainer:
     ``payload_bits`` is the used bit count before byte padding. It and the
     fields after it are encoder-side metadata, which the wire does not
     carry, so they do not participate in equality: :func:`encode` sets
-    ``accounting`` (its blocks priced as :func:`vector_bits` prices them),
-    ``blocks`` and ``pad`` (the delimiters appended to the final block),
-    which :meth:`from_bytes` leaves None.
+    ``accounting`` (its blocks priced as :func:`vector_bits` prices them)
+    and ``pad`` (the delimiters appended to the final block), which
+    :meth:`from_bytes` leaves None.
     """
 
     params: CodecParams
     payload: bytes
     payload_bits: int = field(default=-1, compare=False)
     accounting: AccountedBits | None = field(default=None, compare=False)
-    blocks: int | None = field(default=None, compare=False)
     pad: int | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
@@ -528,15 +525,17 @@ class EncodedContainer:
 class AccountedBits:
     """Bit budget of a factorization, priced block by block in one pass.
 
-    ``bits_ceiled`` charges every field its whole-bit width, with
-    ceil(log2 length) per block for the length in variable mode;
-    ``bits_real`` is the same sum with exact (fractional) logarithms, i.e.
-    the information-content lower bound of this block structure.
+    ``blocks`` counts the blocks priced. ``bits_ceiled`` charges every
+    field its whole-bit width, with ceil(log2 length) per block for the
+    length in variable mode; ``bits_real`` is the same sum with exact
+    (fractional) logarithms, i.e. the information-content lower bound of
+    this block structure.
     ``container_bits`` is the exact size of the container :func:`encode`
     emits: the header, then the payload with its Elias-delta length
     codewords, rounded up to whole bytes.
     """
 
+    blocks: int
     bits_ceiled: int
     bits_real: float
     length_bits: int
@@ -552,34 +551,31 @@ def _block_cost(
     freq: tuple[int, ...],
     arrangements: int,
     params: CodecParams,
-    by_length: dict[int, tuple[int, int, int, float, float]],
 ) -> tuple[int, int, int, float, float, int, float]:
     """What one block with this count vector and arrangement count costs.
 
     In order: its length, Elias-delta and frequency widths in bits, the
     exact log2 of its length and of its vector count, then its permutation
     width and the exact log2 of its arrangement count. Fixed mode stores no
-    length, so those terms are 0. The terms that depend on the length alone
-    are kept in ``by_length``.
+    length, so those terms are 0.
     """
     length = sum(freq)
-    head = by_length.get(length)
-    if head is None:
-        length_bits = delta_bits = 0
-        log_length = 0.0
-        if params.mode == MODE_VARIABLE:
-            length_bits = ceil_log2(length)
-            delta_bits = elias_delta_bit_length(length)
-            log_length = math.log2(length)
-        count = _vector_count(length, params)
-        head = by_length[length] = (
-            length_bits,
-            delta_bits,
-            ceil_log2(count),
-            log_length,
-            log2_int(count),
-        )
-    return (*head, ceil_log2(arrangements), log2_int(arrangements))
+    length_bits = delta_bits = 0
+    log_length = 0.0
+    if params.mode == MODE_VARIABLE:
+        length_bits = ceil_log2(length)
+        delta_bits = elias_delta_bit_length(length)
+        log_length = math.log2(length)
+    count = _vector_count(length, params)
+    return (
+        length_bits,
+        delta_bits,
+        ceil_log2(count),
+        log_length,
+        log2_int(count),
+        ceil_log2(arrangements),
+        log2_int(arrangements),
+    )
 
 
 def _accounted(
@@ -590,9 +586,10 @@ def _accounted(
     ``bits_real`` adds every block's logarithms in that order, so two
     callers that price the same blocks get the same float.
     """
-    length_bits = delta_bits = freq_bits = perm_bits = 0
+    blocks = length_bits = delta_bits = freq_bits = perm_bits = 0
     real = 0.0
     for length, delta, width, log_length, log_count, perm, log_arrangements in costs:
+        blocks += 1
         length_bits += length
         delta_bits += delta
         freq_bits += width
@@ -603,6 +600,7 @@ def _accounted(
     payload = delta_bits + freq_bits + perm_bits
     header = len(EncodedContainer(params=params, payload=b"").to_bytes())
     return AccountedBits(
+        blocks=blocks,
         bits_ceiled=length_bits + freq_bits + perm_bits,
         bits_real=real,
         length_bits=length_bits,
@@ -619,10 +617,9 @@ def vector_bits(vectors: list[tuple[int, ...]], params: CodecParams) -> Accounte
     adds the costs up in block order, so ``bits_real`` does not depend on
     the memo.
     """
-    by_length: dict[int, tuple[int, int, int, float, float]] = {}
     costs = dict.fromkeys(vectors)
     for freq in costs:
-        costs[freq] = _block_cost(freq, multinomial(freq), params, by_length)
+        costs[freq] = _block_cost(freq, multinomial(freq), params)
     return _accounted(map(costs.__getitem__, vectors), params)
 
 

@@ -12,11 +12,13 @@ import argparse
 import csv
 import sys
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 from statistics import fmean
 
 from .analysis import finite_set_h0, write_comparison_csv
 from .block_codec import (
+    AccountedBits,
     AlphabetError,
     CodecParams,
     CorruptContainerError,
@@ -139,7 +141,7 @@ def cmd_encode(args) -> int:
         print(f"r: {params.r}")
     else:
         print(f"L: {params.fixed_len}")
-    print(f"blocks: {container.blocks}")
+    print(f"blocks: {acct.blocks}")
     print(f"pad: {container.pad}")
     print(f"container_bits: {total_bits}")
     print(f"container_bytes: {total_bits // 8}")
@@ -196,23 +198,15 @@ def cmd_figure1(args) -> int:
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One (file, mode, parameters) evaluation of the grid."""
+    """One grid point: the params it was priced under and what :func:`vector_bits` returned."""
 
-    file_id: str
-    n: int
-    mode: str
-    alpha: int | None
-    r: int | None
-    fixed_len: int | None
-    blocks: int
+    params: CodecParams
+    accounting: AccountedBits
     avg_block_len: float
-    bits_ceiled: int
-    bits_real: float
-    container_bits: int
 
     @property
     def bits_per_base(self) -> float:
-        return self.bits_ceiled / self.n if self.n else 0.0
+        return self.accounting.per_base(self.params.n)
 
 
 @dataclass(frozen=True)
@@ -262,35 +256,18 @@ def sweep_file(
     points: list[SweepPoint] = []
     for params, delimiters in grid:
         vectors, _ = block_vectors(data, params, delimiters)
-        acct = vector_bits(vectors, params)
-        points.append(
-            SweepPoint(
-                file_id=file_id,
-                n=n,
-                mode=params.mode,
-                alpha=params.alpha_byte if params.mode == MODE_VARIABLE else None,
-                r=params.r,
-                fixed_len=params.fixed_len,
-                blocks=len(vectors),
-                avg_block_len=fmean(map(sum, vectors)),
-                bits_ceiled=acct.bits_ceiled,
-                bits_real=acct.bits_real,
-                container_bits=acct.container_bits,
-            )
-        )
+        points.append(SweepPoint(params, vector_bits(vectors, params), fmean(map(sum, vectors))))
 
-    alpha_order = {byte: pos for pos, byte in enumerate(alphabet)}
-    variable_points = [p for p in points if p.mode == MODE_VARIABLE]
-    fixed_points = [p for p in points if p.mode == MODE_FIXED]
-    best_variable = min(
-        variable_points, key=lambda p: (p.bits_ceiled, p.r, alpha_order[p.alpha])
-    )
-    best_fixed = min(fixed_points, key=lambda p: (p.bits_ceiled, p.fixed_len))
+    def cost(p: SweepPoint) -> tuple[int, int, int]:
+        # ties go to the smaller r (or L), then to the delimiter earlier in the alphabet
+        params = p.params
+        return p.accounting.bits_ceiled, params.r or params.fixed_len, params.alpha_index or 0
+
+    variable_points = [p for p in points if p.params.mode == MODE_VARIABLE]
+    best_variable = min(variable_points, key=cost)
+    best_fixed = min((p for p in points if p.params.mode == MODE_FIXED), key=cost)
     r_cap = max(r_set)
-    best_variable_rcap = min(
-        (p for p in variable_points if p.r == r_cap),
-        key=lambda p: (p.bits_ceiled, alpha_order[p.alpha]),
-    )
+    best_variable_rcap = min((p for p in variable_points if p.params.r == r_cap), key=cost)
     return FileSweep(
         file_id,
         n,
@@ -346,13 +323,13 @@ def write_report_csv(stream, sweeps: list[FileSweep]) -> None:
                 " ".join(str(c) for c in sweep.counts),
                 f"{sweep.h0_bits_per_base:.6f}",
                 f"{fixed.bits_per_base:.6f}",
-                fixed.fixed_len,
+                fixed.params.fixed_len,
                 f"{var.bits_per_base:.6f}",
-                render_symbol(var.alpha),
-                var.r,
+                render_symbol(var.params.alpha_byte),
+                var.params.r,
                 f"{var.avg_block_len:.2f}",
                 f"{rcap.bits_per_base:.6f}",
-                render_symbol(rcap.alpha),
+                render_symbol(rcap.params.alpha_byte),
             ]
         )
     if sweeps:
@@ -384,21 +361,22 @@ def write_points_csv(stream, sweeps: list[FileSweep]) -> None:
     writer.writerow(_DETAIL_COLUMNS)
     for sweep in sweeps:
         for p in sweep.points:
+            params, acct = p.params, p.accounting
             writer.writerow(
                 [
-                    p.file_id,
-                    p.mode,
-                    render_symbol(p.alpha) if p.alpha is not None else "",
-                    p.r if p.r is not None else "",
-                    p.fixed_len if p.fixed_len is not None else "",
-                    p.blocks,
+                    sweep.file_id,
+                    params.mode,
+                    render_symbol(params.alpha_byte) if params.alpha_index else "",
+                    params.r or "",
+                    params.fixed_len or "",
+                    acct.blocks,
                     f"{p.avg_block_len:.2f}",
-                    p.bits_ceiled,
+                    acct.bits_ceiled,
                     f"{p.bits_per_base:.6f}",
-                    f"{p.bits_real:.3f}",
-                    f"{p.bits_real / p.n:.6f}",
-                    p.container_bits,
-                    f"{p.container_bits / p.n:.6f}",
+                    f"{acct.bits_real:.3f}",
+                    f"{acct.bits_real / sweep.n:.6f}",
+                    acct.container_bits,
+                    f"{acct.container_bits / sweep.n:.6f}",
                     int(p is sweep.best_variable or p is sweep.best_fixed),
                 ]
             )
@@ -415,10 +393,10 @@ def print_sweep_summary(sweeps: list[FileSweep]) -> None:
         fixed, var, rcap = sweep.best_fixed, sweep.best_variable, sweep.best_variable_rcap
         print(
             f"{sweep.file_id:<16} {sweep.n:>9} {sweep.h0_bits_per_base:>8.4f} "
-            f"{fixed.bits_per_base:>10.4f} {fixed.fixed_len:>5} "
-            f"{var.bits_per_base:>8.4f} {render_symbol(var.alpha):>5} "
-            f"{var.r:>4} {var.avg_block_len:>8.1f} "
-            f"{rcap.bits_per_base:>13.4f} {render_symbol(rcap.alpha):>5}"
+            f"{fixed.bits_per_base:>10.4f} {fixed.params.fixed_len:>5} "
+            f"{var.bits_per_base:>8.4f} {render_symbol(var.params.alpha_byte):>5} "
+            f"{var.params.r:>4} {var.avg_block_len:>8.1f} "
+            f"{rcap.bits_per_base:>13.4f} {render_symbol(rcap.params.alpha_byte):>5}"
         )
     if sweeps:
         avg_h0, avg_fixed, avg_var, avg_rcap = _averages(sweeps)
@@ -549,10 +527,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first call, not at import; parse_args keeps no state between calls
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

@@ -148,14 +148,12 @@ def perm_rank_and_count(
     return _rank_walk(ids, sigma)
 
 
-def sequence_to_perm_index(
-    seq: Sequence[Hashable], alphabet: Alphabet, counts: Sequence[int] | None = None
-) -> int:
+def sequence_to_perm_index(seq: Sequence[Hashable], alphabet: Alphabet) -> int:
     """Zero-based lexicographic rank of ``seq`` among arrangements of its multiset.
 
-    The empty sequence ranks 0; ``counts`` is as for :func:`perm_rank_and_count`.
+    The empty sequence ranks 0.
     """
-    return perm_rank_and_count(seq, alphabet, counts)[0]
+    return perm_rank_and_count(seq, alphabet)[0]
 
 
 _BYTE_IDS = bytes(range(256))

@@ -11,8 +11,8 @@ walks did before they summed the small counts first. The left-to-right rank
 oracles are the rank before it ran from the right and yielded the
 arrangement count. The split oracle is the product tree the rank used for
 its widest counts, fast enough to check blocks of 64k symbols. The leaf
-oracle is the permutation unrank's first leaf decoder, and the reader oracle
-reads a codeword field by field.
+oracle is the permutation unrank's first leaf decoder, and the reader and
+writer oracles read and write a codeword field by field.
 """
 
 import math
@@ -161,6 +161,7 @@ def reference_accounted_bits(blocks, params):
         real += log2_int(arrangements)
     payload = delta_bits + freq_bits + perm_bits
     return AccountedBits(
+        blocks=len(blocks),
         bits_ceiled=length_bits + freq_bits + perm_bits,
         bits_real=real,
         length_bits=length_bits,
@@ -420,10 +421,21 @@ def reference_decode_leaf(num, den, err, counts, out, limit):
     return p, q, t
 
 
-# -- reference Elias-delta reader ----------------------------------------------
+# -- reference Elias-delta writer and reader ----------------------------------
 #
+# The writer before it wrote a codeword as one field: three ``write`` calls.
 # The reader before it took a whole codeword from one window: one window finds
 # the zero run, then two ``read`` calls take the bit count and the value.
+
+
+def reference_write_elias_delta(writer, value):
+    """The Elias-delta codeword as three fields: the zero run, the bit count,
+    then the value below its top bit."""
+    nbits = value.bit_length()
+    lbits = nbits.bit_length()
+    writer.write(0, lbits - 1)
+    writer.write(nbits, lbits)
+    writer.write(value & ((1 << (nbits - 1)) - 1), nbits - 1)
 
 
 class ReferenceBitReader(BitReader):

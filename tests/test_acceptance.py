@@ -322,7 +322,10 @@ def test_criterion_8_corpus_entropy_and_sweep():
             wins = 0
             for seed in range(10):
                 sweep = sweep_file(f"synthetic{seed}", _dna_like(seed))
-                wins += sweep.best_variable.bits_ceiled <= sweep.best_fixed.bits_ceiled
+                wins += (
+                    sweep.best_variable.accounting.bits_ceiled
+                    <= sweep.best_fixed.accounting.bits_ceiled
+                )
             sweep_ok = wins >= 8
             sweep_detail = f"corpus unavailable; variable <= fixed on {wins}/10 synthetic files"
     _criterion(

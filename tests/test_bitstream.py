@@ -11,7 +11,7 @@ from enumcode.bitstream import (
     elias_delta_bit_length,
 )
 
-from oracles import ReferenceBitReader
+from oracles import ReferenceBitReader, reference_write_elias_delta
 
 
 def test_msb_first_packing():
@@ -90,6 +90,21 @@ def test_elias_delta_codewords(value, bits):
     assert elias_delta_bit_length(value) == len(bits)
     padded = bits + "0" * (-len(bits) % 8)
     assert w.getvalue() == int(padded, 2).to_bytes(len(padded) // 8, "big")
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1, 2, 3, *(v for k in (2, 3, 7, 8, 16, 31, 32, 63) for v in (2**k - 1, 2**k)), 2**64 - 1],
+)
+def test_elias_delta_is_the_three_field_codeword(value):
+    # one write of the whole codeword, at every offset within a byte
+    for skip in range(8):
+        got, expected = BitWriter(), BitWriter()
+        for w in (got, expected):
+            w.write(0b1011011 & ((1 << skip) - 1), skip)
+        got.write_elias_delta(value)
+        reference_write_elias_delta(expected, value)
+        assert (got.getvalue(), got.bit_length) == (expected.getvalue(), expected.bit_length)
 
 
 def test_elias_delta_rejects_zero():

@@ -644,7 +644,8 @@ def test_block_vectors_match_factorize(case):
     expected = ([b.freq for b in blocks], blocks[-1].pad_count if blocks else 0)
     assert block_vectors(data, params) == expected
     assert [sum(freq) for freq in expected[0]] == [b.length for b in blocks]
-    # exact, bits_real included: the memo must not change the sum's order
+    # exact, bits_real included: the memo must not change the sum's order;
+    # the oracle counts the blocks it cut
     assert vector_bits(expected[0], params) == reference_accounted_bits(blocks, params)
     if params.mode == "variable":
         positions = delimiter_positions(data, params.alpha_byte)
@@ -776,7 +777,7 @@ def test_encode_carries_the_accounting_of_its_blocks(case):
     vectors, pad = block_vectors(data, params)
     # exact, bits_real included: encode prices its blocks in block order
     assert container.accounting == vector_bits(vectors, params)
-    assert (container.blocks, container.pad) == (len(vectors), pad)
+    assert (container.accounting.blocks, container.pad) == (len(vectors), pad)
     assert container.accounting.container_bits == 8 * len(container.to_bytes())
     assert container.payload_bits == (
         container.accounting.freq_bits

@@ -5,7 +5,7 @@ from statistics import fmean
 
 import pytest
 
-from enumcode.block_codec import CodecParams, encode
+from enumcode.block_codec import encode
 from enumcode.cli import main, sweep_file
 
 from conftest import COMPOSITIONS_4_4, FIG_T, PERMS_2110
@@ -35,6 +35,25 @@ class TestEncodeDecode:
         assert "accounted_bits_ceiled: 73" in out
         assert main(["decode", str(enc), "--out", str(dec)]) == 0
         assert sha(dec) == sha(fig_file)
+
+    def test_one_call_does_not_leak_into_the_next(self, tmp_path, fig_file, capsys):
+        # main builds its parser once per process; no option may outlive its call
+        args = ["encode", str(fig_file), "--alpha", "a", "--r", "2"]
+        elsewhere = tmp_path / "elsewhere.enum"
+        default = tmp_path / "sample.txt.enum"
+        assert main([*args, "--mode", "fixed", "--L", "8", "--out", str(elsewhere)]) == 0
+        assert "mode: fixed" in capsys.readouterr().out
+        assert not default.exists()
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert "mode: variable" in out
+        assert f"output: {default}" in out
+        assert default.exists()
+        # a usage error, then a valid call
+        assert main(["encode", str(fig_file), "--r", "two"]) == 2
+        back = tmp_path / "back.txt"
+        assert main(["decode", str(default), "--out", str(back)]) == 0
+        assert back.read_bytes() == FIG_T
 
     def test_fixed_mode(self, tmp_path, fig_file):
         enc = tmp_path / "f.enum"
@@ -255,21 +274,17 @@ class TestSweep:
         inputs.append(b"acgt" * 101 + b"a")  # ends on a consumed delimiter at r=1
         for data in inputs:
             sweep = sweep_file("x", data, r_set=(1, 2, 4), l_set=(1, 4, 8))
-            alphabet = bytes(sorted(set(data)))
             for point in sweep.points:
-                if point.mode == "variable":
-                    params = CodecParams.variable(alphabet, point.alpha, point.r, len(data))
-                else:
-                    params = CodecParams.fixed(alphabet, point.fixed_len, len(data))
+                params = point.params
                 blocks = reference_factorize(data, params)
                 acct = reference_accounted_bits(blocks, params)
-                assert point.blocks == len(blocks)
+                assert point.accounting.blocks == len(blocks)
                 assert point.avg_block_len == fmean(b.length for b in blocks)
-                assert point.bits_ceiled == acct.bits_ceiled
-                assert point.bits_real == acct.bits_real
+                assert point.accounting.bits_ceiled == acct.bits_ceiled
+                assert point.accounting.bits_real == acct.bits_real
                 assert point.bits_per_base == pytest.approx(acct.bits_ceiled / len(data))
                 # the container column is the size of the container encode writes
-                assert point.container_bits == 8 * len(encode(data, params).to_bytes())
+                assert point.accounting.container_bits == 8 * len(encode(data, params).to_bytes())
 
     def test_fasta_alphas_are_uppercased(self, tmp_path, capsys):
         # --fasta uppercases the sequence, so a lowercase delimiter must follow,
@@ -367,6 +382,7 @@ class TestSweep:
         candidates = [
             p
             for p in sweep.points
-            if p.mode == "variable" and p.bits_ceiled == best.bits_ceiled
+            if p.params.mode == "variable"
+            and p.accounting.bits_ceiled == best.accounting.bits_ceiled
         ]
-        assert best.r == min(p.r for p in candidates)
+        assert best.params.r == min(p.params.r for p in candidates)

@@ -88,10 +88,9 @@ class TestRanking:
             for walk_bits in (1, 10**9):
                 with mock.patch.object(permutation_codec, "_RANK_WALK_BITS", walk_bits):
                     assert perm_rank_and_count(b"gcaa", b"acgt", (2, 1, 1, 0)) == (11, 12)
-                    assert sequence_to_perm_index(b"gcaa", b"acgt", (2, 1, 1, 0)) == 11
-                    assert sequence_to_perm_index("gcaa", "acgt", [2, 1, 1, 0]) == 11
+                    assert perm_rank_and_count("gcaa", "acgt", [2, 1, 1, 0]) == (11, 12)
                     counts = [2, 1, 1, 0]
-                    sequence_to_perm_index(b"gcaa", b"acgt", counts)
+                    perm_rank_and_count(b"gcaa", b"acgt", counts)
                     assert counts == [2, 1, 1, 0]  # the caller's counts are not consumed
             assert perm_index_to_sequence(11, (2, 1, 1, 0), b"acgt", 12) == b"gcaa"
             with pytest.raises(ValueError, match="out of range"):
@@ -283,7 +282,7 @@ def ranks_on_every_path(seq, alphabet):
     for bounds in RANK_BOUNDS:
         with mock.patch.dict(vars(permutation_codec), bounds):
             ranks.add(sequence_to_perm_index(seq, alphabet))
-            ranks.add(sequence_to_perm_index(seq, alphabet, counts))
+            ranks.add(perm_rank_and_count(seq, alphabet, counts)[0])
     return ranks
 
 

@@ -69,15 +69,9 @@ def test_sweep_prices_each_block_once(tracer, modules):
     assert metrics["block_codec.accounted_bits.calls"] == 0
     assert metrics["block_codec.container_bits.calls"] == 0
     # each point prices a distinct count vector once, untraced oracle below
-    block_codec = modules["block_codec"]
-    alphabet = bytes(sorted(set(data)))
     blocks = distinct = 0
     for point in sweep.points:
-        if point.mode == "variable":
-            params = block_codec.CodecParams.variable(alphabet, point.alpha, point.r, len(data))
-        else:
-            params = block_codec.CodecParams.fixed(alphabet, point.fixed_len, len(data))
-        freqs = [block.freq for block in reference_factorize(data, params)]
+        freqs = [block.freq for block in reference_factorize(data, point.params)]
         blocks += len(freqs)
         distinct += len(set(freqs))
     assert distinct < blocks

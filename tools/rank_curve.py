@@ -24,8 +24,9 @@ one-run count instead of handing over to the walk) and the dispatching
 ``BitWriter.write`` as a field of its real width. Every rank must agree and
 every unrank must give the block back. Each time is the best of three runs,
 in seconds, each run repeated until it takes 0.2 s or more
-(``timeit.Timer.autorange``); ``count_rank_s`` and ``parent_rank_s`` take
-three such measurements each, in turn, and keep the best.
+(``timeit.Timer.autorange``). A row's rank columns take their runs in turn,
+round-robin, and so do its unrank columns, so that a host slowing down
+during the row slows every column of a group alike.
 
 The rows:
 
@@ -90,19 +91,25 @@ SKEWED = ((1, 8192), (4, 8192), (100, 8192), (1000, 32768))
 
 
 def seconds(fn) -> float:
-    timer = timeit.Timer(fn)
-    number, _ = timer.autorange()
-    return min(timer.repeat(3, number)) / number
+    """Seconds per call over one run, repeated until it takes 0.2 s or more."""
+    number, elapsed = timeit.Timer(fn).autorange()
+    return elapsed / number
 
 
-def alternating(first, second, rounds: int = 3) -> tuple[float, float]:
-    """:func:`seconds` of two calls, best of ``rounds`` runs taken in turn, so
-    that a host slowing down during the row slows both alike."""
-    best_first = best_second = float("inf")
+# column -> the permutation_codec thresholds it runs under
+THRESHOLDS = {"chunk_unrank_s": {"_WALK_BITS": 1}}
+
+
+def alternating(columns: dict, rounds: int = 3) -> dict[str, float]:
+    """:func:`seconds` of every column's call, best of ``rounds`` runs taken
+    round-robin, so that a host slowing down during the row slows every
+    column alike."""
+    best = dict.fromkeys(columns, float("inf"))
     for _ in range(rounds):
-        best_first = min(best_first, seconds(first))
-        best_second = min(best_second, seconds(second))
-    return best_first, best_second
+        for column, fn in columns.items():
+            with mock.patch.dict(vars(permutation_codec), THRESHOLDS.get(column, {})):
+                best[column] = min(best[column], seconds(fn))
+    return best
 
 
 def blocks() -> dict[str, tuple[bytes, bytes]]:
@@ -125,47 +132,39 @@ def measure(name: str, block: bytes, alphabet: bytes) -> dict:
     arrangements = multinomial(counts)
     rank = reference_rank_incremental(ids, list(counts))
     ranks = {
-        "_rank_walk": lambda: _rank_walk(ids, len(alphabet)),
-        "_rank_chunks": lambda: _rank_chunks(ids, list(counts)),
-        "perm_rank_and_count": lambda: perm_rank_and_count(block, alphabet, counts),
+        "walk_rank_s": lambda: _rank_walk(ids, len(alphabet)),
+        "incremental_rank_s": lambda: reference_rank_incremental(ids, list(counts)),
+        "split_rank_s": lambda: reference_rank_split(ids, list(counts)),
+        "chunk_rank_s": lambda: _rank_chunks(ids, list(counts)),
+        "count_rank_s": lambda: perm_rank_and_count(block, alphabet, counts),
+        "parent_rank_s": lambda: parent_rank(_byte_ids(block, alphabet), list(counts)),
+        "rank_s": lambda: sequence_to_perm_index(block, alphabet),
     }
-    for label, fn in ranks.items():
-        if fn() != (rank, arrangements):
-            raise SystemExit(f"{label} and the oracle walk differ on {name}")
-    for other in (reference_rank_split, parent_rank):
-        if other(ids, list(counts)) != rank:
-            raise SystemExit(f"{other.__name__} and the oracle walk differ on {name}")
-    # column -> (unrank, the thresholds it runs under)
     unranks = {
-        "walk_unrank_s": (_unrank_walk, {}),
-        "incremental_unrank_s": (reference_unrank_incremental, {}),
-        "chunk_unrank_s": (_unrank_chunks, {"_WALK_BITS": 1}),
+        "walk_unrank_s": lambda: _unrank_walk(rank, arrangements, list(counts)),
+        "incremental_unrank_s": lambda: reference_unrank_incremental(
+            rank, arrangements, list(counts)
+        ),
+        "chunk_unrank_s": lambda: _unrank_chunks(rank, arrangements, list(counts)),
+        "unrank_s": lambda: perm_index_to_sequence(rank, counts, alphabet),
     }
-    unrank_times = {}
-    for column, (unrank, thresholds) in unranks.items():
-        with mock.patch.dict(vars(permutation_codec), thresholds):
-            if unrank(rank, arrangements, list(counts)) != ids:
+    # the walk, the chunks and perm_rank_and_count give the arrangement count too
+    with_count = ("walk_rank_s", "chunk_rank_s", "count_rank_s")
+    for column, fn in ranks.items():
+        if fn() != ((rank, arrangements) if column in with_count else rank):
+            raise SystemExit(f"{column} and the oracle walk differ on {name}")
+    for column, fn in unranks.items():
+        with mock.patch.dict(vars(permutation_codec), THRESHOLDS.get(column, {})):
+            if fn() != (block if column == "unrank_s" else ids):
                 raise SystemExit(f"{column} does not invert the rank on {name}")
-            unrank_times[column] = seconds(lambda: unrank(rank, arrangements, list(counts)))
-    count_rank_s, parent_rank_s = alternating(
-        ranks["perm_rank_and_count"],
-        lambda: parent_rank(_byte_ids(block, alphabet), list(counts)),
-    )
     width = ceil_log2(arrangements)
     return {
         "sigma": len(alphabet),
         "length": len(block),
         "width_bits": width,
-        "walk_rank_s": seconds(ranks["_rank_walk"]),
-        "incremental_rank_s": seconds(lambda: reference_rank_incremental(ids, list(counts))),
-        "split_rank_s": seconds(lambda: reference_rank_split(ids, list(counts))),
-        "chunk_rank_s": seconds(ranks["_rank_chunks"]),
-        "count_rank_s": count_rank_s,
-        "parent_rank_s": parent_rank_s,
-        "rank_s": seconds(lambda: sequence_to_perm_index(block, alphabet)),
-        **unrank_times,
-        "unrank_s": seconds(lambda: perm_index_to_sequence(rank, counts, alphabet)),
-        "write_s": seconds(lambda: BitWriter().write(rank, width)),
+        **alternating(ranks),
+        **alternating(unranks),
+        **alternating({"write_s": lambda: BitWriter().write(rank, width)}),
     }
 
 

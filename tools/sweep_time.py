@@ -27,7 +27,6 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from enumcode.block_codec import MODE_VARIABLE, CodecParams  # noqa: E402
 from enumcode.cli import sweep_file  # noqa: E402
 from oracles import reference_accounted_bits, reference_factorize  # noqa: E402
 from test_acceptance import _dna_like  # noqa: E402
@@ -47,12 +46,8 @@ def best_of_3(fn) -> float:
 
 def check_against_oracle(data: bytes) -> None:
     sweep = sweep_file("oracle", data)
-    alphabet = bytes(sorted(set(data)))
     for point in sweep.points:
-        if point.mode == MODE_VARIABLE:
-            params = CodecParams.variable(alphabet, point.alpha, point.r, len(data))
-        else:
-            params = CodecParams.fixed(alphabet, point.fixed_len, len(data))
+        params = point.params
         blocks = reference_factorize(data, params)
         acct = reference_accounted_bits(blocks, params)
         expected = (
@@ -63,11 +58,11 @@ def check_against_oracle(data: bytes) -> None:
             acct.container_bits,
         )
         got = (
-            point.blocks,
+            point.accounting.blocks,
             point.avg_block_len,
-            point.bits_ceiled,
-            point.bits_real,
-            point.container_bits,
+            point.accounting.bits_ceiled,
+            point.accounting.bits_real,
+            point.accounting.container_bits,
         )
         if got != expected:
             raise SystemExit(f"sweep differs from the oracle at {params}: {got} != {expected}")
