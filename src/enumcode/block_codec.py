@@ -34,7 +34,7 @@ import struct
 from dataclasses import dataclass, field, replace
 from itertools import compress, repeat
 from statistics import fmean
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .analysis import log2_int
 from .bitstream import (
@@ -58,8 +58,15 @@ VERSION = 1
 DEFAULT_MAX_OUTPUT = 1 << 28
 MODE_FIXED = "fixed"
 MODE_VARIABLE = "variable"
-_MODE_CODES = {MODE_FIXED: 0, MODE_VARIABLE: 1}
-_MODE_NAMES = {code: name for name, code in _MODE_CODES.items()}
+# The header, as README's format table lays it out: magic, version, mode
+# byte and sigma, then the alphabet's sigma bytes, then n and each mode's own
+# fields, named as CodecParams names them.
+_PREFIX = struct.Struct(">4sBBH")
+_MODE_FIELDS = {
+    MODE_FIXED: (0, struct.Struct(">QI"), ("n", "fixed_len")),
+    MODE_VARIABLE: (1, struct.Struct(">QHI"), ("n", "alpha_index", "r")),
+}
+_MODES = {code: (mode, fields, names) for mode, (code, fields, names) in _MODE_FIELDS.items()}
 # r and fixed_len are u32 header fields
 _U32_MAX = 0xFFFFFFFF
 
@@ -211,13 +218,13 @@ def block_vectors(
     block is sliced or built. ``positions`` are the delimiter's offsets
     (:func:`delimiter_positions`) when the caller already has them.
     """
-    _, _, vectors, pad = _cut(data, params, positions)
+    _, vectors, pad = _cut(data, params, positions)
     return vectors, pad
 
 
 def factorize(data: bytes, params: CodecParams) -> list[Block]:
     """Every block at :func:`_cut`'s bounds, with its symbols and count vector."""
-    contents, vectors, pad = _sliced(data, params)
+    contents, vectors, pad = _cut(data, params)
     blocks = [Block(content, len(content), freq) for content, freq in zip(contents, vectors)]
     if pad:
         blocks[-1] = replace(blocks[-1], pad_count=pad)
@@ -226,84 +233,79 @@ def factorize(data: bytes, params: CodecParams) -> list[Block]:
 
 def _cut(
     data: bytes, params: CodecParams, positions: list[int] | None = None
-) -> tuple[Sequence[int], Sequence[int], list[tuple[int, ...]], int]:
-    """(starts, ends, vectors, pad): where every block lies, and its counts.
+) -> tuple[Iterator[bytes], list[tuple[int, ...]], int]:
+    """(contents, vectors, pad): every block's symbols, sliced lazily, and its counts.
 
-    Block i is ``data[starts[i]:ends[i]]``. In variable mode every block
-    holds the delimiter exactly r times and the (r+1)-th ends it; the final
-    block ends ``pad`` delimiters past the end of ``data``, which it owes to
-    padding, and an input ending on a consumed delimiter has no final block.
-    The last fixed-mode end may pass the end of ``data`` too.
+    The counts are read between the block bounds in ``data`` itself, so a
+    caller that leaves ``contents`` unread slices nothing. In variable mode
+    every block holds the delimiter exactly r times and the (r+1)-th ends
+    it; the final block ends ``pad`` delimiters past the end of ``data``,
+    which it owes to padding and which its content carries, and an input
+    ending on a consumed delimiter has no final block. The last fixed-mode
+    block may be short.
     """
     _check_input(data, params)
     n = len(data)
+    pad = 0
     if params.mode == MODE_FIXED:
+        alpha = r = None
         size = params.fixed_len
         starts = range(0, n, size)
         ends = range(size, n + size, size)
-        columns = [map(data.count, repeat(symbol), starts, ends) for symbol in params.alphabet]
-        return starts, ends, list(zip(*columns)), 0
-    if not n:
-        return [], [], [], 0
-    alpha, r = params.alpha_byte, params.r
-    if positions is None:
-        positions = delimiter_positions(data, alpha)
-    # each full block ends at the (r+1)-th delimiter from its start
-    ends = positions[r :: r + 1]
-    starts = [0, *(end + 1 for end in ends)]
-    pad = 0
-    if starts[-1] < n:
-        pad = r - (len(positions) - (len(starts) - 1) * (r + 1))
-        ends.append(n + pad)
     else:
-        starts.pop()
-    # every block holds exactly r delimiters, the final one's owed to padding
+        alpha, r = params.alpha_byte, params.r
+        if positions is None:
+            positions = delimiter_positions(data, alpha)
+        # each full block ends at the (r+1)-th delimiter from its start
+        ends = positions[r :: r + 1]
+        starts = [0, *(end + 1 for end in ends)]
+        if starts[-1] < n:
+            pad = r - (len(positions) - (len(starts) - 1) * (r + 1))
+            ends.append(n + pad)
+        else:
+            starts.pop()
+    # every variable-mode block holds exactly r delimiters, the final one's owed to padding
     columns = [
         repeat(r, len(ends)) if symbol == alpha else map(data.count, repeat(symbol), starts, ends)
         for symbol in params.alphabet
     ]
-    return starts, ends, list(zip(*columns)), pad
-
-
-def _sliced(
-    data: bytes, params: CodecParams
-) -> tuple[Iterator[bytes], list[tuple[int, ...]], int]:
-    """Each block's symbols, sliced lazily, with the vectors and pad of :func:`_cut`."""
-    starts, ends, vectors, pad = _cut(data, params)
-    # the final variable-mode block ends past the input, on the delimiters it owes
-    owed = bytes([params.alpha_byte]) * pad if pad else b""
-    n = len(data)
+    owed = bytes([alpha]) * pad if pad else b""
     contents = (
         data[start:end] + owed if end > n else data[start:end]
         for start, end in zip(starts, ends)
     )
-    return contents, vectors, pad
+    return contents, list(zip(*columns)), pad
+
+
+def _vector_shape(length: int, params: CodecParams) -> tuple[int, int]:
+    """(dims, inner): the frequency field of a ``length``-symbol block ranks a
+    vector of ``dims`` counts that sum to ``inner``.
+
+    Fixed mode ranks the full vector. Variable mode drops the delimiter
+    dimension, whose count is always r.
+    """
+    if params.mode == MODE_FIXED:
+        return params.sigma, length
+    return params.sigma - 1, length - params.r
 
 
 def _vector_count(length: int, params: CodecParams) -> int:
-    """How many count vectors the frequency field of a ``length``-symbol block chooses from.
-
-    Fixed mode ranks the full vector: K(sigma, length). Variable mode drops
-    the delimiter dimension, whose count is always r: K(sigma - 1, length - r),
-    and a single vector over a 1-symbol alphabet. The field is
-    ceil(log2(count)) bits wide.
+    """How many count vectors the frequency field of a ``length``-symbol block
+    chooses from: K(dims, inner) of :func:`_vector_shape`, and one vector of no
+    dimensions. The field is ceil(log2(count)) bits wide.
     """
-    if params.mode == MODE_FIXED:
-        return k_count(params.sigma, length)
-    if params.sigma == 1:
-        return 1
-    return k_count(params.sigma - 1, length - params.r)
+    dims, inner = _vector_shape(length, params)
+    return k_count(dims, inner) if dims else 1
 
 
 def encode(data: bytes, params: CodecParams) -> "EncodedContainer":
-    """Serialize every block :func:`factorize` would cut into a container.
+    """Serialize every block :func:`_cut` cuts into a container.
 
-    The blocks are sliced at :func:`_cut`'s bounds. Each block's rank yields
-    its arrangement count, and the block is priced as :func:`vector_bits`
-    prices it (:func:`_block_cost`), which gives both field widths. The
-    container carries that accounting and the pad.
+    Each block's rank yields its arrangement count, and the block is priced
+    as :func:`vector_bits` prices it (:func:`_block_cost`), which gives both
+    field widths. The container carries that accounting and the pad.
     """
-    contents, vectors, pad = _sliced(data, params)
+    contents, vectors, pad = _cut(data, params)
     writer = BitWriter()
     variable = params.mode == MODE_VARIABLE
     if variable:
@@ -349,14 +351,9 @@ def _decode_block_fields(
     2**min(j, N - j), so a width that cannot fit the remaining bits is
     rejected without building its count.
     """
-    if params.mode == MODE_VARIABLE:
-        dims = params.sigma - 1
-        inner = length - params.r
-        if not dims and inner:
-            raise ValueError(f"length {length} exceeds r over a 1-symbol alphabet")
-    else:
-        dims = params.sigma
-        inner = length
+    dims, inner = _vector_shape(length, params)
+    if not dims and inner:
+        raise ValueError(f"length {length} exceeds r over a 1-symbol alphabet")
     # K(dims, inner) = C(inner + dims - 1, dims - 1)
     _check_room(reader, min(dims - 1, inner), "frequency rank")
     count = _vector_count(length, params)
@@ -364,7 +361,8 @@ def _decode_block_fields(
     if rank >= count:
         raise ValueError(f"frequency rank {rank} out of range (< {count})")
     freq = index_to_vector(rank, inner, dims) if dims else ()
-    if params.mode == MODE_VARIABLE:
+    if dims < params.sigma:
+        # the dropped delimiter dimension, whose count is always r
         apos = params.alpha_index - 1
         freq = freq[:apos] + (params.r,) + freq[apos:]
 
@@ -426,12 +424,7 @@ def decode(container: "EncodedContainer", max_output: int = DEFAULT_MAX_OUTPUT) 
         return b"".join(contents)
     joined = bytes([params.alpha_byte]).join(contents)
     if len(joined) < params.n:
-        if len(joined) != params.n - 1:
-            raise CorruptContainerError(
-                f"reconstructed {len(joined)} symbols for n={params.n}",
-                block=len(contents),
-                bit_offset=start,
-            )
+        # len(joined) == covered >= n - 1: only the consumed final delimiter is missing
         return joined + bytes([params.alpha_byte])
     pad = len(joined) - params.n
     if pad > params.r:
@@ -468,57 +461,36 @@ class EncodedContainer:
             object.__setattr__(self, "payload_bits", len(self.payload) * 8)
 
     def to_bytes(self) -> bytes:
-        p = self.params
-        head = bytearray()
-        head += MAGIC
-        head.append(VERSION)
-        head.append(_MODE_CODES[p.mode])
-        head += struct.pack(">H", p.sigma)
-        head += p.alphabet
-        head += struct.pack(">Q", p.n)
-        if p.mode == MODE_VARIABLE:
-            head += struct.pack(">HI", p.alpha_index, p.r)
-        else:
-            head += struct.pack(">I", p.fixed_len)
-        return bytes(head) + self.payload
+        return _header(self.params) + self.payload
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "EncodedContainer":
         if raw[:4] != MAGIC:
             raise FormatError("not an enumerative-coding container (bad magic)")
-        if len(raw) < 8:
+        if len(raw) < _PREFIX.size:
             raise FormatError("truncated header")
-        if raw[4] != VERSION:
-            raise FormatError(f"unsupported container version {raw[4]}")
-        mode = _MODE_NAMES.get(raw[5])
-        if mode is None:
-            raise FormatError(f"unknown mode byte {raw[5]}")
-        (sigma,) = struct.unpack_from(">H", raw, 6)
-        pos = 8
-        if sigma < 1 or len(raw) < pos + sigma + 8:
+        _, version, code, sigma = _PREFIX.unpack_from(raw)
+        if version != VERSION:
+            raise FormatError(f"unsupported container version {version}")
+        if code not in _MODES:
+            raise FormatError(f"unknown mode byte {code}")
+        mode, fields, names = _MODES[code]
+        pos = _PREFIX.size + sigma
+        if sigma < 1 or len(raw) < pos + fields.size:
             raise FormatError("truncated header")
-        alphabet = raw[pos : pos + sigma]
-        pos += sigma
-        (n,) = struct.unpack_from(">Q", raw, pos)
-        pos += 8
+        values = dict(zip(names, fields.unpack_from(raw, pos)))
         try:
-            if mode == MODE_VARIABLE:
-                if len(raw) < pos + 6:
-                    raise FormatError("truncated header")
-                alpha_index, r = struct.unpack_from(">HI", raw, pos)
-                pos += 6
-                params = CodecParams(
-                    alphabet=alphabet, mode=mode, n=n, alpha_index=alpha_index, r=r
-                )
-            else:
-                if len(raw) < pos + 4:
-                    raise FormatError("truncated header")
-                (fixed_len,) = struct.unpack_from(">I", raw, pos)
-                pos += 4
-                params = CodecParams(alphabet=alphabet, mode=mode, n=n, fixed_len=fixed_len)
+            params = CodecParams(alphabet=raw[_PREFIX.size : pos], mode=mode, **values)
         except ValueError as exc:
             raise FormatError(f"invalid header field: {exc}") from None
-        return cls(params=params, payload=raw[pos:])
+        return cls(params=params, payload=raw[pos + fields.size :])
+
+
+def _header(params: CodecParams) -> bytes:
+    """The container header of ``params``, laid out by ``_PREFIX`` and ``_MODE_FIELDS``."""
+    code, fields, names = _MODE_FIELDS[params.mode]
+    values = (getattr(params, name) for name in names)
+    return _PREFIX.pack(MAGIC, VERSION, code, params.sigma) + params.alphabet + fields.pack(*values)
 
 
 @dataclass(frozen=True)
@@ -598,7 +570,7 @@ def _accounted(
         real += log_count
         real += log_arrangements
     payload = delta_bits + freq_bits + perm_bits
-    header = len(EncodedContainer(params=params, payload=b"").to_bytes())
+    header = len(_header(params))
     return AccountedBits(
         blocks=blocks,
         bits_ceiled=length_bits + freq_bits + perm_bits,

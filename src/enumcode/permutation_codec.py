@@ -17,25 +17,27 @@ arrangement count comes out of it: starting from the empty suffix, whose
 count is 1, each symbol adds A_{i+1} * a_i / b_i to the rank and scales the
 count by m_i / b_i, and after the first symbol the count is the block's
 multinomial, which sets the width of its permutation field. Which path runs
-is picked before the loop, by the width of that count, which sets the cost
-of every big-int step. A block of n symbols over sigma kinds with
-n * ceil(log2 sigma) at most ``_RANK_WALK_BITS`` has a count no wider, and
-so do blocks whose count ``math.lgamma`` estimates that narrow; they walk
+is picked before the loop, from the block's length alone: a block of n
+symbols over sigma kinds has a count at most n * ceil(log2 sigma) bits wide.
+Where that bound is at most ``_RANK_WALK_BITS`` the block walks
 (:func:`_rank_walk`): a_i and b_i come from the suffix's small counts, so
 each symbol costs two big-int products and two exact divisions by the small
 b_i whatever the alphabet size, on a number as wide as the count. Only the
-wider blocks are counted first. They rank in chunks (:func:`_rank_chunks`),
+longer blocks are counted first. They rank in chunks (:func:`_rank_chunks`),
 the way they unrank: each chunk of ``_CHUNK`` symbols folds into a small
 (P, Q, T) triple with small-int arithmetic, left to right, and the triples
 are applied from the last to the first, one long division of the full-width
-count by the small P and products by the small T and Q per chunk. Like the
-chunked unrank, this is quadratic in the count's width. A product tree
-(binary splitting) ranks the widest counts faster, but by at most 2.4x where
-measured (1.1x at 131072 DNA symbols, 2x at 32768 symbols over 256 kinds),
-and only on blocks whose unrank is slower still, so the rank does without
-one. ``tools/rank_curve.py`` measures both paths and the tree. Byte
-sequences over a byte alphabet become symbol ids through
-``bytes.translate``, never through a per-symbol lookup.
+count by the small P and products by the small T and Q per chunk. A longer
+block whose count is narrow ranks in chunks too, which there cost about what
+the walk does (0.86x of it on 260 uniform DNA symbols, 1.07x on 32768
+symbols at 1000:1 odds). Like the chunked unrank, this is quadratic in the
+count's width. A product tree (binary splitting) ranks the widest counts
+faster, but by at most 2.4x where measured (1.1x at 131072 DNA symbols, 2x
+at 32768 symbols over 256 kinds), and only on blocks whose unrank is
+slower still, so the rank does without one. ``tools/rank_curve.py``
+measures both paths and the tree. Byte sequences over a byte alphabet
+become symbol ids through ``bytes.translate``, never through a per-symbol
+lookup.
 
 Unranking decodes from the left. While the arrangement count is narrow, the
 greedy walk (:func:`_unrank_walk`) reads each symbol off v = pid * m_i // A_i
@@ -111,15 +113,13 @@ def _symbol_ids(seq: Iterable[Hashable], alphabet: Alphabet) -> tuple[list[int],
     return ids, counts
 
 
-# A block whose arrangement count is at most this many bits wide ranks by the
-# walk, a wider one in chunks of _CHUNK symbols (tools/rank_curve.py measures
-# both). n * ceil(log2 sigma) bounds the width without counting the block;
-# math.lgamma estimates it for a block past that bound.
+# A block whose arrangement count is provably at most this many bits wide,
+# by the bound n * ceil(log2 sigma), ranks by the walk; a longer one ranks in
+# chunks of _CHUNK symbols (tools/rank_curve.py measures both).
 _RANK_WALK_BITS = 512
 # Symbols per rank chunk, and the most an unrank chunk decodes, before one
 # exact update of the full-width state.
 _CHUNK = 64
-_LN2 = math.log(2)
 
 
 def perm_rank_and_count(
@@ -140,12 +140,11 @@ def perm_rank_and_count(
             counts = found
     sigma = len(alphabet)
     # sigma ** n bounds the count, so a block this short is narrow
-    if len(ids) * (sigma - 1).bit_length() > _RANK_WALK_BITS:
-        if counts is None:
-            counts = list(map(seq.count, alphabet))
-        if _estimated_width(counts, len(ids)) > _RANK_WALK_BITS:
-            return _rank_chunks(ids, list(counts))
-    return _rank_walk(ids, sigma)
+    if len(ids) * (sigma - 1).bit_length() <= _RANK_WALK_BITS:
+        return _rank_walk(ids, sigma)
+    if counts is None:
+        counts = map(seq.count, alphabet)
+    return _rank_chunks(ids, list(counts))
 
 
 def sequence_to_perm_index(seq: Sequence[Hashable], alphabet: Alphabet) -> int:
@@ -167,11 +166,6 @@ def _byte_ids(seq: bytes, alphabet: bytes) -> bytes:
         offset = seq.index(foreign[0])
         raise ValueError(f"symbol {foreign[0]!r} at offset {offset} is not in the alphabet")
     return seq.translate(bytes.maketrans(alphabet, _BYTE_IDS[: len(alphabet)]))
-
-
-def _estimated_width(counts: Sequence[int], n: int) -> float:
-    """log2 of the multinomial of ``counts``, which sum to ``n``, in floating point."""
-    return (math.lgamma(n + 1) - sum(math.lgamma(c + 1) for c in counts)) / _LN2
 
 
 def _rank_walk(ids: Sequence[int], sigma: int) -> tuple[int, int]:

@@ -104,7 +104,7 @@ class TestRanking:
 
         # 64 symbols over 256 kinds: at most 64 * 8 bits of count, so the
         # walk ranks them without counting; one symbol more and each kind
-        # is counted once, to estimate the count's width
+        # is counted once, for the chunks
         alphabet = bytes(range(256))
         for length, counted in ((64, 0), (65, 256)):
             block = CountedBytes(random.Random(length).choices(alphabet, k=length))

@@ -68,6 +68,8 @@ def test_sweep_prices_each_block_once(tracer, modules):
     assert metrics["block_codec.factorize.calls"] == 0
     assert metrics["block_codec.accounted_bits.calls"] == 0
     assert metrics["block_codec.container_bits.calls"] == 0
+    # the header's size comes from its layout, not from a serialised container
+    assert spans.calls[spans.names.index("block_codec.to_bytes")] == 0
     # each point prices a distinct count vector once, untraced oracle below
     blocks = distinct = 0
     for point in sweep.points:

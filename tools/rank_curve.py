@@ -38,10 +38,11 @@ The rows:
   K + 1 (seed 3), long blocks of 1 bit per symbol or less.
 
 The output is one JSON object keyed by row; ``width_bits`` is the width of
-the block's arrangement count. Two thresholds read it: ``_RANK_WALK_BITS``
-(rank by walk up to this count width, estimated, in chunks above it), read
-against ``walk_rank_s`` and ``chunk_rank_s``, and ``_WALK_BITS`` (unrank by
-walk up to this count width, in chunks above it), read against
+the block's arrangement count. Two thresholds pick the paths:
+``_RANK_WALK_BITS`` (rank by walk while length * ceil(log2 sigma), a bound
+on that width, is at most this, in chunks above it), read against
+``walk_rank_s`` and ``chunk_rank_s``, and ``_WALK_BITS`` (unrank by walk up
+to this count width, in chunks above it), read against
 ``walk_unrank_s`` and ``chunk_unrank_s``. ``count_rank_s`` against
 ``parent_rank_s`` shows what ranking from the right saves ``encode``, and
 ``split_rank_s`` against ``chunk_rank_s`` what a product tree would win on
