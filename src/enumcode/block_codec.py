@@ -313,7 +313,7 @@ def encode(data: bytes, params: CodecParams) -> "EncodedContainer":
         apos = params.alpha_index - 1
     costs = []
     for content, freq in zip(contents, vectors):
-        rank, arrangements = perm_rank_and_count(content, params.alphabet, freq)
+        rank, arrangements = perm_rank_and_count(content, params.alphabet)
         cost = _block_cost(freq, arrangements, params)
         costs.append(cost)
         _, _, freq_width, _, _, perm_width, _ = cost
@@ -380,62 +380,54 @@ def decode(container: "EncodedContainer", max_output: int = DEFAULT_MAX_OUTPUT) 
     """Reconstruct the exact original byte sequence from a container.
 
     A header that declares more than ``max_output`` symbols is rejected
-    before any payload bit is read.
+    before any payload bit is read. The output grows the way :func:`_cut`
+    cut the input: each block's symbols, then in variable mode the
+    delimiter it consumed. So only the final block's padding and its
+    delimiter can lie past n.
     """
     params = container.params
-    if params.n > max_output:
+    n = params.n
+    if n > max_output:
         raise CorruptContainerError(
-            f"header declares n={params.n} symbols, more than the output cap of {max_output}"
+            f"header declares n={n} symbols, more than the output cap of {max_output}"
         )
     reader = BitReader(container.payload)
-    contents: list[bytes] = []
+    out = bytearray()
+    blocks = 0
     start = 0  # payload bit at which the current block starts
     variable = params.mode == MODE_VARIABLE
-    # Symbols reconstructed so far. In variable mode this includes the
-    # delimiter consumed between blocks, and it stops at n - 1 because a
-    # sequence ending on a consumed delimiter reconstructs one symbol short.
-    covered, goal = (-1, params.n - 1) if variable else (0, params.n)
-    while covered < goal:
+    delimiter = bytes([params.alpha_byte]) if variable else b""
+    while len(out) < n:
         start = reader.position
+        blocks += 1
         try:
             if variable:
                 length = reader.read_elias_delta()
                 if length < params.r:
                     raise ValueError(f"block length {length} is below r={params.r}")
-                # a valid final block is at most the residue plus its padding
-                if length > params.n + params.r:
+                # a block is at most the rest of the sequence plus r padding delimiters
+                if length > n - len(out) + params.r:
                     raise ValueError(f"block length {length} exceeds the sequence length")
             else:
-                length = min(params.fixed_len, params.n - covered)
+                length = min(params.fixed_len, n - len(out))
             freq, pid, arrangements = _decode_block_fields(reader, length, params)
         except (BitstreamError, ValueError) as exc:
-            raise CorruptContainerError(str(exc), block=len(contents) + 1, bit_offset=start) from None
-        contents.append(perm_index_to_sequence(pid, freq, params.alphabet, arrangements))
-        covered += length + 1 if variable else length
+            raise CorruptContainerError(str(exc), block=blocks, bit_offset=start) from None
+        out += perm_index_to_sequence(pid, freq, params.alphabet, arrangements)
+        out += delimiter
 
     if reader.bits_remaining >= 8 or (
         reader.bits_remaining and reader.read(reader.bits_remaining)
     ):
         raise CorruptContainerError(
-            "trailing garbage after the final block", block=len(contents), bit_offset=start
+            "trailing garbage after the final block", block=blocks, bit_offset=start
         )
-
-    if not variable:
-        return b"".join(contents)
-    joined = bytes([params.alpha_byte]).join(contents)
-    if len(joined) < params.n:
-        # len(joined) == covered >= n - 1: only the consumed final delimiter is missing
-        return joined + bytes([params.alpha_byte])
-    pad = len(joined) - params.n
-    if pad > params.r:
+    if out[n:].strip(delimiter):
         raise CorruptContainerError(
-            f"padding of {pad} exceeds r={params.r}", block=len(contents), bit_offset=start
+            "padding differs from the delimiter symbol", block=blocks, bit_offset=start
         )
-    if any(b != params.alpha_byte for b in joined[params.n :]):
-        raise CorruptContainerError(
-            "padding differs from the delimiter symbol", block=len(contents), bit_offset=start
-        )
-    return joined[: params.n]
+    del out[n:]
+    return bytes(out)
 
 
 @dataclass(frozen=True)

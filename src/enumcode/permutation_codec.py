@@ -122,29 +122,26 @@ _RANK_WALK_BITS = 512
 _CHUNK = 64
 
 
-def perm_rank_and_count(
-    seq: Sequence[Hashable], alphabet: Alphabet, counts: Sequence[int] | None = None
-) -> tuple[int, int]:
+def perm_rank_and_count(seq: Sequence[Hashable], alphabet: Alphabet) -> tuple[int, int]:
     """(rank, arrangement count) of ``seq``: its zero-based lexicographic rank
     among the arrangements of its multiset, and how many there are.
 
-    The empty sequence ranks 0 of 1. A caller that already has the frequency
-    vector of ``seq`` (in alphabet order) may pass it as ``counts``; it is
-    trusted, not recounted, and read only by the chunked rank.
+    The empty sequence ranks 0 of 1. Only a block that may be wide is
+    counted, for the chunked rank: a byte block with one ``bytes.count``
+    per alphabet entry.
     """
+    counts = None
     if isinstance(seq, (bytes, bytearray)) and isinstance(alphabet, (bytes, bytearray)):
         ids = _byte_ids(seq, alphabet)
     else:
-        ids, found = _symbol_ids(seq, alphabet)
-        if counts is None:
-            counts = found
+        ids, counts = _symbol_ids(seq, alphabet)
     sigma = len(alphabet)
     # sigma ** n bounds the count, so a block this short is narrow
     if len(ids) * (sigma - 1).bit_length() <= _RANK_WALK_BITS:
         return _rank_walk(ids, sigma)
     if counts is None:
-        counts = map(seq.count, alphabet)
-    return _rank_chunks(ids, list(counts))
+        counts = list(map(seq.count, alphabet))
+    return _rank_chunks(ids, counts)
 
 
 def sequence_to_perm_index(seq: Sequence[Hashable], alphabet: Alphabet) -> int:

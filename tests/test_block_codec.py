@@ -405,16 +405,59 @@ class TestCorruptPayloads:
         ],
     )
     def test_error_names_the_bit_offset_of_the_block(self, params, fields, match, offset):
+        container = self._container(params, fields)
+        with pytest.raises(CorruptContainerError, match=f"payload bit {offset}, block 2: {match}") as exc:
+            decode(container)
+        assert (exc.value.block, exc.value.bit_offset) == (2, offset)
+
+    @staticmethod
+    def _container(params, fields):
+        """A container of ``fields``: (value, width) pairs, an Elias-delta codeword where width is None."""
         w = BitWriter()
         for value, width in fields:
             if width is None:
                 w.write_elias_delta(value)
             else:
                 w.write(value, width)
-        container = EncodedContainer(params=params, payload=w.getvalue())
-        with pytest.raises(CorruptContainerError, match=f"payload bit {offset}, block 2: {match}") as exc:
+        return EncodedContainer(params=params, payload=w.getvalue())
+
+    # "baabb" at r=1: block 1 is "ba", rank 1 of 2, from bit 0, and consumes
+    # the "a" after it; the final block, from bit 5, holds the 2 symbols left
+    # and at most r=1 padding delimiter
+    BAABB = CodecParams.variable(b"ab", b"a", 1, 5)
+    BLOCK_1 = [(2, None), (1, 1)]
+
+    def test_final_block_may_hold_r_padding_delimiters(self):
+        container = encode(b"baabb", self.BAABB)
+        assert container.pad == 1
+        # length 3 = 2 symbols left + r, its vector in 0 bits, "bba" rank 2 of 3
+        assert container == self._container(self.BAABB, [*self.BLOCK_1, (3, None), (2, 2)])
+        assert decode(container) == b"baabb"
+
+    def test_final_block_past_r_padding_is_rejected_before_its_fields(self, monkeypatch):
+        # length 4 = 2 symbols left + r + 1, then fields that would unrank to
+        # "abbb"; the length alone rejects the block, so it is never unranked
+        unrank = block_codec.perm_index_to_sequence
+
+        def unrank_block_1_only(pid, freq, alphabet, arrangements):
+            if len(freq) == 2 and sum(freq) == 4:
+                raise AssertionError("the final block was unranked")
+            return unrank(pid, freq, alphabet, arrangements)
+
+        monkeypatch.setattr(block_codec, "perm_index_to_sequence", unrank_block_1_only)
+        container = self._container(self.BAABB, [*self.BLOCK_1, (4, None), (0, 2)])
+        match = "payload bit 5, block 2: block length 4 exceeds the sequence length"
+        with pytest.raises(CorruptContainerError, match=match) as exc:
             decode(container)
-        assert (exc.value.block, exc.value.bit_offset) == (2, offset)
+        assert (exc.value.block, exc.value.bit_offset) == (2, 5)
+
+    def test_padding_that_holds_another_symbol_is_rejected(self):
+        # the final block "bab" (rank 1 of 3) leaves "b" where only delimiters may follow n
+        container = self._container(self.BAABB, [*self.BLOCK_1, (3, None), (1, 2)])
+        match = "payload bit 5, block 2: padding differs from the delimiter symbol"
+        with pytest.raises(CorruptContainerError, match=match) as exc:
+            decode(container)
+        assert (exc.value.block, exc.value.bit_offset) == (2, 5)
 
     def test_truncated_payload(self):
         params = variable_params(FIG_T)

@@ -9,14 +9,15 @@ Each row ranks one block with the right-to-left walk alone (``walk_rank_s``:
 ``tests/oracles.py``), the product tree (``reference_rank_split``, an oracle
 too, which the rank no longer uses), the chunked rank alone
 (``chunk_rank_s``: ``_rank_chunks``), and ``perm_rank_and_count`` given the
-block, the alphabet and the counts, as ``encode`` calls it
-(``count_rank_s``). ``parent_rank_s`` times the rank as ``encode`` took it
-before the rank ran from the right: the block's multinomial, then the
-left-to-right rank from it (``reference_rank_chunks``, an oracle). The
-dispatching ``sequence_to_perm_index`` (``rank_s``) is given only the block
-and the alphabet, so it also counts the block when the count may be wide.
-The walk, the chunks and ``perm_rank_and_count`` must also give the
-block's arrangement count. The rank is unranked with the walk
+block and the alphabet, as ``encode`` calls it (``count_rank_s``), which
+also counts the block when the count may be wide. The walk and the chunks
+rank the bytes ids of ``_byte_ids``, as the library does. ``parent_rank_s``
+times the rank as ``encode`` took it before the rank ran from the right: the
+block's multinomial, then the left-to-right rank from it
+(``reference_rank_chunks``, an oracle). The dispatching
+``sequence_to_perm_index`` (``rank_s``) returns the rank alone. The walk,
+the chunks and ``perm_rank_and_count`` must also give the block's
+arrangement count. The rank is unranked with the walk
 (``_unrank_walk``), the oracle walk (``reference_unrank_incremental``), the
 chunked unrank alone (``chunk_unrank_s``: ``_unrank_chunks`` run down to a
 one-run count instead of handing over to the walk) and the dispatching
@@ -130,14 +131,15 @@ def blocks() -> dict[str, tuple[bytes, bytes]]:
 
 def measure(name: str, block: bytes, alphabet: bytes) -> dict:
     ids, counts = _symbol_ids(block, alphabet)
+    byte_ids = _byte_ids(block, alphabet)
     arrangements = multinomial(counts)
     rank = reference_rank_incremental(ids, list(counts))
     ranks = {
-        "walk_rank_s": lambda: _rank_walk(ids, len(alphabet)),
+        "walk_rank_s": lambda: _rank_walk(byte_ids, len(alphabet)),
         "incremental_rank_s": lambda: reference_rank_incremental(ids, list(counts)),
         "split_rank_s": lambda: reference_rank_split(ids, list(counts)),
-        "chunk_rank_s": lambda: _rank_chunks(ids, list(counts)),
-        "count_rank_s": lambda: perm_rank_and_count(block, alphabet, counts),
+        "chunk_rank_s": lambda: _rank_chunks(byte_ids, list(counts)),
+        "count_rank_s": lambda: perm_rank_and_count(block, alphabet),
         "parent_rank_s": lambda: parent_rank(_byte_ids(block, alphabet), list(counts)),
         "rank_s": lambda: sequence_to_perm_index(block, alphabet),
     }
