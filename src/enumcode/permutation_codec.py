@@ -2,9 +2,9 @@
 
 Sequences with identical symbol frequencies are ordered lexicographically
 under the supplied alphabet (first alphabet entry sorts lowest); ranks are
-zero-based. The alphabet may be a ``str``, ``bytes``, or any sequence of
-distinct hashable symbols, and unranked sequences come back in the same
-container family.
+zero-based. Sequences and alphabets are bytes, or ``str`` of code points up
+to U+00FF; other sequences raise ``TypeError``. A ``str`` ranks as its
+Latin-1 bytes do, and a ``str`` alphabet unranks to ``str``.
 
 Position i of an n-symbol sequence contributes A_i * a_i / m_i to the rank,
 where A_i counts the arrangements of the suffix from i, m_i = n - i, and
@@ -35,9 +35,8 @@ count's width. A product tree (binary splitting) ranks the widest counts
 faster, but by at most 2.4x where measured (1.1x at 131072 DNA symbols, 2x
 at 32768 symbols over 256 kinds), and only on blocks whose unrank is
 slower still, so the rank does without one. ``tools/rank_curve.py``
-measures both paths and the tree. Byte sequences over a byte alphabet
-become symbol ids through ``bytes.translate``, never through a per-symbol
-lookup.
+measures both paths and the tree. Every sequence becomes symbol ids
+through ``bytes.translate``, never through a per-symbol lookup.
 
 Unranking decodes from the left. While the arrangement count is narrow, the
 greedy walk (:func:`_unrank_walk`) reads each symbol off v = pid * m_i // A_i
@@ -62,55 +61,60 @@ test oracles in ``tests/oracles.py``.
 from __future__ import annotations
 
 import math
-from typing import Hashable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .combinatorics import multinomial
 
-Alphabet = Sequence[Hashable]
+Symbols = bytes | bytearray | str
 
 
-def _symbol_positions(alphabet: Alphabet) -> dict:
-    if len(alphabet) < 1:
+def _latin1(symbols: Symbols, what: str) -> bytes:
+    """``symbols`` as bytes: bytes as given, a ``str`` through Latin-1."""
+    if isinstance(symbols, (bytes, bytearray)):
+        return symbols
+    if isinstance(symbols, str):
+        return symbols.encode("latin-1")
+    raise TypeError(f"{what} must be bytes or str, not {type(symbols).__name__}")
+
+
+def _validate_alphabet(alphabet: Symbols) -> bytes:
+    """The alphabet as bytes: not empty, its entries distinct and at most U+00FF."""
+    try:
+        alphabet = _latin1(alphabet, "alphabet")
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"alphabet entry {exc.object[exc.start]!r} is above U+00FF") from None
+    if not alphabet:
         raise ValueError("alphabet must not be empty")
-    positions: dict = {}
-    for pos, sym in enumerate(alphabet):
-        if sym in positions:
-            raise ValueError(f"alphabet entries must be distinct (repeated {sym!r})")
-        positions[sym] = pos
-    return positions
+    if len(set(alphabet)) != len(alphabet):
+        raise ValueError("alphabet entries must be distinct")
+    return alphabet
 
 
-def _validate_alphabet(alphabet: Alphabet) -> None:
-    """Reject an empty alphabet or a repeated entry; a byte alphabet at C speed."""
-    if not (isinstance(alphabet, (bytes, bytearray)) and 0 < len(set(alphabet)) == len(alphabet)):
-        _symbol_positions(alphabet)
+def _symbols(seq: Symbols, alphabet: bytes) -> bytes:
+    """``seq`` as bytes. Its first symbol outside ``alphabet`` (a ``str`` symbol
+    above U+00FF is outside every one) raises, named as ``seq`` holds it."""
+    try:
+        data = _latin1(seq, "sequence")
+    except UnicodeEncodeError as exc:
+        # data stops short of seq at its first symbol above U+00FF
+        data = seq[: exc.start].encode("latin-1")
+    foreign = data.translate(None, alphabet)
+    offset = data.index(foreign[0]) if foreign else len(data)
+    if offset < len(seq):
+        raise ValueError(f"symbol {seq[offset]!r} at offset {offset} is not in the alphabet")
+    return data
 
 
-def _render(alphabet: Alphabet, ids: Iterable[int]):
-    if isinstance(alphabet, str):
-        return "".join(alphabet[i] for i in ids)
-    if isinstance(alphabet, (bytes, bytearray)):
-        return bytes(ids).translate(bytes(alphabet).ljust(256, b"\0"))
-    return [alphabet[i] for i in ids]
+def _render(alphabet: Symbols, table: bytes, ids: Iterable[int]) -> Symbols:
+    """The symbols at positions ``ids`` of ``table``, the alphabet's bytes, typed as it."""
+    out = bytes(ids).translate(table.ljust(256, b"\0"))
+    return out.decode("latin-1") if isinstance(alphabet, str) else out
 
 
-def frequency_vector(seq: Iterable[Hashable], alphabet: Alphabet) -> tuple[int, ...]:
+def frequency_vector(seq: Symbols, alphabet: Symbols) -> tuple[int, ...]:
     """Occurrence count of each alphabet symbol in ``seq``, in alphabet order."""
-    return tuple(_symbol_ids(seq, alphabet)[1])
-
-
-def _symbol_ids(seq: Iterable[Hashable], alphabet: Alphabet) -> tuple[list[int], list[int]]:
-    """The alphabet position of every symbol of ``seq``, and the count of each position."""
-    positions = _symbol_positions(alphabet)
-    counts = [0] * len(alphabet)
-    ids: list[int] = []
-    for offset, sym in enumerate(seq):
-        pos = positions.get(sym)
-        if pos is None:
-            raise ValueError(f"symbol {sym!r} at offset {offset} is not in the alphabet")
-        ids.append(pos)
-        counts[pos] += 1
-    return ids, counts
+    alphabet = _validate_alphabet(alphabet)
+    return tuple(map(_symbols(seq, alphabet).count, alphabet))
 
 
 # A block whose arrangement count is provably at most this many bits wide,
@@ -122,29 +126,24 @@ _RANK_WALK_BITS = 512
 _CHUNK = 64
 
 
-def perm_rank_and_count(seq: Sequence[Hashable], alphabet: Alphabet) -> tuple[int, int]:
+def perm_rank_and_count(seq: Symbols, alphabet: Symbols) -> tuple[int, int]:
     """(rank, arrangement count) of ``seq``: its zero-based lexicographic rank
     among the arrangements of its multiset, and how many there are.
 
     The empty sequence ranks 0 of 1. Only a block that may be wide is
-    counted, for the chunked rank: a byte block with one ``bytes.count``
-    per alphabet entry.
+    counted, for the chunked rank: one ``bytes.count`` per alphabet entry.
     """
-    counts = None
-    if isinstance(seq, (bytes, bytearray)) and isinstance(alphabet, (bytes, bytearray)):
-        ids = _byte_ids(seq, alphabet)
-    else:
-        ids, counts = _symbol_ids(seq, alphabet)
+    alphabet = _validate_alphabet(alphabet)
+    seq = _symbols(seq, alphabet)
+    ids = _byte_ids(seq, alphabet)
     sigma = len(alphabet)
     # sigma ** n bounds the count, so a block this short is narrow
     if len(ids) * (sigma - 1).bit_length() <= _RANK_WALK_BITS:
         return _rank_walk(ids, sigma)
-    if counts is None:
-        counts = list(map(seq.count, alphabet))
-    return _rank_chunks(ids, counts)
+    return _rank_chunks(ids, list(map(seq.count, alphabet)))
 
 
-def sequence_to_perm_index(seq: Sequence[Hashable], alphabet: Alphabet) -> int:
+def sequence_to_perm_index(seq: Symbols, alphabet: Symbols) -> int:
     """Zero-based lexicographic rank of ``seq`` among arrangements of its multiset.
 
     The empty sequence ranks 0.
@@ -156,12 +155,7 @@ _BYTE_IDS = bytes(range(256))
 
 
 def _byte_ids(seq: bytes, alphabet: bytes) -> bytes:
-    """The alphabet position of every byte of ``seq``, as bytes."""
-    _validate_alphabet(alphabet)
-    foreign = seq.translate(None, alphabet)
-    if foreign:
-        offset = seq.index(foreign[0])
-        raise ValueError(f"symbol {foreign[0]!r} at offset {offset} is not in the alphabet")
+    """The alphabet position of every byte of ``seq`` (:func:`_symbols`), as bytes."""
     return seq.translate(bytes.maketrans(alphabet, _BYTE_IDS[: len(alphabet)]))
 
 
@@ -257,8 +251,8 @@ def _advance(arrangements: int, p: int, q: int, t: int) -> tuple[int, int]:
 
 
 def perm_index_to_sequence(
-    pid: int, counts: Iterable[int], alphabet: Alphabet, arrangements: int | None = None
-):
+    pid: int, counts: Iterable[int], alphabet: Symbols, arrangements: int | None = None
+) -> Symbols:
     """The rank-``pid`` arrangement of the multiset described by ``counts``.
 
     Inverse of :func:`sequence_to_perm_index`; a rank at or beyond the
@@ -266,9 +260,9 @@ def perm_index_to_sequence(
     A caller that already has the multinomial of ``counts`` may pass it as
     ``arrangements``.
     """
-    _validate_alphabet(alphabet)
+    table = _validate_alphabet(alphabet)
     remaining_counts = list(counts)
-    if len(remaining_counts) != len(alphabet):
+    if len(remaining_counts) != len(table):
         raise ValueError("counts and alphabet must have the same length")
     if arrangements is None:
         arrangements = multinomial(remaining_counts)
@@ -276,7 +270,7 @@ def perm_index_to_sequence(
         raise ValueError(
             f"permutation rank {pid} out of range (multiset has {arrangements} arrangements)"
         )
-    return _render(alphabet, _unrank_chunks(pid, arrangements, remaining_counts))
+    return _render(alphabet, table, _unrank_chunks(pid, arrangements, remaining_counts))
 
 
 def _unrank_walk(pid: int, arrangements: int, counts: list[int]) -> list[int]:
@@ -430,17 +424,17 @@ def _decode_leaf(num: int, den: int, err: int, counts: list[int], out: list[int]
 
 
 def enumerate_perms(
-    counts: Iterable[int], alphabet: Alphabet, *, limit: int = 200_000
-) -> list:
+    counts: Iterable[int], alphabet: Symbols, *, limit: int = 200_000
+) -> list[Symbols]:
     """All arrangements of the multiset, in rank (lexicographic) order.
 
     Generated by repeated next-permutation steps, independently of the
     ranking walk, so it doubles as an order oracle in tests. Refuses to
     materialize more than ``limit`` arrangements.
     """
-    _symbol_positions(alphabet)
+    table = _validate_alphabet(alphabet)
     counts = list(counts)
-    if len(counts) != len(alphabet):
+    if len(counts) != len(table):
         raise ValueError("counts and alphabet must have the same length")
     total = multinomial(counts)
     if total > limit:
@@ -449,9 +443,9 @@ def enumerate_perms(
     current: list[int] = []
     for j, c in enumerate(counts):
         current.extend([j] * c)
-    out = [_render(alphabet, current)]
+    out = [_render(alphabet, table, current)]
     while _next_permutation(current):
-        out.append(_render(alphabet, current))
+        out.append(_render(alphabet, table, current))
     return out
 
 

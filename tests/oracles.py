@@ -2,7 +2,9 @@
 permutation rank and unrank, the unrank's leaf and the Elias-delta reader.
 
 The count oracle is the paper's sum form of the vector count, which
-``k_count``'s closed form replaced. Each block-codec oracle walks the scheme
+``k_count``'s closed form replaced. The symbol-id oracle is the per-symbol
+dict lookup the permutation codec ran on every sequence other than bytes,
+before ``str`` went through Latin-1 to ``bytes.translate``. Each block-codec oracle walks the scheme
 as the ``block_codec`` module docstring describes it, without the library's
 block cutter (``_cut``) or its pricing memo, so a check against them does
 not compare the code under test with itself. The walk oracles rank and
@@ -23,7 +25,7 @@ from enumcode.bitstream import BitReader, BitstreamError, BitWriter, elias_delta
 from enumcode.block_codec import AccountedBits, AlphabetError, EncodedContainer
 from enumcode.combinatorics import ceil_log2, k_count, multinomial
 from enumcode.composition_codec import vector_to_index
-from enumcode.permutation_codec import _CHUNK, _GUARD_BITS, _advance, _stretch, _symbol_ids
+from enumcode.permutation_codec import _CHUNK, _GUARD_BITS, _advance, _stretch
 
 
 class ReferenceBlock(NamedTuple):
@@ -171,6 +173,27 @@ def reference_accounted_bits(blocks, params):
     )
 
 
+# -- reference symbol ids ------------------------------------------------------
+#
+# A dict from each alphabet entry to its position, for any sequence of
+# hashable symbols: lists of characters, lists of byte values, str and bytes.
+
+
+def symbol_ids(seq, alphabet):
+    """The alphabet position of every symbol of ``seq``, and the count of each position."""
+    positions = {sym: pos for pos, sym in enumerate(alphabet)}
+    assert len(positions) == len(alphabet), "alphabet entries must be distinct"
+    counts = [0] * len(alphabet)
+    ids = []
+    for offset, sym in enumerate(seq):
+        pos = positions.get(sym)
+        if pos is None:
+            raise ValueError(f"symbol {sym!r} at offset {offset} is not in the alphabet")
+        ids.append(pos)
+        counts[pos] += 1
+    return ids, counts
+
+
 # -- reference walks -----------------------------------------------------------
 #
 # The permutation rank and unrank walks before they summed the small counts
@@ -287,7 +310,7 @@ def reference_encode(data, params):
             ceil_log2(reference_vector_count(block.length, params)),
         )
         writer.write(
-            reference_rank_incremental(*_symbol_ids(block.content, params.alphabet)),
+            reference_rank_incremental(*symbol_ids(block.content, params.alphabet)),
             ceil_log2(multinomial(block.freq)),
         )
     return EncodedContainer(params=params, payload=writer.getvalue(), payload_bits=writer.bit_length)

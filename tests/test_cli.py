@@ -209,6 +209,12 @@ class TestTables:
     def test_guard(self, capsys):
         assert main(["tables", "--compositions", "40", "8", "--limit", "10"]) == 2
 
+    def test_perm_alphabet_above_latin1_is_a_usage_error(self, capsys):
+        assert main(["tables", "--perms", "1,1", "--alphabet", "\u03b1\u03b2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: alphabet entry '\u03b1' is above U+00FF\n"
+
 
 class TestFigure1:
     def test_csv_to_stdout(self, capsys):

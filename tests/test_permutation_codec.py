@@ -16,7 +16,6 @@ from enumcode.permutation_codec import (
     _decode_leaf,
     _rank_chunks,
     _rank_walk,
-    _symbol_ids,
     _unrank_chunks,
     _unrank_walk,
     enumerate_perms,
@@ -34,6 +33,7 @@ from oracles import (
     reference_rank_split,
     reference_rank_walk,
     reference_unrank_incremental,
+    symbol_ids,
 )
 
 
@@ -106,7 +106,7 @@ class TestRanking:
         for length, counted in ((64, 0), (65, 256)):
             block = CountedBytes(random.Random(length).choices(alphabet, k=length))
             block.counted = 0
-            expected = reference_rank_incremental(*_symbol_ids(block, alphabet))
+            expected = reference_rank_incremental(*symbol_ids(block, alphabet))
             assert sequence_to_perm_index(block, alphabet) == expected
             assert block.counted == counted
 
@@ -123,9 +123,6 @@ class TestUnranking:
     def test_bytes_alphabet_returns_bytes(self):
         assert perm_index_to_sequence(11, (2, 1, 1, 0), b"acgt") == b"gcaa"
         assert sequence_to_perm_index(b"gcaa", b"acgt") == 11
-
-    def test_list_alphabet_returns_list(self):
-        assert perm_index_to_sequence(1, (1, 1), ["x", "y"]) == ["y", "x"]
 
     def test_out_of_range_rank_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -184,6 +181,69 @@ class TestFrequencyVector:
             frequency_vector("accx", "ac")
 
 
+LATIN1 = "".join(map(chr, range(256)))
+
+
+class TestSymbolTypes:
+    def test_lists_and_tuples_rejected(self):
+        calls = {
+            "sequence": [
+                lambda seq: sequence_to_perm_index(seq, "ab"),
+                lambda seq: perm_rank_and_count(seq, b"ab"),
+                lambda seq: frequency_vector(seq, "ab"),
+            ],
+            "alphabet": [
+                lambda alphabet: sequence_to_perm_index("ab", alphabet),
+                lambda alphabet: perm_index_to_sequence(0, (1, 1), alphabet),
+                lambda alphabet: enumerate_perms((1, 1), alphabet),
+                lambda alphabet: frequency_vector(b"ab", alphabet),
+            ],
+        }
+        for what, funcs in calls.items():
+            for func in funcs:
+                for symbols in (["a", "b"], ("a", "b"), [97, 98]):
+                    with pytest.raises(TypeError, match=f"{what} must be bytes or str"):
+                        func(symbols)
+
+    def test_str_alphabet_entry_above_latin1_rejected(self):
+        for call in (
+            lambda: sequence_to_perm_index("a", "a\u0100"),
+            lambda: perm_index_to_sequence(0, (1, 1), "a\u03b1"),
+            lambda: enumerate_perms((1, 1), "\u03b1\u03b2"),
+        ):
+            with pytest.raises(ValueError, match="alphabet entry .* is above U\\+00FF"):
+                call()
+
+    def test_str_symbol_above_latin1_is_not_in_the_alphabet(self):
+        # not even in an alphabet of all 256 Latin-1 code points
+        with pytest.raises(ValueError, match="symbol '\u0100' at offset 2 is not in the alphabet"):
+            sequence_to_perm_index("ab\u0100a", LATIN1)
+        with pytest.raises(ValueError, match="symbol '\u03b1' at offset 1 is not in the alphabet"):
+            frequency_vector("a\u03b1x", "ab")
+        # an earlier symbol outside the alphabet is named first
+        with pytest.raises(ValueError, match="symbol 'x' at offset 1 is not in the alphabet"):
+            perm_rank_and_count("ax\u03b1", "ab")
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(st.integers(0, 255), min_size=1, max_size=256, unique=True).map(
+        lambda points: "".join(map(chr, points))
+    ),
+    st.data(),
+)
+def test_str_ranks_as_its_latin1_bytes(alphabet, data):
+    seq = "".join(data.draw(st.lists(st.sampled_from(alphabet), max_size=300)))
+    raw, table = seq.encode("latin-1"), alphabet.encode("latin-1")
+    counts = frequency_vector(seq, alphabet)
+    assert counts == frequency_vector(raw, table) == tuple(symbol_ids(seq, alphabet)[1])
+    rank, arrangements = perm_rank_and_count(seq, alphabet)
+    assert (rank, arrangements) == perm_rank_and_count(raw, table)
+    assert rank == reference_rank_incremental(*symbol_ids(seq, alphabet))
+    assert perm_index_to_sequence(rank, counts, alphabet) == seq
+    assert perm_index_to_sequence(rank, counts, table) == raw
+
+
 sequences = st.integers(2, 8).flatmap(
     lambda sigma: st.text(alphabet="abcdefgh"[:sigma], max_size=64).map(
         lambda s: (s, "abcdefgh"[:sigma])
@@ -213,25 +273,27 @@ def test_round_trip_from_rank(counts, data):
 ALPHABETS = {
     "str": "abcdefgh",
     "bytes": b"acgtnxyz",
-    "list": [("sym", j) for j in range(8)],
+    # str symbols that are Latin-1 bytes above 127
+    "latin1": "\xf8\xf9\xfa\xfb\xfc\xfd\xfe\xff",
 }
+
+
+def spell(ids, alphabet):
+    """The symbols at alphabet positions ``ids``, as a str or bytes like ``alphabet``."""
+    symbols = [alphabet[j] for j in ids]
+    return "".join(symbols) if isinstance(alphabet, str) else bytes(symbols)
 
 
 def random_sequence(rng, alphabet, length):
     """``length`` symbols drawn with skewed weights, some of them zero."""
     weights = [rng.choice([0, 1, 3, 10]) for _ in alphabet]
     weights[rng.randrange(len(alphabet))] += 1
-    symbols = rng.choices(list(alphabet), weights=weights, k=length)
-    if isinstance(alphabet, str):
-        return "".join(symbols)
-    if isinstance(alphabet, bytes):
-        return bytes(symbols)
-    return symbols
+    return spell(rng.choices(range(len(alphabet)), weights=weights, k=length), alphabet)
 
 
 @settings(deadline=None)
 @given(
-    st.sampled_from(["str", "bytes", "list", "bytes256"]),
+    st.sampled_from(["str", "bytes", "latin1", "bytes256"]),
     st.integers(1, 8),
     st.integers(0, 3000),
     st.integers(0, 2**32),
@@ -239,14 +301,14 @@ def random_sequence(rng, alphabet, length):
 def test_split_rank_matches_incremental_oracle(kind, sigma, length, seed):
     alphabet = bytes(range(256)) if kind == "bytes256" else ALPHABETS[kind][:sigma]
     seq = random_sequence(random.Random(seed), alphabet, length)
-    ids, counts = _symbol_ids(seq, alphabet)
+    ids, counts = symbol_ids(seq, alphabet)
     expected = reference_rank_incremental(ids, list(counts))
     assert reference_rank_split(ids, list(counts)) == expected
     assert sequence_to_perm_index(seq, alphabet) == expected
 
 
 @pytest.mark.parametrize("length", [511, 512, 4096])
-@pytest.mark.parametrize("kind", ["str", "bytes", "list"])
+@pytest.mark.parametrize("kind", ["str", "bytes", "latin1"])
 def test_round_trip_around_split_threshold(kind, length):
     alphabet = ALPHABETS[kind][:4]
     seq = random_sequence(random.Random(length), alphabet, length)
@@ -292,9 +354,9 @@ def test_rank_paths_match_incremental_oracle(sigma, shape, fraction, seed):
     alphabet = bytes(range(sigma))
     length = int(fraction * ORACLE_LENGTHS[sigma])
     seq = skewed_block(random.Random(seed), sigma, length, shape)
-    expected = reference_rank_incremental(*_symbol_ids(seq, alphabet))
+    expected = reference_rank_incremental(*symbol_ids(seq, alphabet))
     assert ranks_on_every_path(seq, alphabet) == {expected}
-    assert ranks_on_every_path(list(seq), list(alphabet)) == {expected}
+    assert ranks_on_every_path(seq.decode("latin-1"), alphabet.decode("latin-1")) == {expected}
 
 
 @settings(deadline=None, max_examples=40)
@@ -307,7 +369,7 @@ def test_rank_paths_match_incremental_oracle(sigma, shape, fraction, seed):
 def test_rank_and_count_match_the_oracles(sigma, shape, length, seed):
     alphabet = bytes(range(sigma))
     seq = skewed_block(random.Random(seed), sigma, length, shape)
-    ids, counts = _symbol_ids(seq, alphabet)
+    ids, counts = symbol_ids(seq, alphabet)
     expected = (reference_rank_incremental(ids, list(counts)), multinomial(counts))
     # a 1-bit bound sends all but the shortest blocks to the chunks, 10**9 all to the walk
     for walk_bits in (1, 10**9):
@@ -346,7 +408,7 @@ def test_rank_on_both_sides_of_the_walk_bound(sigma, shape):
     crossing = crossing_length(seq, alphabet, lambda width, _: width > _RANK_WALK_BITS)
     for length in (crossing - 1, crossing, crossing + _CHUNK, crossing + 2 * _CHUNK + 1):
         block = seq[:length]
-        expected = reference_rank_incremental(*_symbol_ids(block, alphabet))
+        expected = reference_rank_incremental(*symbol_ids(block, alphabet))
         assert ranks_on_every_path(block, alphabet) == {expected}, length
 
 
@@ -360,7 +422,7 @@ def test_rank_on_both_sides_of_the_tree_bound(sigma):
     crossing = crossing_length(seq, alphabet, lambda width, length: width * width > 2**18 * length)
     for length in (crossing - 1, crossing):
         block = seq[:length]
-        ids, counts = _symbol_ids(block, alphabet)
+        ids, counts = symbol_ids(block, alphabet)
         rank = sequence_to_perm_index(block, alphabet)
         assert rank == reference_rank_split(ids, list(counts)), length
         assert perm_index_to_sequence(rank, counts, alphabet) == block, length
@@ -369,7 +431,7 @@ def test_rank_on_both_sides_of_the_tree_bound(sigma):
 def test_rank_of_a_64k_dna_block_matches_the_tree():
     # the tree is the oracle where the oracle walk would take seconds
     block = random.Random(65536).choices(b"acgt", k=65536)
-    ids, counts = _symbol_ids(block, b"acgt")
+    ids, counts = symbol_ids(block, b"acgt")
     assert sequence_to_perm_index(bytes(block), b"acgt") == reference_rank_split(ids, counts)
 
 
@@ -429,7 +491,7 @@ def check_unrank_chunks(rank, counts):
 
 @settings(deadline=None, max_examples=40)
 @given(
-    st.sampled_from(["str", "bytes", "list", "bytes256"]),
+    st.sampled_from(["str", "bytes", "latin1", "bytes256"]),
     st.integers(1, 8),
     st.integers(0, 3000),
     st.integers(0, 2**32),
@@ -440,21 +502,21 @@ def test_split_unrank_matches_walk_and_inverts_rank(kind, sigma, length, seed, a
     rng = random.Random(seed)
     seq = random_sequence(rng, alphabet, length)
     if aligned:
-        ids, counts = _symbol_ids(seq, alphabet)
-        seq = [alphabet[j] for j in rng.choice(list(boundary_aligned(ids).values()))]
-    ids, counts = _symbol_ids(seq, alphabet)
+        ids, counts = symbol_ids(seq, alphabet)
+        seq = spell(rng.choice(list(boundary_aligned(ids).values())), alphabet)
+    ids, counts = symbol_ids(seq, alphabet)
     for rank in ranks_to_try(counts, rng):
         got = check_unrank_chunks(rank, counts)
-        assert sequence_to_perm_index([alphabet[j] for j in got], alphabet) == rank
+        assert sequence_to_perm_index(spell(got, alphabet), alphabet) == rank
     assert check_unrank_chunks(sequence_to_perm_index(seq, alphabet), counts) == ids
 
 
 @pytest.mark.parametrize("length", [4096, 8192])
 def test_split_unrank_long_blocks(length):
     rng = random.Random(length)
-    seq = rng.choices("acgt", k=length)
+    seq = "".join(rng.choices("acgt", k=length))
     for name, block in {"random": seq, **boundary_aligned(seq)}.items():
-        ids, counts = _symbol_ids(block, "acgt")
+        ids, counts = symbol_ids(block, "acgt")
         for rank in ranks_to_try(counts, rng):
             check_unrank_chunks(rank, counts)
         assert check_unrank_chunks(reference_rank_split(ids, list(counts)), counts) == ids, name
@@ -536,7 +598,7 @@ def test_leaf_matches_the_oracle_leaf_on_unrank_states():
         with mock.patch.object(permutation_codec, "_WALK_BITS", 1):
             for block in blocks:
                 alphabet = bytes(sorted(set(block)))
-                ids, counts = _symbol_ids(block, alphabet)
+                ids, counts = symbol_ids(block, alphabet)
                 arrangements = multinomial(counts)
                 rank = reference_rank_split(ids, list(counts))
                 assert _unrank_chunks(rank, arrangements, list(counts)) == ids

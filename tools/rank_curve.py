@@ -8,16 +8,16 @@ Each row ranks one block with the right-to-left walk alone (``walk_rank_s``:
 ``_rank_walk``), the oracle walk (``reference_rank_incremental`` from
 ``tests/oracles.py``), the product tree (``reference_rank_split``, an oracle
 too, which the rank no longer uses), the chunked rank alone
-(``chunk_rank_s``: ``_rank_chunks``), and ``perm_rank_and_count`` given the
-block and the alphabet, as ``encode`` calls it (``count_rank_s``), which
-also counts the block when the count may be wide. The walk and the chunks
-rank the bytes ids of ``_byte_ids``, as the library does. ``parent_rank_s``
-times the rank as ``encode`` took it before the rank ran from the right: the
-block's multinomial, then the left-to-right rank from it
-(``reference_rank_chunks``, an oracle). The dispatching
-``sequence_to_perm_index`` (``rank_s``) returns the rank alone. The walk,
-the chunks and ``perm_rank_and_count`` must also give the block's
-arrangement count. The rank is unranked with the walk
+(``chunk_rank_s``: ``_rank_chunks``), and the dispatching
+``perm_rank_and_count`` given the block and the alphabet, as ``encode``
+calls it (``rank_s``), which also counts the block when the count may be
+wide. The walk and the chunks rank the bytes ids of ``_byte_ids``, as the
+library does. ``parent_rank_s`` times the rank as ``encode`` took it before
+the rank ran from the right: the block's multinomial, then the
+left-to-right rank from it (``reference_rank_chunks``, an oracle). The
+walk, the chunks and ``perm_rank_and_count`` must also give the block's
+arrangement count. The oracles take the ids and counts of ``symbol_ids``
+(``tests/oracles.py``). The rank is unranked with the walk
 (``_unrank_walk``), the oracle walk (``reference_unrank_incremental``), the
 chunked unrank alone (``chunk_unrank_s``: ``_unrank_chunks`` run down to a
 one-run count instead of handing over to the walk) and the dispatching
@@ -44,7 +44,7 @@ the block's arrangement count. Two thresholds pick the paths:
 on that width, is at most this, in chunks above it), read against
 ``walk_rank_s`` and ``chunk_rank_s``, and ``_WALK_BITS`` (unrank by walk up
 to this count width, in chunks above it), read against
-``walk_unrank_s`` and ``chunk_unrank_s``. ``count_rank_s`` against
+``walk_unrank_s`` and ``chunk_unrank_s``. ``rank_s`` against
 ``parent_rank_s`` shows what ranking from the right saves ``encode``, and
 ``split_rank_s`` against ``chunk_rank_s`` what a product tree would win on
 the widest counts. The ``skew`` rows are long blocks with narrow counts,
@@ -71,18 +71,17 @@ from enumcode.permutation_codec import (  # noqa: E402
     _byte_ids,
     _rank_chunks,
     _rank_walk,
-    _symbol_ids,
     _unrank_chunks,
     _unrank_walk,
     perm_index_to_sequence,
     perm_rank_and_count,
-    sequence_to_perm_index,
 )
 from oracles import (  # noqa: E402
     reference_rank_chunks,
     reference_rank_incremental,
     reference_rank_split,
     reference_unrank_incremental,
+    symbol_ids,
 )
 from test_acceptance import _dna_like  # noqa: E402
 
@@ -130,7 +129,7 @@ def blocks() -> dict[str, tuple[bytes, bytes]]:
 
 
 def measure(name: str, block: bytes, alphabet: bytes) -> dict:
-    ids, counts = _symbol_ids(block, alphabet)
+    ids, counts = symbol_ids(block, alphabet)
     byte_ids = _byte_ids(block, alphabet)
     arrangements = multinomial(counts)
     rank = reference_rank_incremental(ids, list(counts))
@@ -139,9 +138,8 @@ def measure(name: str, block: bytes, alphabet: bytes) -> dict:
         "incremental_rank_s": lambda: reference_rank_incremental(ids, list(counts)),
         "split_rank_s": lambda: reference_rank_split(ids, list(counts)),
         "chunk_rank_s": lambda: _rank_chunks(byte_ids, list(counts)),
-        "count_rank_s": lambda: perm_rank_and_count(block, alphabet),
         "parent_rank_s": lambda: parent_rank(_byte_ids(block, alphabet), list(counts)),
-        "rank_s": lambda: sequence_to_perm_index(block, alphabet),
+        "rank_s": lambda: perm_rank_and_count(block, alphabet),
     }
     unranks = {
         "walk_unrank_s": lambda: _unrank_walk(rank, arrangements, list(counts)),
@@ -152,7 +150,7 @@ def measure(name: str, block: bytes, alphabet: bytes) -> dict:
         "unrank_s": lambda: perm_index_to_sequence(rank, counts, alphabet),
     }
     # the walk, the chunks and perm_rank_and_count give the arrangement count too
-    with_count = ("walk_rank_s", "chunk_rank_s", "count_rank_s")
+    with_count = ("walk_rank_s", "chunk_rank_s", "rank_s")
     for column, fn in ranks.items():
         if fn() != ((rank, arrangements) if column in with_count else rank):
             raise SystemExit(f"{column} and the oracle walk differ on {name}")
