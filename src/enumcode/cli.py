@@ -428,6 +428,8 @@ def cmd_sweep(args) -> int:
         alphas = _distinct(_symbols(args.alphas, args), "--alphas")
     # checked once, before any file is read: a bad option is a usage error
     alphabet = _explicit_alphabet(args)
+    for alpha in alphas if alphabet and alphas else b"":
+        CodecParams.variable(alphabet, alpha, 1, 0)  # raises as encode does on --alpha
     table = _fasta_table(args)
     sweeps: list[FileSweep] = []
     failures = 0

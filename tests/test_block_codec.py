@@ -1,5 +1,6 @@
 import math
 import random
+import statistics
 import struct
 import time
 
@@ -160,6 +161,110 @@ class TestCodecParams:
         assert params.alpha_index == 3
         assert params.alpha_byte == ord("g")
         assert params.sigma == 4
+
+
+class TestRecords:
+    """The records stay immutable values, whatever implements them."""
+
+    def test_fields_cannot_be_assigned(self):
+        params = variable_params(FIG_T)
+        container = encode(FIG_T, params)
+        records = [
+            (params, "n"),
+            (factorize(FIG_T, params)[-1], "pad_count"),
+            (container, "payload_bits"),
+            (container.accounting, "blocks"),
+        ]
+        for record, name in records:
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+            assert hash(record) == hash(record)
+
+    def test_container_equality_ignores_encoder_metadata(self):
+        container = encode(FIG_T, variable_params(FIG_T))
+        parsed = EncodedContainer.from_bytes(container.to_bytes())
+        assert (parsed.accounting, parsed.pad) == (None, None)
+        assert parsed.payload_bits == 8 * len(parsed.payload) != container.payload_bits
+        assert parsed == container
+        assert not parsed != container
+        assert hash(parsed) == hash(container)
+        other = EncodedContainer(container.params, container.payload + b"\0")
+        assert other != container
+        assert not other == container
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(alphabet="ab", mode="fixed", n=1, fixed_len=1), "alphabet must be bytes"),
+            (
+                dict(alphabet=b"", mode="fixed", n=1, fixed_len=1),
+                "alphabet must hold between 1 and 65535 symbols",
+            ),
+            (
+                dict(alphabet=b"aba", mode="fixed", n=1, fixed_len=1),
+                "alphabet entries must be distinct",
+            ),
+            (dict(alphabet=b"ab", mode="fixed", n=-1, fixed_len=1), "n must be non-negative"),
+            (
+                dict(alphabet=b"ab", mode="variable", n=1, r=1),
+                "variable mode needs 1 <= alpha_index <= sigma",
+            ),
+            (
+                dict(alphabet=b"ab", mode="variable", n=1, alpha_index=1, r=0),
+                "variable mode needs 1 <= r <= 4294967295",
+            ),
+            (
+                dict(alphabet=b"ab", mode="variable", n=1, alpha_index=1, r=1, fixed_len=2),
+                "fixed_len is meaningless in variable mode",
+            ),
+            (
+                dict(alphabet=b"ab", mode="fixed", n=1),
+                "fixed mode needs 1 <= fixed_len <= 4294967295",
+            ),
+            (
+                dict(alphabet=b"ab", mode="fixed", n=1, fixed_len=2, r=3),
+                "alpha_index/r are meaningless in fixed mode",
+            ),
+            (dict(alphabet=b"ab", mode="sideways", n=1), "unknown mode 'sideways'"),
+        ],
+    )
+    def test_codec_params_rejection_messages(self, kwargs, message):
+        with pytest.raises(ValueError) as info:
+            CodecParams(**kwargs)
+        assert str(info.value) == message
+
+    def test_constructor_and_property_messages(self):
+        cases = [
+            (lambda: CodecParams.variable(b"ab", b"", 1, 1), "delimiter must be one symbol, got b''"),
+            (
+                lambda: CodecParams.variable(b"ab", b"x", 1, 1),
+                "delimiter symbol 0x78 is not in the alphabet",
+            ),
+            (lambda: CodecParams.fixed(b"ab", 2, 1).alpha_byte, "no delimiter symbol in fixed mode"),
+        ]
+        for call, message in cases:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
+
+    def test_only_the_final_block_carries_padding(self):
+        for data, params in [
+            (FIG_T, variable_params(FIG_T)),
+            (b"bbb", variable_params(b"bbb", alphabet=b"ab")),
+            (FIG_T, CodecParams.fixed(FIG_ALPHABET, 5, len(FIG_T))),
+        ]:
+            blocks = factorize(data, params)
+            _, pad = block_vectors(data, params)
+            assert [b.pad_count for b in blocks] == [0] * (len(blocks) - 1) + [pad]
+
+    def test_average_block_length_is_the_fmean(self):
+        assert average_block_length([]) == 0.0
+        for seed in (1, 2, 5):
+            data = _dna_like(seed, n=3000)
+            for params in (variable_params(data, r=3), CodecParams.fixed(FIG_ALPHABET, 7, len(data))):
+                blocks = factorize(data, params)
+                expected = statistics.fmean(b.length for b in blocks)
+                assert average_block_length(blocks) == expected
 
 
 class TestEncodeDecode:

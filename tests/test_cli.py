@@ -351,6 +351,37 @@ class TestSweep:
         assert main(["encode", paths[0], *option, "--alpha", "A", "--r", "2"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_alphas_outside_an_explicit_alphabet_is_one_usage_error(self, tmp_path, capsys):
+        # checked once, before any file is read, as encode checks --alpha
+        paths = [str(p) for p in make_corpus(tmp_path)]
+        options = ["--alphabet", "acgt", "--alphas", "x", "--r-set", "2", "--L-set", "4"]
+        assert main(["sweep", *paths, *options]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: delimiter symbol 0x78 is not in the alphabet\n"
+        assert captured.out == ""
+        assert main(["encode", paths[0], "--alphabet", "acgt", "--alpha", "x", "--r", "2"]) == 2
+        assert capsys.readouterr().err == "error: delimiter symbol 0x78 is not in the alphabet\n"
+
+    def test_alphas_outside_a_file_alphabet_skips_that_file(self, tmp_path, capsys):
+        # without --alphabet each file has its own alphabet, so the check is per file
+        good = make_corpus(tmp_path, count=1)[0]
+        other = tmp_path / "other.txt"
+        other.write_bytes(b"cgtcgtcgt")
+        args = ["sweep", str(good), str(other), "--alphas", "a", "--r-set", "2", "--L-set", "4"]
+        assert main(args) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"sweep: skipping {other}: delimiter symbol 0x61 is not in the alphabet\n"
+        )
+        assert "file0.txt" in captured.out
+
+    def test_records_cannot_be_assigned(self):
+        sweep = sweep_file("x", _dna_like(1, n=2000), r_set=(2,), l_set=(4,))
+        for record, name in [(sweep, "n"), (sweep.best_fixed, "avg_block_len")]:
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+        assert hash(sweep.best_fixed) == hash(sweep.best_fixed)
+
     def test_deterministic(self, tmp_path, capsys):
         paths = make_corpus(tmp_path)
         args = ["sweep", *(str(p) for p in paths), "--r-set", "2", "--L-set", "4"]

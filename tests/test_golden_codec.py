@@ -4,7 +4,9 @@
 paths that DNA does not reach: Zipf-skewed input over 20 and 256 kinds,
 whose count vectors are mostly zeros at sigma=256, in both modes, and a
 variable-mode container whose final block owes more padding delimiters
-than the input has symbols. Each container also decodes back.
+than the input has symbols, and one fixed-mode block of 32768 DNA-like
+symbols, whose ranks are multi-kilobit integers. Each container also
+decodes back.
 """
 
 import hashlib
@@ -13,6 +15,8 @@ import random
 import pytest
 
 from enumcode.block_codec import CodecParams, EncodedContainer, decode, encode
+
+from test_acceptance import _dna_like
 
 N = 10_000
 
@@ -42,6 +46,8 @@ GOLDEN = {
 }
 # n=100, r=1000: the final block owes 977 padding delimiters
 PADDED = "aa578f7dbb9ea7da585fe5370fe570743f1a49479c40ef64bc4724382dffa84d"
+# _dna_like(32, n=32768) as one fixed-mode block of L = n (8 KB)
+LONG_BLOCK = "d472a6dc65633f5fa684f05709a40ccb06a3617a95de05c6515c41d09848301a"
 
 
 def sha(data: bytes) -> str:
@@ -64,3 +70,10 @@ def test_padding_longer_than_the_input():
     params = CodecParams.variable(b"acgt", b"a", 1000, len(data))
     assert encode(data, params).pad > len(data)
     assert sha(round_trip(data, params)) == PADDED
+
+
+def test_one_long_fixed_block():
+    data = _dna_like(32, n=32768)
+    params = CodecParams.fixed(b"acgt", len(data), len(data))
+    assert encode(data, params).accounting.blocks == 1
+    assert sha(round_trip(data, params)) == LONG_BLOCK
