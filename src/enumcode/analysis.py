@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import csv
 import math
-from typing import IO, Iterable
+from collections.abc import Iterable
+from io import TextIOBase
 
 from .combinatorics import k_count, multinomial
 
@@ -77,7 +78,7 @@ def enumeration_gain(sigma: int, n: int) -> float:
     return (sigma - 1) * math.log2(n + 1) - log2_int(k_count(sigma, n))
 
 
-def write_comparison_csv(stream: IO[str], sigma: int, n_max: int) -> None:
+def write_comparison_csv(stream: TextIOBase, sigma: int, n_max: int) -> None:
     """Emit the naive-vs-enumerated table as CSV: n,naive_bits,enum_bits,gap."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["n", "naive_bits", "enum_bits", "gap"])

@@ -31,10 +31,9 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from itertools import compress, repeat
-from statistics import fmean
-from typing import Iterable, Iterator
 
 from .analysis import log2_int
 from .bitstream import (
@@ -101,24 +100,23 @@ class CorruptContainerError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class CodecParams:
+class CodecParams(
+    namedtuple("CodecParams", "alphabet mode n alpha_index r fixed_len", defaults=(None,) * 3)
+):
     """Everything both sides must agree on before any payload bit is read.
 
-    ``alpha_index`` is the 1-based position of the delimiter symbol in the
-    alphabet; ``r`` its per-block occurrence count (variable mode).
-    ``fixed_len`` is the block length of fixed mode. ``n`` is the original
-    sequence length in symbols.
+    ``alphabet`` is bytes and ``mode`` is :data:`MODE_FIXED` or
+    :data:`MODE_VARIABLE`. ``alpha_index`` is the 1-based position of the
+    delimiter symbol in the alphabet; ``r`` its per-block occurrence count
+    (variable mode). ``fixed_len`` is the block length of fixed mode. ``n``
+    is the original sequence length in symbols. Both ways in, the
+    constructor and :meth:`_replace`, validate.
     """
 
-    alphabet: bytes
-    mode: str
-    n: int
-    alpha_index: int | None = None
-    r: int | None = None
-    fixed_len: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> CodecParams:
+        self = super().__new__(cls, *args, **kwargs)
         if not isinstance(self.alphabet, bytes):
             raise ValueError("alphabet must be bytes")
         if not 1 <= len(self.alphabet) <= 0xFFFF:
@@ -141,6 +139,11 @@ class CodecParams:
                 raise ValueError("alpha_index/r are meaningless in fixed mode")
         else:
             raise ValueError(f"unknown mode {self.mode!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> CodecParams:
+        return cls(*iterable)
 
     @classmethod
     def variable(cls, alphabet: bytes, alpha: bytes | int, r: int, n: int) -> "CodecParams":
@@ -171,8 +174,7 @@ class CodecParams:
         return self.alphabet[self.alpha_index - 1]
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(namedtuple("Block", "content length freq pad_count", defaults=(0,))):
     """One factor of the input plus its symbol counts.
 
     ``freq`` spans the full alphabet, delimiter included; variable mode's
@@ -183,10 +185,7 @@ class Block:
     accounting and sweeps never pay for ranks they do not pack.
     """
 
-    content: bytes
-    length: int
-    freq: tuple[int, ...]
-    pad_count: int = 0
+    __slots__ = ()
 
 
 def check_alphabet(data: bytes, alphabet: bytes) -> None:
@@ -227,7 +226,7 @@ def factorize(data: bytes, params: CodecParams) -> list[Block]:
     contents, vectors, pad = _cut(data, params)
     blocks = [Block(content, len(content), freq) for content, freq in zip(contents, vectors)]
     if pad:
-        blocks[-1] = replace(blocks[-1], pad_count=pad)
+        blocks[-1] = blocks[-1]._replace(pad_count=pad)
     return blocks
 
 
@@ -430,27 +429,37 @@ def decode(container: "EncodedContainer", max_output: int = DEFAULT_MAX_OUTPUT) 
     return bytes(out)
 
 
-@dataclass(frozen=True)
-class EncodedContainer:
+class EncodedContainer(
+    namedtuple("EncodedContainer", "params payload payload_bits accounting pad")
+):
     """Header parameters plus the packed payload bits.
 
-    ``payload_bits`` is the used bit count before byte padding. It and the
-    fields after it are encoder-side metadata, which the wire does not
-    carry, so they do not participate in equality: :func:`encode` sets
-    ``accounting`` (its blocks priced as :func:`vector_bits` prices them)
-    and ``pad`` (the delimiters appended to the final block), which
-    :meth:`from_bytes` leaves None.
+    ``payload_bits`` is the used bit count before byte padding, by default
+    all of ``payload``. It and the fields after it are encoder-side
+    metadata, which the wire does not carry, so they do not participate in
+    equality or the hash: :func:`encode` sets ``accounting`` (its blocks
+    priced as :func:`vector_bits` prices them) and ``pad`` (the delimiters
+    appended to the final block), which :meth:`from_bytes` leaves None.
     """
 
-    params: CodecParams
-    payload: bytes
-    payload_bits: int = field(default=-1, compare=False)
-    accounting: AccountedBits | None = field(default=None, compare=False)
-    pad: int | None = field(default=None, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.payload_bits < 0:
-            object.__setattr__(self, "payload_bits", len(self.payload) * 8)
+    def __new__(cls, params, payload, payload_bits=None, accounting=None, pad=None):
+        if payload_bits is None:
+            payload_bits = 8 * len(payload)
+        return super().__new__(cls, params, payload, payload_bits, accounting, pad)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self[:2] == other[:2]
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __hash__(self):
+        return hash(self[:2])
 
     def to_bytes(self) -> bytes:
         return _header(self.params) + self.payload
@@ -485,8 +494,12 @@ def _header(params: CodecParams) -> bytes:
     return _PREFIX.pack(MAGIC, VERSION, code, params.sigma) + params.alphabet + fields.pack(*values)
 
 
-@dataclass(frozen=True)
-class AccountedBits:
+class AccountedBits(
+    namedtuple(
+        "AccountedBits",
+        "blocks bits_ceiled bits_real length_bits freq_bits perm_bits container_bits",
+    )
+):
     """Bit budget of a factorization, priced block by block in one pass.
 
     ``blocks`` counts the blocks priced. ``bits_ceiled`` charges every
@@ -496,16 +509,11 @@ class AccountedBits:
     this block structure.
     ``container_bits`` is the exact size of the container :func:`encode`
     emits: the header, then the payload with its Elias-delta length
-    codewords, rounded up to whole bytes.
+    codewords, rounded up to whole bytes. Every field is an int but
+    ``bits_real``.
     """
 
-    blocks: int
-    bits_ceiled: int
-    bits_real: float
-    length_bits: int
-    freq_bits: int
-    perm_bits: int
-    container_bits: int
+    __slots__ = ()
 
     def per_base(self, n: int) -> float:
         return self.bits_ceiled / n if n else 0.0
@@ -598,7 +606,7 @@ def container_bits(blocks: list[Block], params: CodecParams) -> int:
 
 
 def average_block_length(blocks: list[Block]) -> float:
-    return fmean(b.length for b in blocks) if blocks else 0.0
+    return sum(b.length for b in blocks) / len(blocks) if blocks else 0.0
 
 
 __all__ = [

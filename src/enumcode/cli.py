@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
-from pathlib import Path
-from statistics import fmean
 
 from .analysis import finite_set_h0, write_comparison_csv
 from .block_codec import (
-    AccountedBits,
     AlphabetError,
     CodecParams,
     CorruptContainerError,
@@ -78,7 +76,8 @@ def _fasta_table(args) -> bytes | None:
 def read_sequence(path: str, fasta: bool = False, table: bytes | None = None) -> bytes:
     """A file's bytes; with ``fasta``, its sequence lines uppercased, mapped
     through ``table`` and checked to be ACGT."""
-    raw = Path(path).read_bytes()
+    with open(path, "rb") as handle:
+        raw = handle.read()
     if not fasta:
         return raw
     cleaned = bytearray()
@@ -91,6 +90,11 @@ def read_sequence(path: str, fasta: bool = False, table: bytes | None = None) ->
         cleaned = cleaned.translate(table)
     check_alphabet(cleaned, b"ACGT")
     return bytes(cleaned)
+
+
+def _write_bytes(path: str, data: bytes) -> None:
+    with open(path, "wb") as handle:
+        handle.write(data)
 
 
 def _distinct(values, option: str):
@@ -126,7 +130,7 @@ def cmd_encode(args) -> int:
     container = encode(data, params)
     raw = container.to_bytes()
     out_path = args.out or args.input + ".enum"
-    Path(out_path).write_bytes(raw)
+    _write_bytes(out_path, raw)
 
     acct = container.accounting
     total_bits = 8 * len(raw)
@@ -154,13 +158,12 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    raw = Path(args.input).read_bytes()
-    container = EncodedContainer.from_bytes(raw)
+    container = EncodedContainer.from_bytes(read_sequence(args.input))
     data = decode(container, max_output=args.max_output)
     out_path = args.out
     if not out_path:
         out_path = args.input[: -len(".enum")] if args.input.endswith(".enum") else args.input + ".out"
-    Path(out_path).write_bytes(data)
+    _write_bytes(out_path, data)
     print(f"input: {args.input}")
     print(f"n: {len(data)}")
     print(f"output: {out_path}")
@@ -196,29 +199,26 @@ def cmd_figure1(args) -> int:
     return EXIT_OK
 
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(namedtuple("SweepPoint", "params accounting avg_block_len")):
     """One grid point: the params it was priced under and what :func:`vector_bits` returned."""
 
-    params: CodecParams
-    accounting: AccountedBits
-    avg_block_len: float
+    __slots__ = ()
 
     @property
     def bits_per_base(self) -> float:
         return self.accounting.per_base(self.params.n)
 
 
-@dataclass(frozen=True)
-class FileSweep:
-    file_id: str
-    n: int
-    counts: tuple[int, ...]
-    h0_bits_per_base: float
-    points: list[SweepPoint]
-    best_variable: SweepPoint
-    best_fixed: SweepPoint
-    best_variable_rcap: SweepPoint  # best constrained to the largest r in the grid
+class FileSweep(
+    namedtuple(
+        "FileSweep",
+        "file_id n counts h0_bits_per_base points best_variable best_fixed best_variable_rcap",
+    )
+):
+    """One file's grid: every point, and the best variable, fixed and
+    largest-r variable point among them."""
+
+    __slots__ = ()
 
 
 def sweep_file(
@@ -256,7 +256,7 @@ def sweep_file(
     points: list[SweepPoint] = []
     for params, delimiters in grid:
         vectors, _ = block_vectors(data, params, delimiters)
-        points.append(SweepPoint(params, vector_bits(vectors, params), fmean(map(sum, vectors))))
+        points.append(SweepPoint(params, vector_bits(vectors, params), sum(map(sum, vectors)) / len(vectors)))
 
     def cost(p: SweepPoint) -> tuple[int, int, int]:
         # ties go to the smaller r (or L), then to the delimiter earlier in the alphabet
@@ -438,7 +438,7 @@ def cmd_sweep(args) -> int:
             data = read_sequence(path, args.fasta, table)
             sweeps.append(
                 sweep_file(
-                    Path(path).name,
+                    os.path.basename(path),
                     data,
                     alphabet=alphabet,
                     alphas=alphas,

@@ -8,7 +8,7 @@ magnitude. Floating point never enters a counting path; logarithms live in
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from collections.abc import Iterable
 
 
 def multinomial(counts: Iterable[int]) -> int:

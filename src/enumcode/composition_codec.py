@@ -19,7 +19,7 @@ records every addend.
 from __future__ import annotations
 
 from math import comb
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .combinatorics import k_count
 

@@ -61,7 +61,7 @@ test oracles in ``tests/oracles.py``.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .combinatorics import multinomial
 
