@@ -256,7 +256,8 @@ def sweep_file(
     points: list[SweepPoint] = []
     for params, delimiters in grid:
         vectors, _ = block_vectors(data, params, delimiters)
-        points.append(SweepPoint(params, vector_bits(vectors, params), sum(map(sum, vectors)) / len(vectors)))
+        average = sum(map(sum, vectors)) / len(vectors)
+        points.append(SweepPoint(params, vector_bits(vectors, params), average))
 
     def cost(p: SweepPoint) -> tuple[int, int, int]:
         # ties go to the smaller r (or L), then to the delimiter earlier in the alphabet
@@ -428,8 +429,9 @@ def cmd_sweep(args) -> int:
         alphas = _distinct(_symbols(args.alphas, args), "--alphas")
     # checked once, before any file is read: a bad option is a usage error
     alphabet = _explicit_alphabet(args)
-    for alpha in alphas if alphabet and alphas else b"":
-        CodecParams.variable(alphabet, alpha, 1, 0)  # raises as encode does on --alpha
+    if alphabet and alphas:
+        for alpha in alphas:  # raises as encode does on an --alpha outside --alphabet
+            CodecParams.variable(alphabet, alpha, 1, 0)
     table = _fasta_table(args)
     sweeps: list[FileSweep] = []
     failures = 0

@@ -98,6 +98,8 @@ class TestFactorizeFixed:
         params = CodecParams.fixed(b"ab", 4, 10)
         blocks = factorize(b"abababab" + b"ab", params)
         assert [b.length for b in blocks] == [4, 4, 2]
+        # the short final block is not padded in fixed mode
+        assert [b.pad_count for b in blocks] == [0, 0, 0]
 
     def test_repeating_content(self):
         params = CodecParams.fixed(FIG_ALPHABET, 4, 8)
@@ -235,33 +237,30 @@ class TestRecords:
 
     def test_constructor_and_property_messages(self):
         cases = [
-            (lambda: CodecParams.variable(b"ab", b"", 1, 1), "delimiter must be one symbol, got b''"),
+            (
+                lambda: CodecParams.variable(b"ab", b"", 1, 1),
+                "delimiter must be one symbol, got b''",
+            ),
             (
                 lambda: CodecParams.variable(b"ab", b"x", 1, 1),
                 "delimiter symbol 0x78 is not in the alphabet",
             ),
-            (lambda: CodecParams.fixed(b"ab", 2, 1).alpha_byte, "no delimiter symbol in fixed mode"),
+            (
+                lambda: CodecParams.fixed(b"ab", 2, 1).alpha_byte,
+                "no delimiter symbol in fixed mode",
+            ),
         ]
         for call, message in cases:
             with pytest.raises(ValueError) as info:
                 call()
             assert str(info.value) == message
 
-    def test_only_the_final_block_carries_padding(self):
-        for data, params in [
-            (FIG_T, variable_params(FIG_T)),
-            (b"bbb", variable_params(b"bbb", alphabet=b"ab")),
-            (FIG_T, CodecParams.fixed(FIG_ALPHABET, 5, len(FIG_T))),
-        ]:
-            blocks = factorize(data, params)
-            _, pad = block_vectors(data, params)
-            assert [b.pad_count for b in blocks] == [0] * (len(blocks) - 1) + [pad]
-
     def test_average_block_length_is_the_fmean(self):
         assert average_block_length([]) == 0.0
         for seed in (1, 2, 5):
             data = _dna_like(seed, n=3000)
-            for params in (variable_params(data, r=3), CodecParams.fixed(FIG_ALPHABET, 7, len(data))):
+            fixed = CodecParams.fixed(FIG_ALPHABET, 7, len(data))
+            for params in (variable_params(data, r=3), fixed):
                 blocks = factorize(data, params)
                 expected = statistics.fmean(b.length for b in blocks)
                 assert average_block_length(blocks) == expected

@@ -38,3 +38,14 @@ def test_rank_curve_rows_agree_and_invert(monkeypatch):
         assert row["length"] == int(name.split("/")[1])
         assert row["chunk_rank_s"] == row["rank_s"] == 0.0
         assert row["chunk_unrank_s"] == row["unrank_s"] == 0.0
+
+
+def test_cli_import_loads_no_heavy_stdlib_module(monkeypatch):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    import_time = importlib.import_module("import_time")
+    # one untimed sample; under -S, site imports nothing before the package
+    _, loaded, modules = import_time.sample(("-I", "-S"))
+    assert "enumcode.cli" in loaded
+    heavy = {"dataclasses", "inspect", "statistics", "fractions", "decimal", "random"}
+    heavy |= {"typing", "pathlib"}
+    assert heavy.isdisjoint(modules), sorted(heavy.intersection(modules))
