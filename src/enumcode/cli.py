@@ -47,6 +47,13 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_FORMAT = 4
 EXIT_CORRUPT = 5
+# an error's exit code is that of the first entry it is an instance of
+_EXIT_CODES = (
+    (CorruptContainerError, EXIT_CORRUPT),
+    ((FormatError, AlphabetError), EXIT_FORMAT),
+    (OSError, EXIT_IO),
+    (ValueError, EXIT_USAGE),
+)
 
 R_SET_DEFAULT = (4, 8, 16, 32, 64, 128)
 L_SET_DEFAULT = (4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048)
@@ -62,8 +69,10 @@ def render_alphabet(alphabet: bytes) -> str:
 
 def _fasta_table(args) -> bytes | None:
     """The byte translation ``--fasta-map`` (such as ``N=A,R=G``) asks of ``--fasta`` input."""
-    if not (args.fasta and args.fasta_map):
+    if not args.fasta_map:
         return None
+    if not args.fasta:
+        raise ValueError("--fasta-map needs --fasta")
     table = bytearray(range(256))
     for pair in args.fasta_map.split(","):
         src, _, dst = pair.upper().partition("=")
@@ -281,130 +290,117 @@ def sweep_file(
     )
 
 
-_REPORT_COLUMNS = [
-    "file",
-    "n",
-    "counts",
-    "h0_bits_per_base",
-    "fixed_bits_per_base",
-    "fixed_L",
-    "variable_bits_per_base",
-    "alpha",
-    "r",
-    "avg_block_length",
-    "variable_rmax_bits_per_base",
-    "rmax_alpha",
-]
+# The report's columns: CSV name and format, then the summary's title, width
+# and format; the summary leaves out a column without a title.
+_REPORT_COLUMNS = (
+    ("file", "", "file", "<16", ""),
+    ("n", "", "n", ">9", ""),
+    ("counts", "", "", "", ""),
+    ("h0_bits_per_base", ".6f", "h0_bpb", ">8", ".4f"),
+    ("fixed_bits_per_base", ".6f", "fixed_bpb", ">10", ".4f"),
+    ("fixed_L", "", "L", ">5", ""),
+    ("variable_bits_per_base", ".6f", "var_bpb", ">8", ".4f"),
+    ("alpha", "", "alpha", ">5", ""),
+    ("r", "", "r", ">4", ""),
+    ("avg_block_length", ".2f", "avg_blk", ">8", ".1f"),
+    ("variable_rmax_bits_per_base", ".6f", "var_rmax_bpb", ">13", ".4f"),
+    ("rmax_alpha", "", "alpha", ">5", ""),
+)
 
 
-def _averages(sweeps: list[FileSweep]) -> list[float]:
-    """Mean h0, best fixed, best variable and best r-capped variable bits per base."""
-    rows = [
-        (
-            s.h0_bits_per_base,
-            s.best_fixed.bits_per_base,
-            s.best_variable.bits_per_base,
-            s.best_variable_rcap.bits_per_base,
-        )
-        for s in sweeps
-    ]
-    return [sum(column) / len(sweeps) for column in zip(*rows)]
-
-
-def write_report_csv(stream, sweeps: list[FileSweep]) -> None:
-    """One row per file with the per-file bests, then an averages row."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(_REPORT_COLUMNS)
+def report_rows(sweeps: list[FileSweep]) -> list[list]:
+    """One row of raw values per file with its bests, then an averages row:
+    "average", the mean of each bits-per-base column, and None elsewhere."""
+    rows = []
     for sweep in sweeps:
         fixed, var, rcap = sweep.best_fixed, sweep.best_variable, sweep.best_variable_rcap
-        writer.writerow(
+        rows.append(
             [
                 sweep.file_id,
                 sweep.n,
                 " ".join(str(c) for c in sweep.counts),
-                f"{sweep.h0_bits_per_base:.6f}",
-                f"{fixed.bits_per_base:.6f}",
+                sweep.h0_bits_per_base,
+                fixed.bits_per_base,
                 fixed.params.fixed_len,
-                f"{var.bits_per_base:.6f}",
+                var.bits_per_base,
                 render_symbol(var.params.alpha_byte),
                 var.params.r,
-                f"{var.avg_block_len:.2f}",
-                f"{rcap.bits_per_base:.6f}",
+                var.avg_block_len,
+                rcap.bits_per_base,
                 render_symbol(rcap.params.alpha_byte),
             ]
         )
-    if sweeps:
-        h0, fixed, variable, rcap = (f"{mean:.6f}" for mean in _averages(sweeps))
-        writer.writerow(["average", "", "", h0, fixed, "", variable, "", "", "", rcap, ""])
+    if rows:
+        columns = list(zip(_REPORT_COLUMNS, zip(*rows)))[1:]
+        means = (
+            sum(values) / len(values) if name.endswith("bits_per_base") else None
+            for (name, *_), values in columns
+        )
+        rows.append(["average", *means])
+    return rows
 
 
-_DETAIL_COLUMNS = [
-    "file",
-    "mode",
-    "alpha",
-    "r",
-    "L",
-    "blocks",
-    "avg_block_len",
-    "bits_ceiled",
-    "bits_per_base",
-    "bits_real",
-    "real_per_base",
-    "container_bits",
-    "container_per_base",
-    "best",
-]
+def _cells(row: list, formats, empty: str) -> list[str]:
+    """A report row's values in their formats, ``empty`` for None."""
+    return [empty if v is None else format(v, fmt) for v, fmt in zip(row, formats)]
 
 
-def write_points_csv(stream, sweeps: list[FileSweep]) -> None:
-    """Every grid point, including the exact container sizes."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(_DETAIL_COLUMNS)
+def print_sweep_summary(rows: list[list]) -> None:
+    """The report rows under the titles, "-" in an empty cell."""
+    _, _, titles, widths, formats = zip(*_REPORT_COLUMNS)
+    for cells in [titles, *(_cells(row, formats, "-") for row in rows)]:
+        shown = (format(cell, width) for cell, width, title in zip(cells, widths, titles) if title)
+        print(" ".join(shown))
+
+
+def report_csv_rows(rows: list[list]) -> list:
+    """The report rows under the CSV header, an empty cell left empty."""
+    names, formats, *_ = zip(*_REPORT_COLUMNS)
+    return [names, *(_cells(row, formats, "") for row in rows)]
+
+
+def point_rows(sweeps: list[FileSweep]):
+    """Every grid point, including the exact container sizes, under the CSV header."""
+    yield [
+        "file",
+        "mode",
+        "alpha",
+        "r",
+        "L",
+        "blocks",
+        "avg_block_len",
+        "bits_ceiled",
+        "bits_per_base",
+        "bits_real",
+        "real_per_base",
+        "container_bits",
+        "container_per_base",
+        "best",
+    ]
     for sweep in sweeps:
         for p in sweep.points:
             params, acct = p.params, p.accounting
-            writer.writerow(
-                [
-                    sweep.file_id,
-                    params.mode,
-                    render_symbol(params.alpha_byte) if params.alpha_index else "",
-                    params.r or "",
-                    params.fixed_len or "",
-                    acct.blocks,
-                    f"{p.avg_block_len:.2f}",
-                    acct.bits_ceiled,
-                    f"{p.bits_per_base:.6f}",
-                    f"{acct.bits_real:.3f}",
-                    f"{acct.bits_real / sweep.n:.6f}",
-                    acct.container_bits,
-                    f"{acct.container_bits / sweep.n:.6f}",
-                    int(p is sweep.best_variable or p is sweep.best_fixed),
-                ]
-            )
+            yield [
+                sweep.file_id,
+                params.mode,
+                render_symbol(params.alpha_byte) if params.alpha_index else "",
+                params.r or "",
+                params.fixed_len or "",
+                acct.blocks,
+                f"{p.avg_block_len:.2f}",
+                acct.bits_ceiled,
+                f"{p.bits_per_base:.6f}",
+                f"{acct.bits_real:.3f}",
+                f"{acct.bits_real / sweep.n:.6f}",
+                acct.container_bits,
+                f"{acct.container_bits / sweep.n:.6f}",
+                int(p is sweep.best_variable or p is sweep.best_fixed),
+            ]
 
 
-def print_sweep_summary(sweeps: list[FileSweep]) -> None:
-    header = (
-        f"{'file':<16} {'n':>9} {'h0_bpb':>8} {'fixed_bpb':>10} {'L':>5} "
-        f"{'var_bpb':>8} {'alpha':>5} {'r':>4} {'avg_blk':>8} "
-        f"{'var_rmax_bpb':>13} {'alpha':>5}"
-    )
-    print(header)
-    for sweep in sweeps:
-        fixed, var, rcap = sweep.best_fixed, sweep.best_variable, sweep.best_variable_rcap
-        print(
-            f"{sweep.file_id:<16} {sweep.n:>9} {sweep.h0_bits_per_base:>8.4f} "
-            f"{fixed.bits_per_base:>10.4f} {fixed.params.fixed_len:>5} "
-            f"{var.bits_per_base:>8.4f} {render_symbol(var.params.alpha_byte):>5} "
-            f"{var.params.r:>4} {var.avg_block_len:>8.1f} "
-            f"{rcap.bits_per_base:>13.4f} {render_symbol(rcap.params.alpha_byte):>5}"
-        )
-    if sweeps:
-        avg_h0, avg_fixed, avg_var, avg_rcap = _averages(sweeps)
-        print(
-            f"{'average':<16} {'-':>9} {avg_h0:>8.4f} {avg_fixed:>10.4f} {'-':>5} "
-            f"{avg_var:>8.4f} {'-':>5} {'-':>4} {'-':>8} {avg_rcap:>13.4f} {'-':>5}"
-        )
+def _write_csv(path: str, rows) -> None:
+    with open(path, "w", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
 
 
 def non_negative_int(text: str) -> int:
@@ -451,13 +447,12 @@ def cmd_sweep(args) -> int:
         except (OSError, ValueError) as exc:
             failures += 1
             print(f"sweep: skipping {path}: {exc}", file=sys.stderr)
-    print_sweep_summary(sweeps)
+    rows = report_rows(sweeps)
+    print_sweep_summary(rows)
     if args.out:
-        with open(args.out, "w", newline="") as handle:
-            write_report_csv(handle, sweeps)
+        _write_csv(args.out, report_csv_rows(rows))
     if args.points:
-        with open(args.points, "w", newline="") as handle:
-            write_points_csv(handle, sweeps)
+        _write_csv(args.points, point_rows(sweeps))
     if not sweeps and failures:
         return EXIT_IO
     return EXIT_OK
@@ -470,15 +465,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("encode", help="encode a file into a container")
+    # the input options encode and sweep share
+    symbols = argparse.ArgumentParser(add_help=False)
+    symbols.add_argument("--alphabet", help="explicit alphabet in significance order")
+    symbols.add_argument("--fasta", action="store_true", help="strip FASTA headers, uppercase")
+    symbols.add_argument("--fasta-map", help="extra base mapping, e.g. N=A,R=G")
+
+    p = sub.add_parser("encode", parents=[symbols], help="encode a file into a container")
     p.add_argument("input")
     p.add_argument("--mode", choices=[MODE_VARIABLE, MODE_FIXED], default=MODE_VARIABLE)
     p.add_argument("--alpha", help="delimiter symbol (variable mode)")
     p.add_argument("--r", type=int, help="delimiter occurrences per block (variable mode)")
     p.add_argument("--L", type=int, help="block length (fixed mode)")
-    p.add_argument("--alphabet", help="explicit alphabet in significance order")
-    p.add_argument("--fasta", action="store_true", help="strip FASTA headers, uppercase")
-    p.add_argument("--fasta-map", help="extra base mapping, e.g. N=A,R=G")
     p.add_argument("--out", help="output path (default: INPUT.enum)")
     p.set_defaults(func=cmd_encode)
 
@@ -516,14 +514,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_figure1)
 
-    p = sub.add_parser("sweep", help="evaluate the parameter grid over a corpus")
+    p = sub.add_parser("sweep", parents=[symbols], help="evaluate the parameter grid over a corpus")
     p.add_argument("inputs", nargs="+")
     p.add_argument("--alphas", help="candidate delimiter symbols (default: whole alphabet)")
     p.add_argument("--r-set", dest="r_set", help="comma-separated r values")
     p.add_argument("--L-set", dest="L_set", help="comma-separated fixed block lengths")
-    p.add_argument("--alphabet", help="explicit alphabet in significance order")
-    p.add_argument("--fasta", action="store_true")
-    p.add_argument("--fasta-map", help="extra base mapping, e.g. N=A,R=G")
     p.add_argument("--out", help="write the per-file report CSV here")
     p.add_argument("--points", help="write the per-point detail CSV here")
     p.set_defaults(func=cmd_sweep)
@@ -542,18 +537,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (FormatError, AlphabetError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except CorruptContainerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CORRUPT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -727,6 +727,48 @@ def fixed_cases(draw):
     return data, CodecParams.fixed(alphabet, fixed_len, len(data))
 
 
+# Inputs of up to 2000 symbols, so that blocks with n * ceil(log2 sigma) above
+# 512 bits rank in chunks and arrangement counts above 2048 bits unrank in
+# chunks. Lengths are drawn down from their maximum, which hypothesis would
+# otherwise seldom reach, and the symbols come from a drawn seed, since
+# drawing 2000 list elements one by one is slow.
+def _down_from(draw, top: int, low: int = 1) -> int:
+    return top - draw(st.integers(0, top - low))
+
+
+def _seeded(draw, kinds: bytes) -> bytes:
+    weights = draw(st.lists(st.integers(1, 8), min_size=len(kinds), max_size=len(kinds)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return bytes(rng.choices(kinds, weights, k=_down_from(draw, 2000, 0)))
+
+
+@st.composite
+def sparse_byte_cases(draw):
+    """All 256 byte values as the alphabet, 2-6 of them present, either mode."""
+    kinds = bytes(draw(st.lists(st.integers(0, 255), min_size=2, max_size=6, unique=True)))
+    data, alphabet = _seeded(draw, kinds), bytes(range(256))
+    if draw(st.booleans()):
+        return data, CodecParams.fixed(alphabet, _down_from(draw, 2048), len(data))
+    alpha, r = draw(st.sampled_from(kinds)), _down_from(draw, 600)
+    return data, CodecParams.variable(alphabet, alpha, r, len(data))
+
+
+@st.composite
+def long_fixed_cases(draw):
+    """Fixed mode over ab or acgt, with L and n up to about 2000."""
+    alphabet = draw(alphabets)
+    data = _seeded(draw, alphabet)
+    return data, CodecParams.fixed(alphabet, _down_from(draw, 2048), len(data))
+
+
+@given(st.one_of(sparse_byte_cases(), long_fixed_cases()))
+@settings(deadline=None)
+def test_long_block_container_round_trip(case):
+    data, params = case
+    container = encode(data, params)
+    raw = container.to_bytes()
+    assert container.accounting.container_bits == 8 * len(raw)
+    assert decode(EncodedContainer.from_bytes(raw)) == data
 
 
 @given(variable_cases())

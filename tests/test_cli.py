@@ -5,8 +5,10 @@ from statistics import fmean
 
 import pytest
 
+from enumcode import block_codec, cli
 from enumcode.block_codec import encode
 from enumcode.cli import main, sweep_file
+from enumcode.combinatorics import CombinatoricsContext
 
 from conftest import COMPOSITIONS_4_4, FIG_T, PERMS_2110
 from oracles import reference_accounted_bits, reference_factorize
@@ -184,6 +186,44 @@ class TestExitCodes:
         assert dec.read_bytes() == FIG_T
 
 
+# Bindings src/ keeps only because perfbench/tracer.py looks them up by name.
+# No command may call them, so they can be deleted once the tracer stops
+# looking them up.
+TRACER_ONLY = [
+    (cli, "factorize"),
+    (cli, "accounted_bits"),
+    (cli, "container_bits"),
+    (cli, "average_block_length"),
+    (cli, "frequency_vector"),
+    (block_codec, "sequence_to_perm_index"),
+    (CombinatoricsContext, "k_count"),
+]
+
+
+def test_commands_run_without_the_tracer_only_bindings(tmp_path, monkeypatch, capsys):
+    for owner, name in TRACER_ONLY:
+
+        def stub(*args, name=name, **kwargs):
+            raise AssertionError(f"{name} is called")
+
+        monkeypatch.setattr(owner, name, staticmethod(stub) if isinstance(owner, type) else stub)
+    src = tmp_path / "dna.txt"
+    data = _dna_like(3, n=3000)
+    src.write_bytes(data)
+    for options in (["--alpha", "a", "--r", "16"], ["--mode", "fixed", "--L", "2048"]):
+        enc, dec = tmp_path / "x.enum", tmp_path / "x.out"
+        assert main(["encode", str(src), "--out", str(enc), *options]) == 0
+        assert main(["decode", str(enc), "--out", str(dec)]) == 0
+        assert dec.read_bytes() == data
+    report = tmp_path / "report.csv"
+    assert main(["sweep", str(src), "--r-set", "2,16", "--L-set", "8,2048", "--out", str(report)]) == 0
+    assert "skipping" not in capsys.readouterr().err
+    assert report.read_text().count("\n") == 3
+    for owner, name in TRACER_ONLY:  # every stub was in place throughout
+        with pytest.raises(AssertionError, match=f"{name} is called"):
+            getattr(owner, name)()
+
+
 class TestTables:
     def test_compositions_table(self, capsys):
         assert main(["tables", "--compositions", "4", "4"]) == 0
@@ -350,6 +390,20 @@ class TestSweep:
         assert captured.out == ""
         assert main(["encode", paths[0], *option, "--alpha", "A", "--r", "2"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "command", [["encode", "--alpha", "a", "--r", "2"], ["sweep", "--r-set", "2", "--L-set", "4"]]
+    )
+    def test_fasta_map_without_fasta_is_a_usage_error(self, tmp_path, capsys, command):
+        # the map applies to --fasta input only; without --fasta it is rejected
+        # before its entries are parsed and before any file is read (the input
+        # does not exist)
+        name, *options = command
+        missing = str(tmp_path / "missing.txt")
+        assert main([name, missing, "--fasta-map", "N=A,garbage", *options]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --fasta-map needs --fasta\n"
+        assert captured.out == ""
 
     def test_alphas_outside_an_explicit_alphabet_is_one_usage_error(self, tmp_path, capsys):
         # checked once, before any file is read, as encode checks --alpha

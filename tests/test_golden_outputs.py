@@ -1,9 +1,10 @@
 """Byte-exact outputs pinned by SHA-256.
 
-Sweep CSVs, containers and the encode report are the program's contract:
-a change to any byte of them must be on purpose. The digests were recorded
-from the implementation that ranked every block during factorization, so
-they also pin that rank-free factorization changes nothing a user sees.
+Sweep CSVs, the printed sweep summary, containers and the encode report
+are the program's contract: a change to any byte of them must be on
+purpose. All but the summary digests were recorded from the
+implementation that ranked every block during factorization, so they also
+pin that rank-free factorization changes nothing a user sees.
 """
 
 import hashlib
@@ -23,10 +24,12 @@ ENCODINGS = {
     "fixed-2048": ["--mode", "fixed", "--L", "2048"],
 }
 
-# seed -> output -> SHA-256; "<encoding>-stdout" is the encode report with
-# the scratch directory replaced by "D".
+# seed -> output -> SHA-256; "summary" is the sweep's printed table, and
+# "<encoding>-stdout" is the encode report with the scratch directory
+# replaced by "D".
 GOLDEN = {
     0: {
+        "summary": "4b053ded215cd1cbda784800b3d50ac37bd82418cc6d67bbd5da2ff92f86b532",
         "report": "548902028e2a3d9c69e73931cdf536dbd6e9a41d6f289ac8debd38e298294df8",
         "points": "3a9ee43d0e951cd4f2e35454a76769cf223044db0a705a6f1590ce25767db210",
         "var-a-16": "0b28f26697bdd460833f4bbb6d0daac910a308db6b34f74381b2e2664da98f95",
@@ -37,6 +40,7 @@ GOLDEN = {
         "fixed-2048-stdout": "d2285938bd3054fd3cc81c25445502eee88a34015ddd931c3023ca5bdd25e85d",
     },
     1: {
+        "summary": "a78eb2c8597918ec49b27e92d9245edfdbe22f98b55592bc66f60edeaaa5dea6",
         "report": "80cb39b434dcaaadc6661ab32aa81c0308aa0a8a49a65695cf2171a3e3aeda61",
         "points": "d1abb3301dea3d9c57c8db8afd5747dd86e82f3c6244f901687c229a175d7dc7",
         "var-a-16": "dd3d547562be36692c0238c11b3bc68b9052560b6bb448c5b57955a19aa8eb81",
@@ -47,6 +51,7 @@ GOLDEN = {
         "fixed-2048-stdout": "d06a15bb2acc333415146013f4e1ced4aafe40520f91d79e57b6247d762506e4",
     },
     2: {
+        "summary": "8c3c5da566ce6e06f4e1668312cd7563230909638a46785a96be740f63479035",
         "report": "7e81ffe1403aaf0e1b7f238ebf43553fc105f26c2bb27c4a39e0e111db837b66",
         "points": "dac692e9e57883a9bd7ab133a944aefff4afb4d64faa697681268d8b67024c65",
         "var-a-16": "322b64b9dda693535afdf081aa1624d29422d76140bb64bd8a22d82d80b2437e",
@@ -76,7 +81,7 @@ def test_sweep_csvs(dna_file, tmp_path, capsys):
     report, points = tmp_path / "report.csv", tmp_path / "points.csv"
     argv = ["sweep", str(dna_file), "--out", str(report), "--points", str(points)]
     assert main(argv) == 0
-    capsys.readouterr()
+    assert sha(capsys.readouterr().out.encode()) == GOLDEN[seed]["summary"]
     assert sha(report.read_bytes()) == GOLDEN[seed]["report"]
     assert sha(points.read_bytes()) == GOLDEN[seed]["points"]
 
