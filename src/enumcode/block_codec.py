@@ -355,10 +355,8 @@ def _decode_block_fields(
         raise ValueError(f"length {length} exceeds r over a 1-symbol alphabet")
     # K(dims, inner) = C(inner + dims - 1, dims - 1)
     _check_room(reader, min(dims - 1, inner), "frequency rank")
-    count = _vector_count(length, params)
-    rank = reader.read(ceil_log2(count))
-    if rank >= count:
-        raise ValueError(f"frequency rank {rank} out of range (< {count})")
+    # index_to_vector rejects a rank at or beyond the count
+    rank = reader.read(ceil_log2(_vector_count(length, params)))
     freq = index_to_vector(rank, inner, dims) if dims else ()
     if dims < params.sigma:
         # the dropped delimiter dimension, whose count is always r
@@ -410,9 +408,9 @@ def decode(container: "EncodedContainer", max_output: int = DEFAULT_MAX_OUTPUT) 
             else:
                 length = min(params.fixed_len, n - len(out))
             freq, pid, arrangements = _decode_block_fields(reader, length, params)
+            out += perm_index_to_sequence(pid, freq, params.alphabet, arrangements)
         except (BitstreamError, ValueError) as exc:
             raise CorruptContainerError(str(exc), block=blocks, bit_offset=start) from None
-        out += perm_index_to_sequence(pid, freq, params.alphabet, arrangements)
         out += delimiter
 
     if reader.bits_remaining >= 8 or (

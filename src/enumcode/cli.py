@@ -188,7 +188,7 @@ def cmd_tables(args) -> int:
         for rank, vec in enumerate(enumerate_all(inner_sum, sigma, limit=args.limit)):
             print(f"{rank}\t{format_vector(vec)}")
         return EXIT_OK
-    counts = tuple(int(part) for part in args.perms.split(","))
+    counts = tuple(_int_entry(part, "--perms") for part in args.perms.split(","))
     alphabet = args.alphabet
     if not alphabet:
         if len(counts) > len(_LETTERS):
@@ -410,8 +410,15 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def _int_entry(part: str, option: str) -> int:
+    try:
+        return int(part)
+    except ValueError:
+        raise ValueError(f"bad {option} entry {part!r} (want an integer)") from None
+
+
 def _parse_int_set(text: str, option: str) -> tuple[int, ...]:
-    values = tuple(int(part) for part in text.split(","))
+    values = tuple(_int_entry(part, option) for part in text.split(","))
     if not values or any(v < 1 for v in values):
         raise ValueError("parameter sets need positive integers")
     return _distinct(values, option)

@@ -58,7 +58,7 @@ def index_to_vector(index: int, inner_sum: int, sigma: int) -> tuple[int, ...]:
     """The unique vector of ``sigma`` counts summing to ``inner_sum`` with this rank."""
     if not 0 <= index < k_count(sigma, inner_sum):
         raise ValueError(
-            f"rank {index} out of range for {sigma} dimensions summing to {inner_sum}"
+            f"frequency rank {index} out of range for {sigma} dimensions summing to {inner_sum}"
         )
     counts = [0] * sigma
     remaining = inner_sum

@@ -35,8 +35,8 @@ count's width. A product tree (binary splitting) ranks the widest counts
 faster, but by at most 2.4x where measured (1.1x at 131072 DNA symbols, 2x
 at 32768 symbols over 256 kinds), and only on blocks whose unrank is
 slower still, so the rank does without one. ``tools/rank_curve.py``
-measures both paths and the tree. Every sequence becomes symbol ids
-through ``bytes.translate``, never through a per-symbol lookup.
+measures both paths and the tree. Every sequence becomes symbol ids in one
+step, :func:`_ids`: two ``bytes.translate`` calls check and map it.
 
 Unranking decodes from the left. While the arrangement count is narrow, the
 greedy walk (:func:`_unrank_walk`) reads each symbol off v = pid * m_i // A_i
@@ -51,7 +51,8 @@ small-int arithmetic (:func:`_decode_leaf`), then one exact update applies
 the chunk's small (P, Q, T) triple to the full-width state, one long
 division by the small Q and two products by small P and T. Every output
 is exact. Each chunk costs time in proportion to the count's width, so a
-block unranks in time quadratic in that width.
+block unranks in time quadratic in that width. A rank at or beyond the
+count is rejected before any symbol is decoded.
 
 The older walks, which take a big-int step for every smaller symbol kind,
 and the left-to-right rank, which needs the count before it starts, are
@@ -90,9 +91,11 @@ def _validate_alphabet(alphabet: Symbols) -> bytes:
     return alphabet
 
 
-def _symbols(seq: Symbols, alphabet: bytes) -> bytes:
-    """``seq`` as bytes. Its first symbol outside ``alphabet`` (a ``str`` symbol
-    above U+00FF is outside every one) raises, named as ``seq`` holds it."""
+def _ids(seq: Symbols, alphabet: Symbols) -> bytes:
+    """The alphabet position of every symbol of ``seq``, as bytes, once the
+    alphabet is checked; the first symbol outside it (a ``str`` symbol above
+    U+00FF is outside every one) raises, named as ``seq`` holds it."""
+    alphabet = _validate_alphabet(alphabet)
     try:
         data = _latin1(seq, "sequence")
     except UnicodeEncodeError as exc:
@@ -102,7 +105,7 @@ def _symbols(seq: Symbols, alphabet: bytes) -> bytes:
     offset = data.index(foreign[0]) if foreign else len(data)
     if offset < len(seq):
         raise ValueError(f"symbol {seq[offset]!r} at offset {offset} is not in the alphabet")
-    return data
+    return data.translate(bytes.maketrans(alphabet, bytes(range(len(alphabet)))))
 
 
 def _render(alphabet: Symbols, table: bytes, ids: Iterable[int]) -> Symbols:
@@ -113,8 +116,7 @@ def _render(alphabet: Symbols, table: bytes, ids: Iterable[int]) -> Symbols:
 
 def frequency_vector(seq: Symbols, alphabet: Symbols) -> tuple[int, ...]:
     """Occurrence count of each alphabet symbol in ``seq``, in alphabet order."""
-    alphabet = _validate_alphabet(alphabet)
-    return tuple(map(_symbols(seq, alphabet).count, alphabet))
+    return tuple(map(_ids(seq, alphabet).count, range(len(alphabet))))
 
 
 # A block whose arrangement count is provably at most this many bits wide,
@@ -133,14 +135,12 @@ def perm_rank_and_count(seq: Symbols, alphabet: Symbols) -> tuple[int, int]:
     The empty sequence ranks 0 of 1. Only a block that may be wide is
     counted, for the chunked rank: one ``bytes.count`` per alphabet entry.
     """
-    alphabet = _validate_alphabet(alphabet)
-    seq = _symbols(seq, alphabet)
-    ids = _byte_ids(seq, alphabet)
+    ids = _ids(seq, alphabet)
     sigma = len(alphabet)
     # sigma ** n bounds the count, so a block this short is narrow
     if len(ids) * (sigma - 1).bit_length() <= _RANK_WALK_BITS:
         return _rank_walk(ids, sigma)
-    return _rank_chunks(ids, list(map(seq.count, alphabet)))
+    return _rank_chunks(ids, list(map(ids.count, range(sigma))))
 
 
 def sequence_to_perm_index(seq: Symbols, alphabet: Symbols) -> int:
@@ -149,14 +149,6 @@ def sequence_to_perm_index(seq: Symbols, alphabet: Symbols) -> int:
     The empty sequence ranks 0.
     """
     return perm_rank_and_count(seq, alphabet)[0]
-
-
-_BYTE_IDS = bytes(range(256))
-
-
-def _byte_ids(seq: bytes, alphabet: bytes) -> bytes:
-    """The alphabet position of every byte of ``seq`` (:func:`_symbols`), as bytes."""
-    return seq.translate(bytes.maketrans(alphabet, _BYTE_IDS[: len(alphabet)]))
 
 
 def _rank_walk(ids: Sequence[int], sigma: int) -> tuple[int, int]:

@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 
@@ -89,6 +90,19 @@ class TestNaiveVsEnumerated:
         n, naive, enum, gap = lines[1].split(",")
         assert n == "1"
         assert float(gap) == pytest.approx(float(naive) - float(enum))
+
+    @pytest.mark.parametrize("sigma", [2, 20])
+    def test_csv_output_is_what_csv_writer_writes(self, sigma):
+        # figure1's table, byte for byte as the csv module writes it
+        for n_max in range(1, 51):
+            expected = io.StringIO()
+            writer = csv.writer(expected, lineterminator="\n")
+            writer.writerow(["n", "naive_bits", "enum_bits", "gap"])
+            for n, naive, enum in naive_vs_enumerated(sigma, n_max):
+                writer.writerow([n, f"{naive:.6f}", f"{enum:.6f}", f"{naive - enum:.6f}"])
+            buf = io.StringIO()
+            write_comparison_csv(buf, sigma, n_max)
+            assert buf.getvalue() == expected.getvalue(), n_max
 
 
 class TestEnumerationGain:

@@ -555,6 +555,23 @@ class TestCorruptPayloads:
             decode(container)
         assert (exc.value.block, exc.value.bit_offset) == (2, 5)
 
+    def test_error_in_the_unrank_names_the_block(self, monkeypatch):
+        # the unrank runs inside the block's error context, so whatever it
+        # rejects is a corrupt container at that block's offset
+        unrank = block_codec.perm_index_to_sequence
+
+        def fail_on_the_final_block(pid, freq, alphabet, arrangements):
+            if sum(freq) == 3:
+                raise ValueError("unrank failed")
+            return unrank(pid, freq, alphabet, arrangements)
+
+        monkeypatch.setattr(block_codec, "perm_index_to_sequence", fail_on_the_final_block)
+        container = encode(b"baabb", self.BAABB)
+        match = "payload bit 5, block 2: unrank failed"
+        with pytest.raises(CorruptContainerError, match=match) as exc:
+            decode(container)
+        assert (exc.value.block, exc.value.bit_offset) == (2, 5)
+
     def test_padding_that_holds_another_symbol_is_rejected(self):
         # the final block "bab" (rank 1 of 3) leaves "b" where only delimiters may follow n
         container = self._container(self.BAABB, [*self.BLOCK_1, (3, None), (1, 2)])

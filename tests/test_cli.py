@@ -255,6 +255,12 @@ class TestTables:
         assert captured.out == ""
         assert captured.err == "error: alphabet entry '\u03b1' is above U+00FF\n"
 
+    def test_perms_entry_that_is_not_an_integer_is_named(self, capsys):
+        assert main(["tables", "--perms", "1,x"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bad --perms entry 'x' (want an integer)\n"
+
 
 class TestFigure1:
     def test_csv_to_stdout(self, capsys):
@@ -369,6 +375,16 @@ class TestSweep:
         assert main(args) == 2
         assert "--alphas entries must be distinct" in capsys.readouterr().err
         assert not points.exists()
+
+    @pytest.mark.parametrize(
+        "option,value,entry", [("--r-set", "x", "'x'"), ("--L-set", "4,", "''")]
+    )
+    def test_entry_that_is_not_an_integer_is_named(self, tmp_path, capsys, option, value, entry):
+        # rejected before any file is read: the input does not exist
+        assert main(["sweep", str(tmp_path / "missing.txt"), option, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad {option} entry {entry} (want an integer)\n"
 
     @pytest.mark.parametrize(
         "option,message",

@@ -93,22 +93,26 @@ class TestRanking:
             with pytest.raises(ValueError, match="out of range"):
                 perm_index_to_sequence(12, (2, 1, 1, 0), b"acgt", 12)
 
-    def test_counts_only_when_the_block_may_be_wide(self):
-        class CountedBytes(bytes):
-            def count(self, *args):
-                self.counted += 1
-                return super().count(*args)
+    def test_counts_only_when_the_block_may_be_wide(self, monkeypatch):
+        counted = []
 
+        def rank_chunks(ids, counts):
+            counted.append(list(counts))
+            return _rank_chunks(ids, counts)
+
+        monkeypatch.setattr(permutation_codec, "_rank_chunks", rank_chunks)
         # 64 symbols over 256 kinds: at most 64 * 8 bits of count, so the
         # walk ranks them without counting; one symbol more and each kind
         # is counted once, for the chunks
         alphabet = bytes(range(256))
-        for length, counted in ((64, 0), (65, 256)):
-            block = CountedBytes(random.Random(length).choices(alphabet, k=length))
-            block.counted = 0
-            expected = reference_rank_incremental(*symbol_ids(block, alphabet))
-            assert sequence_to_perm_index(block, alphabet) == expected
-            assert block.counted == counted
+        for length, wide in ((64, False), (65, True)):
+            block = bytes(random.Random(length).choices(alphabet, k=length))
+            ids, counts = symbol_ids(block, alphabet)
+            counted.clear()
+            assert sequence_to_perm_index(block, alphabet) == reference_rank_incremental(
+                ids, list(counts)
+            )
+            assert counted == ([counts] if wide else [])
 
 
 class TestUnranking:

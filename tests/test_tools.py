@@ -5,6 +5,8 @@ they miss would otherwise only show when someone runs them.
 """
 
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 from test_acceptance import _dna_like
@@ -49,3 +51,12 @@ def test_cli_import_loads_no_heavy_stdlib_module(monkeypatch):
     heavy = {"dataclasses", "inspect", "statistics", "fractions", "decimal", "random"}
     heavy |= {"typing", "pathlib"}
     assert heavy.isdisjoint(modules), sorted(heavy.intersection(modules))
+
+
+def test_smoke_round_trips_pass_under_this_interpreter():
+    # the script is stdlib-only, so it also runs where pytest is not installed
+    done = subprocess.run(
+        [sys.executable, str(TOOLS / "smoke.py")], capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.startswith("smoke: ") and " passed on Python " in done.stdout

@@ -11,13 +11,10 @@ too, which the rank no longer uses), the chunked rank alone
 (``chunk_rank_s``: ``_rank_chunks``), and the dispatching
 ``perm_rank_and_count`` given the block and the alphabet, as ``encode``
 calls it (``rank_s``), which also counts the block when the count may be
-wide. The walk and the chunks rank the bytes ids of ``_byte_ids``, as the
-library does. ``parent_rank_s`` times the rank as ``encode`` took it before
-the rank ran from the right: the block's multinomial, then the
-left-to-right rank from it (``reference_rank_chunks``, an oracle). The
-walk, the chunks and ``perm_rank_and_count`` must also give the block's
-arrangement count. The oracles take the ids and counts of ``symbol_ids``
-(``tests/oracles.py``). The rank is unranked with the walk
+wide. The walk and the chunks rank the bytes ids of ``_ids``, as the
+library does. The walk, the chunks and ``perm_rank_and_count`` must also
+give the block's arrangement count. The oracles take the ids and counts of
+``symbol_ids`` (``tests/oracles.py``). The rank is unranked with the walk
 (``_unrank_walk``), the oracle walk (``reference_unrank_incremental``), the
 chunked unrank alone (``chunk_unrank_s``: ``_unrank_chunks`` run down to a
 one-run count instead of handing over to the walk) and the dispatching
@@ -44,12 +41,11 @@ the block's arrangement count. Two thresholds pick the paths:
 on that width, is at most this, in chunks above it), read against
 ``walk_rank_s`` and ``chunk_rank_s``, and ``_WALK_BITS`` (unrank by walk up
 to this count width, in chunks above it), read against
-``walk_unrank_s`` and ``chunk_unrank_s``. ``rank_s`` against
-``parent_rank_s`` shows what ranking from the right saves ``encode``, and
-``split_rank_s`` against ``chunk_rank_s`` what a product tree would win on
-the widest counts. The ``skew`` rows are long blocks with narrow counts,
-where the walk and the chunks beat the tree. The whole curve takes a few
-minutes, most of it at L = 65536.
+``walk_unrank_s`` and ``chunk_unrank_s``. ``split_rank_s`` against
+``chunk_rank_s`` shows what a product tree would win on the widest counts.
+The ``skew`` rows are long blocks with narrow counts, where the walk and the
+chunks beat the tree. The whole curve takes a few minutes, most of it at
+L = 65536.
 """
 
 from __future__ import annotations
@@ -68,7 +64,7 @@ from enumcode import permutation_codec  # noqa: E402
 from enumcode.bitstream import BitWriter  # noqa: E402
 from enumcode.combinatorics import ceil_log2, multinomial  # noqa: E402
 from enumcode.permutation_codec import (  # noqa: E402
-    _byte_ids,
+    _ids,
     _rank_chunks,
     _rank_walk,
     _unrank_chunks,
@@ -77,7 +73,6 @@ from enumcode.permutation_codec import (  # noqa: E402
     perm_rank_and_count,
 )
 from oracles import (  # noqa: E402
-    reference_rank_chunks,
     reference_rank_incremental,
     reference_rank_split,
     reference_unrank_incremental,
@@ -130,7 +125,7 @@ def blocks() -> dict[str, tuple[bytes, bytes]]:
 
 def measure(name: str, block: bytes, alphabet: bytes) -> dict:
     ids, counts = symbol_ids(block, alphabet)
-    byte_ids = _byte_ids(block, alphabet)
+    byte_ids = _ids(block, alphabet)
     arrangements = multinomial(counts)
     rank = reference_rank_incremental(ids, list(counts))
     ranks = {
@@ -138,7 +133,6 @@ def measure(name: str, block: bytes, alphabet: bytes) -> dict:
         "incremental_rank_s": lambda: reference_rank_incremental(ids, list(counts)),
         "split_rank_s": lambda: reference_rank_split(ids, list(counts)),
         "chunk_rank_s": lambda: _rank_chunks(byte_ids, list(counts)),
-        "parent_rank_s": lambda: parent_rank(_byte_ids(block, alphabet), list(counts)),
         "rank_s": lambda: perm_rank_and_count(block, alphabet),
     }
     unranks = {
@@ -167,12 +161,6 @@ def measure(name: str, block: bytes, alphabet: bytes) -> dict:
         **alternating(unranks),
         **alternating({"write_s": lambda: BitWriter().write(rank, width)}),
     }
-
-
-def parent_rank(ids, counts) -> int:
-    """The rank as encode took it before the rank ran from the right: the
-    block's multinomial, then the left-to-right rank from it; consumes ``counts``."""
-    return reference_rank_chunks(ids, counts, multinomial(counts))
 
 
 def main() -> None:
