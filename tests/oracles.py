@@ -1,8 +1,11 @@
 """Slow, independent oracles for the vector count, the block codec, the
 permutation rank and unrank, the unrank's leaf and the Elias-delta reader.
 
-The count oracle is the paper's sum form of the vector count, which
-``k_count``'s closed form replaced. The symbol-id oracle is the per-symbol
+The count oracles are the paper's sum form of the vector count, which
+``k_count``'s closed form replaced, and two forms of the multinomial: the
+chained ``math.comb`` product that ``multinomial`` runs on small vectors and
+ran on every vector before its prime-factored path, and the factorial
+quotient. The symbol-id oracle is the per-symbol
 dict lookup the permutation codec ran on every sequence other than bytes,
 before ``str`` went through Latin-1 to ``bytes.translate``. Each block-codec oracle walks the scheme
 as the ``block_codec`` module docstring describes it, without the library's
@@ -67,6 +70,33 @@ def k_count_sum_form(sigma, inner_sum):
         binomial(inner_sum - 1, sigma - 1 - i) * binomial(sigma, i)
         for i in range(sigma)
     )
+
+
+# -- reference multinomial -----------------------------------------------------
+#
+# The arrangement count without prime factors: chained binomials, as
+# ``multinomial`` computes every vector below its crossover, and the
+# quotient of factorials by its definition.
+
+
+def reference_multinomial(counts):
+    """(sum counts)! / prod(c_i!) as C(c_1, c_1) * C(c_1 + c_2, c_2) * ..."""
+    result = 1
+    total = 0
+    for c in counts:
+        if c < 0:
+            raise ValueError("counts must be non-negative")
+        total += c
+        result *= math.comb(total, c)
+    return result
+
+
+def factorial_quotient(counts):
+    """(sum counts)! / prod(c_i!) by one long division."""
+    counts = list(counts)
+    if min(counts, default=0) < 0:
+        raise ValueError("counts must be non-negative")
+    return math.factorial(sum(counts)) // math.prod(map(math.factorial, counts))
 
 
 # -- reference factorization ---------------------------------------------------

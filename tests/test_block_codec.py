@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from enumcode import block_codec, permutation_codec
+from enumcode import block_codec, combinatorics, permutation_codec
 from enumcode.bitstream import BitWriter, elias_delta_bit_length
 from enumcode.block_codec import (
     AlphabetError,
@@ -554,6 +554,33 @@ class TestCorruptPayloads:
         with pytest.raises(CorruptContainerError, match=match) as exc:
             decode(container)
         assert (exc.value.block, exc.value.bit_offset) == (2, 5)
+
+    @pytest.mark.parametrize(
+        "vector,padding,match",
+        [
+            # 8 * 20000 < 2**28, so the count is chained; its rank's 303091
+            # bits are missing
+            ((2**28 - 20000, 20000), 25000, "bit stream exhausted"),
+            # the rank takes at least 2**27 bits: rejected before any count
+            ((2**27, 2**27), 1000, "permutation rank needs at least 134217728 bits, only 1003 remain"),
+        ],
+    )
+    def test_huge_fixed_block_is_rejected_without_a_sieve(
+        self, monkeypatch, vector, padding, match
+    ):
+        def primes(n):
+            raise AssertionError(f"sieved the primes up to {n}")
+
+        monkeypatch.setattr(combinatorics, "_primes", primes)
+        n = 2**28
+        w = BitWriter()
+        w.write(vector_to_index(vector), ceil_log2(k_count(2, n)))
+        w.write(0, padding)
+        params = CodecParams.fixed(b"ab", n, n)
+        raw = EncodedContainer(params=params, payload=w.getvalue()).to_bytes()
+        with pytest.raises(CorruptContainerError, match=f"payload bit 0, block 1: {match}") as exc:
+            decode(EncodedContainer.from_bytes(raw))
+        assert (exc.value.block, exc.value.bit_offset) == (1, 0)
 
     def test_error_in_the_unrank_names_the_block(self, monkeypatch):
         # the unrank runs inside the block's error context, so whatever it

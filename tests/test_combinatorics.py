@@ -3,12 +3,13 @@ from collections import Counter
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enumcode.combinatorics import ceil_log2, k_count, multinomial
+from enumcode import combinatorics
+from enumcode.combinatorics import _PRIME_MIN, ceil_log2, k_count, multinomial
 
-from oracles import binomial, k_count_sum_form
+from oracles import binomial, factorial_quotient, k_count_sum_form, reference_multinomial
 
 
 class TestBinomial:
@@ -48,7 +49,8 @@ class TestMultinomial:
         assert multinomial(counts) == expected
 
     def test_negative_rejected(self):
-        for counts in [(1, -1), (-1,), (0, -1), (-2, 0, 3), (0, 0, 0, -1)]:
+        # the last vector would take the prime-factored path
+        for counts in [(1, -1), (-1,), (0, -1), (-2, 0, 3), (0, 0, 0, -1), (6000, 4000, -1)]:
             with pytest.raises(ValueError, match="non-negative"):
                 multinomial(counts)
 
@@ -66,6 +68,80 @@ class TestMultinomial:
         shuffled = counts[:]
         rng.shuffle(shuffled)
         assert multinomial(counts) == multinomial(shuffled)
+
+
+@st.composite
+def wide_vectors(draw):
+    """Count vectors of up to 40k symbols over 1 to 256 kinds, zero counts
+    among them: a single non-zero count, symbols outside the largest count
+    one either side of the crossover or of the 1/8 guard, or anywhere."""
+    sigma = draw(st.integers(1, 256))
+    shape = draw(st.sampled_from(["single", "crossover", "guard", "any"]))
+    rng = draw(st.randoms(use_true_random=False))
+    if shape == "single" or sigma == 1:
+        n, rest = rng.randint(0, 40_000), 0
+    elif shape == "crossover":
+        n = rng.randint(2 * _PRIME_MIN, 8 * _PRIME_MIN)
+        rest = _PRIME_MIN - rng.randint(0, 1)
+    elif shape == "guard":
+        n = rng.randint(8 * _PRIME_MIN - 8, 40_000)
+        rest = (n + 7) // 8 - rng.randint(0, 1)  # 8 * rest >= n, or just below
+    else:
+        n = rng.randint(0, 40_000)
+        rest = rng.randint(0, n)
+    cuts = sorted(rng.randint(0, rest) for _ in range(sigma - 2))
+    counts = [n - rest] + [b - a for a, b in zip([0, *cuts], [*cuts, rest])][: sigma - 1]
+    rng.shuffle(counts)
+    return counts
+
+
+class TestPrimeFactoredMultinomial:
+    @settings(max_examples=60, deadline=None)
+    @given(wide_vectors())
+    def test_matches_chained_comb_and_factorial_quotient(self, counts):
+        expected = reference_multinomial(counts)
+        assert factorial_quotient(counts) == expected
+        assert multinomial(counts) == expected
+        assert multinomial(iter(counts)) == expected
+
+    @pytest.mark.parametrize(
+        "counts,sieves",
+        [
+            ((6000, _PRIME_MIN - 1), False),
+            ((6000, _PRIME_MIN), True),
+            ((0, 6000, 0, _PRIME_MIN, 0), True),
+            ((1,) * (_PRIME_MIN - 1), False),
+            ((1,) * (_PRIME_MIN + 1), True),
+            # 8 * (n - max) against n
+            ((7 * 4000, 4000), True),
+            ((7 * 4000 + 1, 4000), False),
+            ((7 * 4000, 2000, 2000), True),
+            ((7 * 4000 + 1, 2000, 2000), False),
+        ],
+    )
+    def test_path_follows_the_counts(self, monkeypatch, counts, sieves):
+        sieved = []
+        primes = combinatorics._primes
+        monkeypatch.setattr(combinatorics, "_primes", lambda n: sieved.append(n) or primes(n))
+        assert multinomial(counts) == reference_multinomial(counts)
+        assert multinomial(iter(counts)) == reference_multinomial(counts)
+        assert sieved == ([sum(counts)] * 2 if sieves else [])
+
+    @pytest.mark.parametrize("rest", [1, 20000])
+    def test_near_unary_vector_never_sieves(self, monkeypatch, rest):
+        def primes(n):
+            raise AssertionError(f"sieved the primes up to {n}")
+
+        monkeypatch.setattr(combinatorics, "_primes", primes)
+        assert multinomial((2**28 - rest, rest)) == math.comb(2**28, rest)
+
+    def test_primes(self):
+        assert combinatorics._primes(2) == [2]
+        assert combinatorics._primes(3) == [2, 3]
+        assert combinatorics._primes(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+        primes = combinatorics._primes(10_000)
+        assert len(primes) == 1229
+        assert all(all(p % d for d in range(2, math.isqrt(p) + 1)) for p in primes)
 
 
 class TestKCount:

@@ -40,6 +40,7 @@ def test_rank_curve_rows_agree_and_invert(monkeypatch):
         assert row["length"] == int(name.split("/")[1])
         assert row["chunk_rank_s"] == row["rank_s"] == 0.0
         assert row["chunk_unrank_s"] == row["unrank_s"] == 0.0
+        assert row["count_s"] == 0.0
 
 
 def test_cli_import_loads_no_heavy_stdlib_module(monkeypatch):

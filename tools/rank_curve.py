@@ -19,9 +19,12 @@ give the block's arrangement count. The oracles take the ids and counts of
 chunked unrank alone (``chunk_unrank_s``: ``_unrank_chunks`` run down to a
 one-run count instead of handing over to the walk) and the dispatching
 ``perm_index_to_sequence`` (``unrank_s``), and written with
-``BitWriter.write`` as a field of its real width. Every rank must agree and
-every unrank must give the block back. Each time is the best of three runs,
-in seconds, each run repeated until it takes 0.2 s or more
+``BitWriter.write`` as a field of its real width. ``count_s`` builds the
+block's arrangement count alone with ``multinomial``, as ``decode`` and the
+sweep's pricing do, and it must equal ``reference_multinomial`` from
+``tests/oracles.py``, the chained ``math.comb`` product. Every rank must
+agree and every unrank must give the block back. Each time is the best of
+three runs, in seconds, each run repeated until it takes 0.2 s or more
 (``timeit.Timer.autorange``). A row's rank columns take their runs in turn,
 round-robin, and so do its unrank columns, so that a host slowing down
 during the row slows every column of a group alike.
@@ -73,6 +76,7 @@ from enumcode.permutation_codec import (  # noqa: E402
     perm_rank_and_count,
 )
 from oracles import (  # noqa: E402
+    reference_multinomial,
     reference_rank_incremental,
     reference_rank_split,
     reference_unrank_incremental,
@@ -152,6 +156,8 @@ def measure(name: str, block: bytes, alphabet: bytes) -> dict:
         with mock.patch.dict(vars(permutation_codec), THRESHOLDS.get(column, {})):
             if fn() != (block if column == "unrank_s" else ids):
                 raise SystemExit(f"{column} does not invert the rank on {name}")
+    if arrangements != reference_multinomial(counts):
+        raise SystemExit(f"multinomial and the chained binomials differ on {name}")
     width = ceil_log2(arrangements)
     return {
         "sigma": len(alphabet),
@@ -159,6 +165,7 @@ def measure(name: str, block: bytes, alphabet: bytes) -> dict:
         "width_bits": width,
         **alternating(ranks),
         **alternating(unranks),
+        **alternating({"count_s": lambda: multinomial(counts)}),
         **alternating({"write_s": lambda: BitWriter().write(rank, width)}),
     }
 
