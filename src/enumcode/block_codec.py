@@ -33,7 +33,9 @@ import math
 import struct
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
+from functools import cache
 from itertools import compress, repeat
+from operator import add
 
 from .analysis import log2_int
 from .bitstream import (
@@ -208,23 +210,53 @@ def delimiter_positions(data: bytes, byte: int) -> list[int]:
     return list(compress(range(len(data)), data.translate(indicator)))
 
 
-def block_vectors(
-    data: bytes, params: CodecParams, positions: list[int] | None = None
-) -> tuple[list[tuple[int, ...]], int]:
+def block_vectors(data: bytes, params: CodecParams) -> tuple[list[tuple[int, ...]], int]:
     """The count vector of every block, and the final block's padding.
 
     Counts are read between :func:`_cut`'s bounds in ``data`` itself, so no
-    block is sliced or built. ``positions`` are the delimiter's offsets
-    (:func:`delimiter_positions`) when the caller already has them.
+    block is sliced or built.
     """
-    _, vectors, pad = _cut(data, params, positions)
-    return vectors, pad
+    _check_input(data, params)
+    _, columns, pad = _cut(data, params)
+    return list(zip(*columns)), pad
+
+
+def grid_vectors(data: bytes, grid: list[CodecParams]) -> Iterator[list[tuple[int, ...]]]:
+    """The :func:`block_vectors` vectors of ``data`` under each params of ``grid``, in turn.
+
+    The grid shares one alphabet, and ``data`` is checked against it once.
+    Each delimiter's offsets are found once and serve every r. A fixed
+    length whose half came earlier in the grid cuts nothing: it adds that
+    cut's adjacent blocks in pairs.
+    """
+    if grid:
+        check_alphabet(data, grid[0].alphabet)
+    positions: dict[int, list[int]] = {}
+    cuts: dict[int, list[list[int]]] = {}  # fixed_len -> its columns
+    for params in grid:
+        if params.alphabet != grid[0].alphabet or params.n != len(data):
+            raise ValueError("grid_vectors needs one alphabet and n = len(data) across the grid")
+        if params.mode == MODE_VARIABLE:
+            alpha = params.alpha_byte
+            if alpha not in positions:
+                positions[alpha] = delimiter_positions(data, alpha)
+            _, columns, _ = _cut(data, params, positions[alpha])
+        else:
+            half, odd = divmod(params.fixed_len, 2)
+            if not odd and half in cuts:
+                # an odd count of half blocks leaves the last one unpaired
+                columns = [[*map(add, c[::2], c[1::2]), *c[len(c) & ~1 :]] for c in cuts[half]]
+            else:
+                _, columns, _ = _cut(data, params)
+            cuts[params.fixed_len] = columns
+        yield list(zip(*columns))
 
 
 def factorize(data: bytes, params: CodecParams) -> list[Block]:
     """Every block at :func:`_cut`'s bounds, with its symbols and count vector."""
-    contents, vectors, pad = _cut(data, params)
-    blocks = [Block(content, len(content), freq) for content, freq in zip(contents, vectors)]
+    _check_input(data, params)
+    contents, columns, pad = _cut(data, params)
+    blocks = [Block(content, len(content), freq) for content, freq in zip(contents, zip(*columns))]
     if pad:
         blocks[-1] = blocks[-1]._replace(pad_count=pad)
     return blocks
@@ -232,18 +264,22 @@ def factorize(data: bytes, params: CodecParams) -> list[Block]:
 
 def _cut(
     data: bytes, params: CodecParams, positions: list[int] | None = None
-) -> tuple[Iterator[bytes], list[tuple[int, ...]], int]:
-    """(contents, vectors, pad): every block's symbols, sliced lazily, and its counts.
+) -> tuple[Iterator[bytes], list[list[int]], int]:
+    """(contents, columns, pad): every block's symbols, sliced lazily, and its counts.
 
-    The counts are read between the block bounds in ``data`` itself, so a
-    caller that leaves ``contents`` unread slices nothing. In variable mode
+    ``columns`` holds one list per alphabet symbol, that symbol's count in
+    every block; ``zip(*columns)`` gives the blocks' count vectors. The
+    counts are read between the block bounds in ``data`` itself, so a
+    caller that leaves ``contents`` unread slices nothing. The caller has
+    checked ``data`` (:func:`_check_input`); ``positions`` are the
+    delimiter's offsets (:func:`delimiter_positions`) when it already has
+    them. In variable mode
     every block holds the delimiter exactly r times and the (r+1)-th ends
     it; the final block ends ``pad`` delimiters past the end of ``data``,
     which it owes to padding and which its content carries, and an input
     ending on a consumed delimiter has no final block. The last fixed-mode
     block may be short.
     """
-    _check_input(data, params)
     n = len(data)
     pad = 0
     if params.mode == MODE_FIXED:
@@ -265,7 +301,7 @@ def _cut(
             starts.pop()
     # every variable-mode block holds exactly r delimiters, the final one's owed to padding
     columns = [
-        repeat(r, len(ends)) if symbol == alpha else map(data.count, repeat(symbol), starts, ends)
+        [r] * len(ends) if symbol == alpha else list(map(data.count, repeat(symbol), starts, ends))
         for symbol in params.alphabet
     ]
     owed = bytes([alpha]) * pad if pad else b""
@@ -273,7 +309,7 @@ def _cut(
         data[start:end] + owed if end > n else data[start:end]
         for start, end in zip(starts, ends)
     )
-    return contents, list(zip(*columns)), pad
+    return contents, columns, pad
 
 
 def _vector_shape(length: int, params: CodecParams) -> tuple[int, int]:
@@ -300,25 +336,31 @@ def _vector_count(length: int, params: CodecParams) -> int:
 def encode(data: bytes, params: CodecParams) -> "EncodedContainer":
     """Serialize every block :func:`_cut` cuts into a container.
 
-    Each block's rank yields its arrangement count, and the block is priced
-    as :func:`vector_bits` prices it (:func:`_block_cost`), which gives both
-    field widths. The container carries that accounting and the pad.
+    Each block's rank yields its arrangement count, which gives the
+    permutation field's width; the block is priced as :func:`vector_bits`
+    prices it, logarithms included. The container carries that accounting
+    and the pad.
     """
-    contents, vectors, pad = _cut(data, params)
+    _check_input(data, params)
+    contents, columns, pad = _cut(data, params)
     writer = BitWriter()
     variable = params.mode == MODE_VARIABLE
     if variable:
         # the delimiter's count is always r; _decode_block_fields puts it back
         apos = params.alpha_index - 1
     costs = []
-    for content, freq in zip(contents, vectors):
+    lengths: dict[int, tuple[int, int, int, float]] = {}
+    for content, freq in zip(contents, zip(*columns)):
         rank, arrangements = perm_rank_and_count(content, params.alphabet)
-        cost = _block_cost(freq, arrangements, params)
+        length = len(content)
+        if length not in lengths:
+            lengths[length] = _length_terms(length, params)
+        cost = _block_cost(freq, length, lengths[length], arrangements)
         costs.append(cost)
-        _, _, freq_width, _, _, perm_width, _ = cost
+        _, _, freq_width, perm_width, _ = cost
         vector = freq
         if variable:
-            writer.write_elias_delta(len(content))
+            writer.write_elias_delta(length)
             vector = freq[:apos] + freq[apos + 1 :]
         writer.write(vector_to_index(vector) if vector else 0, freq_width)
         writer.write(rank, perm_width)
@@ -502,9 +544,12 @@ class AccountedBits(
 
     ``blocks`` counts the blocks priced. ``bits_ceiled`` charges every
     field its whole-bit width, with ceil(log2 length) per block for the
-    length in variable mode; ``bits_real`` is the same sum with exact
-    (fractional) logarithms, i.e. the information-content lower bound of
-    this block structure.
+    length in variable mode; ``bits_real`` is the same sum with real-valued
+    logarithms, i.e. the information-content lower bound of this block
+    structure. A block of n <= ``_LF_CAP`` symbols takes log2 of its
+    arrangement count from a table of log2 k! (:func:`_block_cost`), within
+    ``_LF_BOUND`` (about 5e-13) times log2 n! of the exact logarithm, so
+    ``bits_real`` can differ from the exact sum in its last bits.
     ``container_bits`` is the exact size of the container :func:`encode`
     emits: the header, then the payload with its Elias-delta length
     codewords, rounded up to whole bytes. Every field is an int but
@@ -517,19 +562,38 @@ class AccountedBits(
         return self.bits_ceiled / n if n else 0.0
 
 
-def _block_cost(
-    freq: tuple[int, ...],
-    arrangements: int,
-    params: CodecParams,
-) -> tuple[int, int, int, float, float, int, float]:
-    """What one block with this count vector and arrangement count costs.
+# log2 k! for k up to _LF_CAP, in a table built on first use; the
+# arrangement count of a longer block is built exactly.
+_LF_CAP = 4096
+# The tests check every table entry LF[k] against log2_int(k!): it lies
+# within _LF_ERROR * log2_int(k!), and log2_int(k!) within 2**-52 * log2 k!
+# of log2 k!. For a count vector of n <= _LF_CAP symbols,
+# x = LF[n] - sum(LF[c_i]) then lies within _LF_BOUND * LF[n] of log2 of
+# its arrangement count, to first order: the entries' errors total at most
+# twice LF[n]'s, since sum(log2 c_i!) <= log2 n!, and the at most n - 1
+# roundings of the sum and the one of the subtraction add at most
+# 2**-53 * LF[n] each. The margin is over 1000 times that bound, so where
+# x lies further than the margin from every integer, floor(x) + 1 is the
+# count's ceil_log2.
+_LF_ERROR = 2**-46
+_LF_BOUND = 2 * (_LF_ERROR + 2**-52) + _LF_CAP * 2**-53
+_LF_MARGIN = 2**-30
 
-    In order: its length, Elias-delta and frequency widths in bits, the
-    exact log2 of its length and of its vector count, then its permutation
-    width and the exact log2 of its arrangement count. Fixed mode stores no
-    length, so those terms are 0.
+
+@cache
+def _log2_factorials() -> list[float]:
+    """LF[k] = log2 k! = lgamma(k + 1) / ln 2 for 0 <= k <= _LF_CAP."""
+    ln2 = math.log(2)
+    return [math.lgamma(k) / ln2 for k in range(1, _LF_CAP + 2)]
+
+
+def _length_terms(length: int, params: CodecParams) -> tuple[int, int, int, float]:
+    """What the length and frequency fields of a ``length``-symbol block cost.
+
+    In order: the length's ceil(log2) and Elias-delta widths, the frequency
+    field's width, and the exact log2 of the length times the vector count.
+    Fixed mode stores no length, so its terms are 0.
     """
-    length = sum(freq)
     length_bits = delta_bits = 0
     log_length = 0.0
     if params.mode == MODE_VARIABLE:
@@ -537,42 +601,56 @@ def _block_cost(
         delta_bits = elias_delta_bit_length(length)
         log_length = math.log2(length)
     count = _vector_count(length, params)
-    return (
-        length_bits,
-        delta_bits,
-        ceil_log2(count),
-        log_length,
-        log2_int(count),
-        ceil_log2(arrangements),
-        log2_int(arrangements),
-    )
+    return length_bits, delta_bits, ceil_log2(count), log_length + log2_int(count)
+
+
+def _block_cost(
+    freq: tuple[int, ...],
+    length: int,
+    length_terms: tuple[int, int, int, float],
+    arrangements: int | None = None,
+) -> tuple[int, int, int, int, float]:
+    """What a ``length``-symbol block with count vector ``freq`` costs.
+
+    In order: its length, Elias-delta, frequency and permutation widths in
+    bits, then the real-valued bits of all its fields. ``length_terms`` are
+    :func:`_length_terms`' for the block. Up to ``_LF_CAP`` symbols the log2
+    of the arrangement count is x = LF[length] - sum(LF[c_i]) and the
+    permutation width floor(x) + 1, unless x lies within the margin of an
+    integer (single-kind vectors and counts that are powers of two do).
+    There, as for a longer block, the exact count gives the width:
+    ``arrangements`` when the caller has it, as :func:`encode` does.
+    """
+    length_bits, delta_bits, freq_width, log = length_terms
+    if length <= _LF_CAP:
+        lf = _log2_factorials()
+        x = lf[length] - sum(map(lf.__getitem__, freq))
+        margin = _LF_MARGIN * lf[length]
+        if arrangements is None and margin < x % 1.0 < 1.0 - margin:
+            return length_bits, delta_bits, freq_width, int(x) + 1, log + x
+        perm_width = ceil_log2(arrangements or multinomial(freq))
+    else:
+        arrangements = arrangements or multinomial(freq)
+        perm_width, x = ceil_log2(arrangements), log2_int(arrangements)
+    return length_bits, delta_bits, freq_width, perm_width, log + x
 
 
 def _accounted(
-    costs: Iterable[tuple[int, int, int, float, float, int, float]], params: CodecParams
+    costs: Iterable[tuple[int, int, int, int, float]], params: CodecParams
 ) -> AccountedBits:
-    """The budget of blocks with these :func:`_block_cost` terms, in block order.
+    """The budget of blocks with these :func:`_block_cost` costs, in block order.
 
-    ``bits_real`` adds every block's logarithms in that order, so two
+    ``bits_real`` adds the blocks' real-valued bits in that order, so two
     callers that price the same blocks get the same float.
     """
-    blocks = length_bits = delta_bits = freq_bits = perm_bits = 0
-    real = 0.0
-    for length, delta, width, log_length, log_count, perm, log_arrangements in costs:
-        blocks += 1
-        length_bits += length
-        delta_bits += delta
-        freq_bits += width
-        perm_bits += perm
-        real += log_length
-        real += log_count
-        real += log_arrangements
-    payload = delta_bits + freq_bits + perm_bits
+    lengths, deltas, widths, perms, reals = list(zip(*costs)) or [()] * 5
+    length_bits, freq_bits, perm_bits = sum(lengths), sum(widths), sum(perms)
+    payload = sum(deltas) + freq_bits + perm_bits
     header = len(_header(params))
     return AccountedBits(
-        blocks=blocks,
+        blocks=len(reals),
         bits_ceiled=length_bits + freq_bits + perm_bits,
-        bits_real=real,
+        bits_real=sum(reals, 0.0),
         length_bits=length_bits,
         freq_bits=freq_bits,
         perm_bits=perm_bits,
@@ -583,13 +661,18 @@ def _accounted(
 def vector_bits(vectors: list[tuple[int, ...]], params: CodecParams) -> AccountedBits:
     """Price blocks from their count vectors alone; widths come from ``params``.
 
-    Each distinct vector is priced once per call, and :func:`_accounted`
+    Each distinct length is priced once per call, and so is each distinct
+    vector, mostly without building its arrangement count. :func:`_accounted`
     adds the costs up in block order, so ``bits_real`` does not depend on
     the memo.
     """
+    lengths: dict[int, tuple[int, int, int, float]] = {}
     costs = dict.fromkeys(vectors)
     for freq in costs:
-        costs[freq] = _block_cost(freq, multinomial(freq), params)
+        length = sum(freq)
+        if length not in lengths:
+            lengths[length] = _length_terms(length, params)
+        costs[freq] = _block_cost(freq, length, lengths[length])
     return _accounted(map(costs.__getitem__, vectors), params)
 
 
@@ -624,5 +707,6 @@ __all__ = [
     "delimiter_positions",
     "encode",
     "factorize",
+    "grid_vectors",
     "vector_bits",
 ]

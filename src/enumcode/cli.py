@@ -27,13 +27,12 @@ from .block_codec import (
     MODE_VARIABLE,
     accounted_bits,  # unused; perfbench/tracer.py traces this name until ROADMAP item 2
     average_block_length,  # unused; perfbench/tracer.py traces this name until ROADMAP item 2
-    block_vectors,
     check_alphabet,
     container_bits,  # unused; perfbench/tracer.py traces this name until ROADMAP item 2
     decode,
-    delimiter_positions,
     encode,
     factorize,  # unused; perfbench/tracer.py traces this name until ROADMAP item 2
+    grid_vectors,
     vector_bits,
 )
 from .composition_codec import enumerate_all, format_vector
@@ -250,21 +249,13 @@ def sweep_file(
         raise ValueError("cannot sweep an empty file")
     alphabet = alphabet or bytes(sorted(set(data)))
     alphas = alphas or alphabet
-    check_alphabet(data, alphabet)
     counts = tuple(map(data.count, alphabet))
     n = len(data)
-
-    # each delimiter's offsets are found once and serve every r
-    positions = {alpha: delimiter_positions(data, alpha) for alpha in alphas}
-    grid = [
-        (CodecParams.variable(alphabet, alpha, r, n), positions[alpha])
-        for alpha in alphas
-        for r in r_set
-    ]
-    grid += [(CodecParams.fixed(alphabet, fixed_len, n), None) for fixed_len in l_set]
+    grid = [CodecParams.variable(alphabet, alpha, r, n) for alpha in alphas for r in r_set]
+    grid += [CodecParams.fixed(alphabet, fixed_len, n) for fixed_len in l_set]
     points: list[SweepPoint] = []
-    for params, delimiters in grid:
-        vectors, _ = block_vectors(data, params, delimiters)
+    # checks data against the alphabet before the first point's vectors
+    for params, vectors in zip(grid, grid_vectors(data, grid)):
         average = sum(map(sum, vectors)) / len(vectors)
         points.append(SweepPoint(params, vector_bits(vectors, params), average))
 

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from enumcode import block_codec, combinatorics, permutation_codec
+from enumcode.analysis import log2_int
 from enumcode.bitstream import BitWriter, elias_delta_bit_length
 from enumcode.block_codec import (
     AlphabetError,
@@ -25,15 +26,17 @@ from enumcode.block_codec import (
     delimiter_positions,
     encode,
     factorize,
+    grid_vectors,
     vector_bits,
 )
-from enumcode.cli import sweep_file
+from enumcode.cli import L_SET_DEFAULT, R_SET_DEFAULT, sweep_file
 from enumcode.combinatorics import ceil_log2, k_count, multinomial
 from enumcode.composition_codec import vector_to_index
 from enumcode.permutation_codec import sequence_to_perm_index
 
 from conftest import FIG_ALPHABET, FIG_BLOCKS, FIG_FREQS, FIG_LENGTHS, FIG_PAD, FIG_T
 from oracles import (
+    real_bits_tolerance,
     reference_accounted_bits,
     reference_encode,
     reference_factorize,
@@ -922,14 +925,125 @@ def test_block_vectors_match_factorize(case):
         return
     expected = ([b.freq for b in blocks], blocks[-1].pad_count if blocks else 0)
     assert block_vectors(data, params) == expected
+    assert list(grid_vectors(data, [params])) == [expected[0]]
     assert [sum(freq) for freq in expected[0]] == [b.length for b in blocks]
-    # exact, bits_real included: the memo must not change the sum's order;
-    # the oracle counts the blocks it cut
-    assert vector_bits(expected[0], params) == reference_accounted_bits(blocks, params)
+    # every int field exact; the oracle counts the blocks it cut. bits_real
+    # takes its arrangement terms from the log2 k! table, within its bound
+    got, want = vector_bits(expected[0], params), reference_accounted_bits(blocks, params)
+    assert got._replace(bits_real=None) == want._replace(bits_real=None)
+    tolerance = real_bits_tolerance([b.length for b in blocks], want.bits_real)
+    assert got.bits_real == pytest.approx(want.bits_real, rel=0, abs=tolerance)
     if params.mode == "variable":
         positions = delimiter_positions(data, params.alpha_byte)
         assert positions == [i for i, byte in enumerate(data) if byte == params.alpha_byte]
-        assert block_vectors(data, params, positions) == expected
+
+
+class TestGridVectors:
+    def test_default_grid_matches_block_vectors(self):
+        n = len(DNA_LIKE)
+        grid = [CodecParams.variable(b"acgt", a, r, n) for a in b"acgt" for r in R_SET_DEFAULT]
+        grid += [CodecParams.fixed(b"acgt", fixed_len, n) for fixed_len in L_SET_DEFAULT]
+        assert list(grid_vectors(DNA_LIKE, grid)) == [block_vectors(DNA_LIKE, p)[0] for p in grid]
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [
+            (1, 2, 4, 3, 6, 12),  # each doubles an earlier length
+            (8, 4, 2),  # halves come later, so every length is cut
+            (5, 10, 7, 14, 4000, 8000),  # an odd count of half blocks; one block each
+        ],
+    )
+    def test_fixed_lengths_pair_their_halves(self, lengths):
+        data = _dna_like(4, n=999)
+        grid = [CodecParams.fixed(b"acgt", fixed_len, len(data)) for fixed_len in lengths]
+        assert list(grid_vectors(data, grid)) == [block_vectors(data, p)[0] for p in grid]
+
+    def test_checks_the_input_once(self, monkeypatch):
+        calls = []
+        check = block_codec.check_alphabet
+        monkeypatch.setattr(block_codec, "check_alphabet", lambda *a: calls.append(a) or check(*a))
+        sweep_file("x", DNA_LIKE)
+        assert len(calls) == 1
+        with pytest.raises(AlphabetError) as raised:
+            sweep_file("x", DNA_LIKE[:100] + b"n" + DNA_LIKE[100:], alphabet=b"acgt")
+        assert (raised.value.byte, raised.value.offset) == (ord("n"), 100)
+        assert str(raised.value) == "byte 0x6e at offset 100 is not in the alphabet"
+
+    def test_grid_shares_one_alphabet_and_length(self):
+        data = b"acgt" * 4
+        first = CodecParams.fixed(b"acgt", 4, 16)
+        for other in (first._replace(alphabet=b"acgtn"), first._replace(n=15)):
+            with pytest.raises(ValueError, match="one alphabet and n"):
+                list(grid_vectors(data, [first, other]))
+        assert list(grid_vectors(data, [])) == []
+
+
+class TestLog2FactorialPricing:
+    def test_every_table_entry_is_within_its_error(self):
+        table = block_codec._log2_factorials()
+        assert len(table) == block_codec._LF_CAP + 1
+        factorial = 1
+        for k, entry in enumerate(table):
+            factorial *= k or 1
+            exact = log2_int(factorial)
+            assert abs(entry - exact) <= block_codec._LF_ERROR * exact, k
+        assert factorial == math.factorial(block_codec._LF_CAP)
+        # the fallback margin is far wider than the error of x it guards against
+        assert block_codec._LF_MARGIN > 1000 * block_codec._LF_BOUND
+
+    def test_a_huge_block_leaves_the_table_at_its_cap(self):
+        n = 2**28
+        acct = vector_bits([(n - 1, 1)], CodecParams.fixed(b"ab", n, n))
+        assert acct.perm_bits == 28
+        assert len(block_codec._log2_factorials()) == block_codec._LF_CAP + 1
+
+
+@st.composite
+def priced_vectors(draw):
+    """A count vector: random, single-kind, with a power-of-two arrangement
+    count, next to the table's cap, or of up to 2**20 symbols."""
+    sigma = draw(st.integers(1, 6))
+    shape = draw(st.sampled_from(["random", "single", "power of two", "cap", "wide"]))
+    if sigma == 1 or shape == "single":
+        counts = [draw(st.integers(0, 2**20))]
+    elif shape == "power of two":
+        counts = [2 ** draw(st.integers(0, 20)) - 1, 1]
+    else:
+        cap = block_codec._LF_CAP
+        n = {
+            "random": st.integers(0, 600),
+            "cap": st.integers(cap - 2, cap + 2),
+            "wide": st.integers(0, 2**16),
+        }[shape]
+        n = draw(n)
+        cuts = sorted(draw(st.lists(st.integers(0, n), min_size=sigma - 1, max_size=sigma - 1)))
+        counts = [b - a for a, b in zip([0, *cuts], [*cuts, n])]
+    counts += [0] * (sigma - len(counts))
+    return tuple(draw(st.permutations(counts)))
+
+
+@given(priced_vectors())
+@settings(deadline=None, max_examples=200)
+@example((1,))
+@example((1, 1))
+@example((0, 1, 1, 0))
+@example((2**20,))
+@example((2**20 - 1, 1))
+# counts of 2**6, 2**8 and 2**10, whose table log2 is a few ulps above the integer
+@example((63, 1))
+@example((1, 255))
+@example((1023, 1))
+@example((4095, 1))
+@example((2**18,) * 4)
+def test_table_widths_are_exact(freq):
+    n = sum(freq)
+    params = CodecParams.fixed(bytes(range(len(freq))), max(n, 1), n)
+    acct = vector_bits([freq], params)
+    count, arrangements = k_count(len(freq), n), multinomial(freq)
+    assert acct.perm_bits == ceil_log2(arrangements)
+    assert acct.freq_bits == ceil_log2(count)
+    exact = log2_int(count) + log2_int(arrangements)
+    assert acct.bits_real == pytest.approx(exact, rel=0, abs=real_bits_tolerance([n], exact))
 
 
 def factorize_fields(data, params):
