@@ -33,11 +33,17 @@ import math
 import struct
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from functools import cache
 from itertools import compress, repeat
 from operator import add
 
-from .analysis import log2_int
+from .analysis import (
+    _LF_CAP,
+    _LF_CHECKED,
+    _LF_ERROR,
+    _log2_factorials,
+    log2_factorial,
+    log2_int,
+)
 from .bitstream import (
     BitReader,
     BitstreamError,
@@ -546,10 +552,11 @@ class AccountedBits(
     field its whole-bit width, with ceil(log2 length) per block for the
     length in variable mode; ``bits_real`` is the same sum with real-valued
     logarithms, i.e. the information-content lower bound of this block
-    structure. A block of n <= ``_LF_CAP`` symbols takes log2 of its
-    arrangement count from a table of log2 k! (:func:`_block_cost`), within
-    ``_LF_BOUND`` (about 5e-13) times log2 n! of the exact logarithm, so
-    ``bits_real`` can differ from the exact sum in its last bits.
+    structure. Every block takes log2 of its arrangement count from log2 k!
+    = lgamma(k + 1) / ln 2 (:func:`_block_cost`), within ``_LF_BOUND``
+    (about 7e-12) times log2 n! of the exact logarithm for n <=
+    ``_LF_CHECKED`` symbols, so ``bits_real`` can differ from the exact sum
+    in its last bits.
     ``container_bits`` is the exact size of the container :func:`encode`
     emits: the header, then the payload with its Elias-delta length
     codewords, rounded up to whole bytes. Every field is an int but
@@ -562,29 +569,18 @@ class AccountedBits(
         return self.bits_ceiled / n if n else 0.0
 
 
-# log2 k! for k up to _LF_CAP, in a table built on first use; the
-# arrangement count of a longer block is built exactly.
-_LF_CAP = 4096
-# The tests check every table entry LF[k] against log2_int(k!): it lies
-# within _LF_ERROR * log2_int(k!), and log2_int(k!) within 2**-52 * log2 k!
-# of log2 k!. For a count vector of n <= _LF_CAP symbols,
-# x = LF[n] - sum(LF[c_i]) then lies within _LF_BOUND * LF[n] of log2 of
-# its arrangement count, to first order: the entries' errors total at most
-# twice LF[n]'s, since sum(log2 c_i!) <= log2 n!, and the at most n - 1
-# roundings of the sum and the one of the subtraction add at most
-# 2**-53 * LF[n] each. The margin is over 1000 times that bound, so where
-# x lies further than the margin from every integer, floor(x) + 1 is the
-# count's ceil_log2.
-_LF_ERROR = 2**-46
-_LF_BOUND = 2 * (_LF_ERROR + 2**-52) + _LF_CAP * 2**-53
-_LF_MARGIN = 2**-30
-
-
-@cache
-def _log2_factorials() -> list[float]:
-    """LF[k] = log2 k! = lgamma(k + 1) / ln 2 for 0 <= k <= _LF_CAP."""
-    ln2 = math.log(2)
-    return [math.lgamma(k) / ln2 for k in range(1, _LF_CAP + 2)]
+# LF = log2_factorial lies within _LF_ERROR * log2_int(k!) of log2_int(k!)
+# for every k <= _LF_CHECKED, checked as analysis.py says, and log2_int(k!)
+# within 2**-52 * log2 k! of log2 k!. For a count vector of n <= _LF_CHECKED
+# symbols, x = LF(n) - sum(LF(c_i)) then lies within _LF_BOUND * LF(n) of
+# log2 of its arrangement count, to first order: the terms' errors total at
+# most twice LF(n)'s, since sum(log2 c_i!) <= log2 n!, and the sum's
+# sigma - 1 roundings and the subtraction's one, sigma <= 65535 < 2**16 of
+# them, add at most 2**-53 * LF(n) each. The margin is over 1000 times that
+# bound, so where x lies further than the margin from every integer,
+# floor(x) + 1 is the count's ceil_log2.
+_LF_BOUND = 2 * (_LF_ERROR + 2**-52) + 2**16 * 2**-53
+_LF_MARGIN = 2**-27
 
 
 def _length_terms(length: int, params: CodecParams) -> tuple[int, int, int, float]:
@@ -614,24 +610,26 @@ def _block_cost(
 
     In order: its length, Elias-delta, frequency and permutation widths in
     bits, then the real-valued bits of all its fields. ``length_terms`` are
-    :func:`_length_terms`' for the block. Up to ``_LF_CAP`` symbols the log2
-    of the arrangement count is x = LF[length] - sum(LF[c_i]) and the
-    permutation width floor(x) + 1, unless x lies within the margin of an
-    integer (single-kind vectors and counts that are powers of two do).
-    There, as for a longer block, the exact count gives the width:
-    ``arrangements`` when the caller has it, as :func:`encode` does.
+    :func:`_length_terms`' for the block. The log2 of the arrangement count
+    is x = LF(length) - sum(LF(c_i)), LF being :func:`log2_factorial`, read
+    from its table up to ``_LF_CAP`` symbols. The permutation width is
+    floor(x) + 1, unless x lies within the margin of an integer
+    (single-kind vectors and counts that are powers of two do) or the block
+    is longer than ``_LF_CHECKED`` symbols. There the exact count gives the
+    width: ``arrangements`` when the caller has it, as :func:`encode` does.
     """
     length_bits, delta_bits, freq_width, log = length_terms
     if length <= _LF_CAP:
         lf = _log2_factorials()
-        x = lf[length] - sum(map(lf.__getitem__, freq))
-        margin = _LF_MARGIN * lf[length]
-        if arrangements is None and margin < x % 1.0 < 1.0 - margin:
-            return length_bits, delta_bits, freq_width, int(x) + 1, log + x
-        perm_width = ceil_log2(arrangements or multinomial(freq))
+        lf_n = lf[length]
+        x = lf_n - sum(map(lf.__getitem__, freq))
     else:
-        arrangements = arrangements or multinomial(freq)
-        perm_width, x = ceil_log2(arrangements), log2_int(arrangements)
+        lf_n = log2_factorial(length)
+        x = lf_n - sum(map(log2_factorial, freq))
+    margin = _LF_MARGIN * lf_n
+    if arrangements is None and length <= _LF_CHECKED and margin < x % 1.0 < 1.0 - margin:
+        return length_bits, delta_bits, freq_width, int(x) + 1, log + x
+    perm_width = ceil_log2(arrangements or multinomial(freq))
     return length_bits, delta_bits, freq_width, perm_width, log + x
 
 

@@ -12,8 +12,8 @@ as the ``block_codec`` module docstring describes it, without the library's
 block cutter (``_cut``) or its pricing memo, so a check against them does
 not compare the code under test with itself. The accounting oracle prices
 every block from its exact arrangement count; ``real_bits_tolerance`` says
-how far the library's real-valued bits, which take those terms from a table
-of log2 k!, may lie from it. The walk oracles rank and
+how far the library's real-valued bits, which take those terms from
+lgamma's log2 k!, may lie from it. The walk oracles rank and
 unrank with a big-int step for every smaller symbol kind, as the library's
 walks did before they summed the small counts first. The left-to-right rank
 oracles are the rank before it ran from the right and yielded the
@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from enumcode.analysis import log2_int
 from enumcode.bitstream import BitReader, BitstreamError, BitWriter, elias_delta_bit_length
-from enumcode.block_codec import _LF_BOUND, _LF_CAP, AccountedBits, AlphabetError, EncodedContainer
+from enumcode.block_codec import _LF_BOUND, AccountedBits, AlphabetError, EncodedContainer
 from enumcode.combinatorics import ceil_log2, k_count, multinomial
 from enumcode.composition_codec import vector_to_index
 from enumcode.permutation_codec import _CHUNK, _GUARD_BITS, _advance, _stretch
@@ -211,14 +211,14 @@ def real_bits_tolerance(lengths, bits_real):
     """How far the library's ``bits_real`` may lie from ``bits_real``, the
     oracle's, for blocks of these lengths.
 
-    The library takes log2 of the arrangement count of a block of n <=
-    ``_LF_CAP`` symbols from its table of log2 k!, within ``_LF_BOUND`` *
-    log2 n! of the exact value, and a longer block's exactly. Each side then
-    rounds at most three times per block as it adds, by at most 2**-53 of
-    the total each time.
+    The library takes log2 of the arrangement count of every block from
+    log2 k! = lgamma(k + 1) / ln 2, within ``_LF_BOUND`` * log2 n! of the
+    exact value; the bound is derived for n <= ``_LF_CHECKED`` and the
+    tests hold longer blocks to it too. Each side then rounds at most three
+    times per block as it adds, by at most 2**-53 of the total each time.
     """
-    table = sum(math.lgamma(n + 1) / math.log(2) for n in lengths if n <= _LF_CAP)
-    return _LF_BOUND * table + 6 * len(lengths) * 2**-53 * bits_real
+    lf = sum(math.lgamma(n + 1) / math.log(2) for n in lengths)
+    return _LF_BOUND * lf + 6 * len(lengths) * 2**-53 * bits_real
 
 
 # -- reference symbol ids ------------------------------------------------------

@@ -3,17 +3,21 @@ import io
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from enumcode.analysis import (
+    _LF_CHECKED,
+    _LF_ERROR,
     enumeration_gain,
     finite_set_h0,
+    log2_factorial,
     log2_int,
     naive_vs_enumerated,
     write_comparison_csv,
 )
-from enumcode.combinatorics import k_count
+from enumcode.block_codec import _LF_BOUND
+from enumcode.combinatorics import k_count, multinomial
 
 
 def lgamma_log2_comb(n, k):
@@ -42,6 +46,21 @@ class TestLog2Int:
         assert value == pytest.approx(math.lgamma(10_001) / math.log(2), rel=1e-12)
 
 
+class TestLog2Factorial:
+    def test_within_its_error_of_every_factorial_to_2_16(self):
+        # tools/lf_check.py runs the same check for every k up to _LF_CHECKED
+        factorial = 1
+        for k in range(2**16 + 1):
+            factorial *= k or 1
+            exact = log2_int(factorial)
+            assert abs(log2_factorial(k) - exact) <= _LF_ERROR * exact, k
+
+    @pytest.mark.parametrize("k", [round(_LF_CHECKED * 2 ** (-i / 4)) for i in range(4)])
+    def test_within_its_error_up_to_the_checked_range(self, k):
+        exact = log2_int(math.factorial(k))
+        assert abs(log2_factorial(k) - exact) <= _LF_ERROR * exact
+
+
 class TestFiniteSetH0:
     def test_two_fair_symbols(self):
         assert finite_set_h0((1, 1)) == pytest.approx(1.0)
@@ -56,6 +75,21 @@ class TestFiniteSetH0:
     def test_rejects_empty_multiset(self):
         with pytest.raises(ValueError):
             finite_set_h0((0, 0))
+
+    def test_rejects_negative_counts(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            finite_set_h0((3, -1))
+
+    @given(st.lists(st.integers(0, 2**15), min_size=1, max_size=4).filter(sum))
+    @settings(deadline=None, max_examples=60)
+    @example([2**17 - 1, 1])
+    @example([2**16, 2**16])
+    @example([4096, 1])
+    @example([2**17])
+    def test_within_the_bound_of_the_exact_logarithm(self, counts):
+        exact = log2_int(multinomial(counts))
+        bound = _LF_BOUND * log2_factorial(sum(counts))
+        assert abs(finite_set_h0(counts) - exact) <= bound
 
     @given(st.lists(st.integers(0, 200), min_size=2, max_size=8).filter(lambda c: sum(c) > 0))
     def test_bounded_by_uniform_entropy(self, counts):

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from enumcode import block_codec, combinatorics, permutation_codec
-from enumcode.analysis import log2_int
+from enumcode.analysis import log2_factorial, log2_int
 from enumcode.bitstream import BitWriter, elias_delta_bit_length
 from enumcode.block_codec import (
     AlphabetError,
@@ -981,13 +981,10 @@ class TestGridVectors:
 class TestLog2FactorialPricing:
     def test_every_table_entry_is_within_its_error(self):
         table = block_codec._log2_factorials()
-        assert len(table) == block_codec._LF_CAP + 1
-        factorial = 1
-        for k, entry in enumerate(table):
-            factorial *= k or 1
-            exact = log2_int(factorial)
-            assert abs(entry - exact) <= block_codec._LF_ERROR * exact, k
-        assert factorial == math.factorial(block_codec._LF_CAP)
+        # the same floats as log2_factorial's, whose error test_analysis.py
+        # bounds, so a block's x does not depend on which side of the cap
+        # its counts lie
+        assert table == [log2_factorial(k) for k in range(block_codec._LF_CAP + 1)]
         # the fallback margin is far wider than the error of x it guards against
         assert block_codec._LF_MARGIN > 1000 * block_codec._LF_BOUND
 
@@ -1001,19 +998,26 @@ class TestLog2FactorialPricing:
 @st.composite
 def priced_vectors(draw):
     """A count vector: random, single-kind, with a power-of-two arrangement
-    count, next to the table's cap, or of up to 2**20 symbols."""
+    count, of power-of-two counts, next to the table's cap or to the end of
+    the checked range, or of up to 2**17 symbols."""
     sigma = draw(st.integers(1, 6))
-    shape = draw(st.sampled_from(["random", "single", "power of two", "cap", "wide"]))
+    shape = draw(
+        st.sampled_from(["random", "single", "power of two", "powers", "cap", "checked", "wide"])
+    )
+    checked = block_codec._LF_CHECKED
     if sigma == 1 or shape == "single":
         counts = [draw(st.integers(0, 2**20))]
     elif shape == "power of two":
         counts = [2 ** draw(st.integers(0, 20)) - 1, 1]
+    elif shape == "powers":
+        counts = [2 ** draw(st.integers(0, 14)) for _ in range(sigma)]
     else:
         cap = block_codec._LF_CAP
         n = {
             "random": st.integers(0, 600),
             "cap": st.integers(cap - 2, cap + 2),
-            "wide": st.integers(0, 2**16),
+            "checked": st.integers(checked - 2, checked + 2),
+            "wide": st.integers(cap + 1, checked),
         }[shape]
         n = draw(n)
         cuts = sorted(draw(st.lists(st.integers(0, n), min_size=sigma - 1, max_size=sigma - 1)))
@@ -1034,6 +1038,18 @@ def priced_vectors(draw):
 @example((1, 255))
 @example((1023, 1))
 @example((4095, 1))
+@example((1, 4096))
+# above the table, arrangement counts 2**13 to 2**17, and the first lengths
+# past the checked range, which the exact count prices
+@example((2**13 - 1, 1))
+@example((1, 2**14 - 1))
+@example((2**15 - 1, 1))
+@example((2**16 - 1, 0, 1))
+@example((2**17 - 1, 1))
+@example((2**17, 1))
+@example((2**17 + 1,))
+@example((2**16, 2**16))
+@example((2**14,) * 4)
 @example((2**18,) * 4)
 def test_table_widths_are_exact(freq):
     n = sum(freq)

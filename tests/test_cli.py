@@ -5,7 +5,7 @@ from statistics import fmean
 
 import pytest
 
-from enumcode import block_codec, cli
+from enumcode import analysis, block_codec, cli
 from enumcode.block_codec import encode
 from enumcode.cli import main, sweep_file
 from enumcode.combinatorics import CombinatoricsContext
@@ -197,6 +197,7 @@ TRACER_ONLY = [
     (cli, "frequency_vector"),
     (block_codec, "sequence_to_perm_index"),
     (CombinatoricsContext, "k_count"),
+    (analysis, "multinomial"),
 ]
 
 

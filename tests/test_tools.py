@@ -61,3 +61,11 @@ def test_smoke_round_trips_pass_under_this_interpreter():
     )
     assert done.returncode == 0, done.stdout + done.stderr
     assert done.stdout.startswith("smoke: ") and " passed on Python " in done.stdout
+
+
+def test_lf_check_passes_to_the_table_cap(monkeypatch):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    lf_check = importlib.import_module("lf_check")
+    # exits non-zero on any k whose log2_factorial lies past _LF_ERROR
+    worst, k = lf_check.check(4096)
+    assert 0 < worst and 2 <= k <= 4096

@@ -82,5 +82,5 @@ def test_sweep_prices_each_block_once(tracer, modules):
         counts = map(reference_multinomial, set(freqs))
         fallbacks += sum(count & (count - 1) == 0 for count in counts)
     assert 0 < fallbacks < distinct < blocks
-    # one multinomial per fallback, plus one for the file's h0
-    assert metrics["combinatorics.multinomial.calls"] == fallbacks + 1
+    # one multinomial per fallback; the file's h0 builds none
+    assert metrics["combinatorics.multinomial.calls"] == fallbacks

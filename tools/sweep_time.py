@@ -14,7 +14,7 @@ block, from exact arrangement counts, with ``reference_accounted_bits``. Any
 difference in block count, average block length, ceiled bits or container
 size exits non-zero, and so do real bits further from the oracle's than
 ``real_bits_tolerance`` allows: the sweep takes their arrangement terms from
-a table of log2 k!. The output is one JSON object keyed by N. The whole run
+lgamma's log2 k!. The output is one JSON object keyed by N. The whole run
 takes a few seconds.
 """
 
