@@ -44,15 +44,25 @@ by a scan of the small remaining counts, so each symbol costs three big-int
 products and three divisions, two of them exact divisions by m_i, and it
 emits the rest as one run once a single symbol kind remains. Wider counts
 (:func:`_unrank_chunks`) read the rank as the exact arithmetic-code value
-rank / arrangements and decode symbols from its leading bits under a
-rigorous error bound that never lets a symbol be guessed: each chunk
-decodes up to ``_CHUNK`` symbols from the top ``_WINDOW`` bits with
-small-int arithmetic (:func:`_decode_leaf`), then one exact update applies
-the chunk's small (P, Q, T) triple to the full-width state, one long
-division by the small Q and two products by small P and T. Every output
-is exact. Each chunk costs time in proportion to the count's width, so a
-block unranks in time quadratic in that width. A rank at or beyond the
-count is rejected before any symbol is decoded.
+rank / arrangements, Schalkwijk's view of this code, and decode symbols from
+its leading bits under a rigorous error bound that never lets a symbol be
+guessed. A window holds the top ``_WINDOW`` bits of rank and count exactly,
+as small ints (:func:`_decode_window`), and seeds a double x ~ rank /
+arrangements from them: a float stretch (:func:`_float_stretch`) reads up to
+``_CHUNK`` symbols off x while its error bound stays below
+2**-``_FLOAT_BITS``, and its small (P, Q, T) triple moves the window on. A
+symbol the double cannot separate takes one step of the integer leaf
+(:func:`_decode_leaf`) on the window. Once the window runs out, one exact
+update applies its combined triple, in lowest terms, to the full-width
+state: one long division by the small Q and two products by small P and T.
+The update's range check certifies the window; should it reject one, one
+exact step is taken instead. Where the count holds more than
+``_FLOAT_SYMBOL_BITS`` bits per symbol, as over 256 kinds, a stretch holds
+too few symbols to pay for its window, and the integer leaf decodes each
+chunk straight from the top bits. Every output is exact. Each update costs
+time in proportion to the count's width, so a block unranks in time
+quadratic in that width. A rank at or beyond the count is rejected before
+any symbol is decoded.
 
 The older walks, which take a big-int step for every smaller symbol kind,
 and the left-to-right rank, which needs the count before it starts, are
@@ -298,36 +308,61 @@ def _unrank_walk(pid: int, arrangements: int, counts: list[int]) -> list[int]:
 
 # Up to this many bits of arrangement count the walk beats the chunked unrank
 # (tools/rank_curve.py measures both).
-_WALK_BITS = 2048
-# Leading bits of (rank, arrangement count) each unrank chunk decodes from.
-_WINDOW = 256
-# Bits of the error bound the leaf keeps when it drops its low bits, which it
-# does once the bound has twice as many.
+_WALK_BITS = 1024
+# Leading bits of (rank, arrangement count) each window or leaf chunk decodes
+# from.
+_WINDOW = 384
+# A window ends once the Q of its combined triple is this wide, so that P, Q
+# and T stay small where each symbol carries little information.
+_WINDOW_Q_BITS = 2048
+# Past this many bits of count per symbol a float stretch holds too few
+# symbols to pay for its step of the window, and the integer leaf decodes each
+# chunk instead (tools/rank_curve.py measures both).
+_FLOAT_SYMBOL_BITS = 7.5
+# Bits of the error bound the integer leaf and the window keep when they drop
+# their low bits, which they do once the bound has twice as many.
 _GUARD_BITS = 16
+# A float stretch starts while the window's bound is below 2**-_FLOAT_BITS,
+# and stops once its own bound passes it.
+_FLOAT_BITS = 8
+_FLOAT_BOUND = 2.0**-_FLOAT_BITS
+# Added to the float error bound at each step: the step's roundings, and
+# 2**-50 to spare for the next step's checks.
+_FLOAT_SLACK = 2.0**-49
+# The largest double below 1.
+_BELOW_ONE = 1.0 - 2.0**-53
 
 
 def _unrank_chunks(pid: int, arrangements: int, counts: list[int]) -> list[int]:
-    """The rank-``pid`` symbol ids, a chunk of symbols at a time; consumes ``counts``.
+    """The rank-``pid`` symbol ids, a window of symbols at a time; consumes ``counts``.
 
     x = pid / arrangements is an exact arithmetic-code value: the walk picks
     the symbol j with cum_j <= x * m < cum_j + c_j (cum_j counts the remaining
     symbols below j, m all of them) and continues with (x * m - cum_j) / c_j.
-    While the arrangement count has more than ``_WALK_BITS`` bits, each chunk
-    decodes up to ``_CHUNK`` symbols with :func:`_decode_leaf` from the top
-    ``_WINDOW`` bits of (pid, arrangements), whose error bound is one unit of
-    the shortened count, then applies the chunk's small (p, q, t) triple to
-    the full-width state (:func:`_refresh`). If nothing was decoded, or the
-    refresh rejects the chunk, it is undone and one exact step is taken
-    instead: with a zero error bound a leaf step is the walk's step. Each
-    update costs time in proportion to the count's width, so a block costs
-    time in proportion to its width squared. The walk takes over once the
-    count has at most ``_WALK_BITS`` bits.
+    While the arrangement count has more than ``_WALK_BITS`` bits, symbols
+    are decoded from the top ``_WINDOW`` bits of (pid, arrangements), whose
+    error bound is one unit of the shortened count: by :func:`_decode_window`,
+    or, where the count holds more than ``_FLOAT_SYMBOL_BITS`` bits per
+    symbol, a chunk of up to ``_CHUNK`` symbols by :func:`_decode_leaf`. Their
+    small (p, q, t) triple then updates the full-width state once
+    (:func:`_refresh`). The refresh's range check is the exact certificate:
+    if nothing was decoded, or the refresh rejects the symbols, they are
+    undone and one exact step is taken instead: with a zero error bound a
+    leaf step is the walk's step. Each refresh costs time in proportion to
+    the count's width, so a block costs time in proportion to its width
+    squared. The walk takes over once the count has at most ``_WALK_BITS``
+    bits.
     """
     out: list[int] = []
+    dense = arrangements.bit_length() > _FLOAT_SYMBOL_BITS * sum(counts)
     while arrangements.bit_length() > _WALK_BITS:
         shift = max(arrangements.bit_length() - _WINDOW, 0)
+        num, den = pid >> shift, arrangements >> shift
         before, saved = len(out), counts[:]
-        triple = _decode_leaf(pid >> shift, arrangements >> shift, 1, counts, out, _CHUNK)
+        if dense:
+            triple = _decode_leaf(num, den, 1, counts, out, _CHUNK)
+        else:
+            triple = _decode_window(num, den, counts, out)
         state = _refresh(pid, arrangements, *triple) if len(out) > before else None
         if state is None:
             counts[:] = saved
@@ -336,6 +371,110 @@ def _unrank_chunks(pid: int, arrangements: int, counts: list[int]) -> list[int]:
             state = _refresh(pid, arrangements, *triple)
         pid, arrangements = state
     return out + _unrank_walk(pid, arrangements, counts)
+
+
+def _decode_window(num: int, den: int, counts: list[int], out: list[int]) -> tuple[int, int, int]:
+    """Decode symbols of an x known as |num/den - x| <= 1/den; returns their
+    (P, Q, T) triple in lowest terms.
+
+    While the window's bound err/den is below 2**-_FLOAT_BITS, a float
+    stretch (:func:`_float_stretch`) reads symbols off num/den. A symbol it
+    cannot tell from its neighbour, and every symbol once the bound has
+    grown, is decoded by one step of the integer leaf on the window. Each
+    stretch or step moves the window on by its triple, as the leaf moves its
+    own state: num, den, err turn into Q * num - T * den, P * den and
+    Q * err, shortened as :func:`_decode_leaf` shortens them. The window ends
+    where a leaf step decodes nothing or the combined Q has passed
+    ``_WINDOW_Q_BITS`` bits. Appends the symbol ids to ``out`` and consumes
+    ``counts``.
+    """
+    err = 1
+    p = q = 1
+    t = 0
+    remaining = sum(counts)
+    keep = _GUARD_BITS
+    guard = 2 * keep
+    while den > err and q.bit_length() <= _WINDOW_Q_BITS:
+        before = len(out)
+        if den >> _FLOAT_BITS > err:
+            sp, sq, st = _float_stretch(num, den, err, counts, remaining, out)
+        if len(out) == before:
+            sp, sq, st = _decode_leaf(num, den, err, counts, out, 1)
+            if len(out) == before:
+                break
+        remaining -= len(out) - before
+        num, den, err = sq * num - st * den, sp * den, sq * err
+        if err >> guard:
+            shift = err.bit_length() - keep
+            if num < 0:
+                num = 0
+            elif num > den:
+                num = den
+            num >>= shift
+            den >>= shift
+            err = ((err - 1) >> shift) + 2
+        p, q, t = p * sp, q * sq, t * sq + p * st
+    # in lowest terms, which on DNA takes about 40% off the divisor and the
+    # factors of the refresh
+    g = math.gcd(p, q, t)
+    return p // g, q // g, t // g
+
+
+def _float_stretch(
+    num: int, den: int, err: int, counts: list[int], remaining: int, out: list[int]
+) -> tuple[int, int, int]:
+    """Decode up to ``_CHUNK`` symbols of an x known as |num/den - x| <= err/den
+    in doubles; returns their (P, Q, T) triple, as :func:`_stretch` builds it.
+
+    ``remaining`` is the sum of ``counts``. The double x ~ num/den is clamped
+    into [0, 1), where x lies, and e bounds its error with 2**-50 to spare
+    while e stays below ``_FLOAT_BOUND``. That spare covers the roundings of
+    x * m - e * m and x * m + e * m, so a symbol j is decoded only where the
+    first, floored, and the second both lie in [cum_j, cum_j + c_j): a scan
+    from the floor checks the low end, and the largest kind needs no check
+    of the high end, since x * m < m. Then x turns into (x * m - cum_j) / c_j,
+    whose subtraction is exact, and e into e * m / c_j + ``_FLOAT_SLACK``,
+    which covers the rest of the step's roundings. This stops at the first
+    symbol the bound does not separate, and once e passes ``_FLOAT_BOUND``.
+    Appends the symbol ids to ``out`` and consumes ``counts``.
+    """
+    x = num / den
+    if x < 0.0:
+        x = 0.0
+    elif x > _BELOW_ONE:
+        x = _BELOW_ONE
+    slack = _FLOAT_SLACK
+    bound = _FLOAT_BOUND
+    e = err / den + slack
+    p = 1
+    t = 0
+    start = remaining
+    append = out.append
+    for _ in range(min(_CHUNK, remaining)):
+        if e > bound:
+            break
+        y = x * remaining
+        spread = e * remaining
+        low = int(y - spread)
+        if low < 0:
+            low = 0
+        j = 0
+        top = counts[0]
+        while low >= top:
+            j += 1
+            top += counts[j]
+        if top < remaining and y + spread >= top:
+            break
+        c = counts[j]
+        below = top - c
+        x = (y - below) / c
+        e = spread / c + slack
+        t = t * remaining + p * below
+        p *= c
+        counts[j] = c - 1
+        remaining -= 1
+        append(j)
+    return p, math.perm(start, start - remaining), t
 
 
 def _refresh(pid: int, arrangements: int, p: int, q: int, t: int) -> tuple[int, int] | None:

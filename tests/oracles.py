@@ -20,7 +20,8 @@ oracles are the rank before it ran from the right and yielded the
 arrangement count. The split oracle is the product tree the rank used for
 its widest counts, fast enough to check blocks of 64k symbols. The leaf
 oracle is the permutation unrank's first leaf decoder, and the reader and
-writer oracles read and write a codeword field by field.
+writer oracles read and write a codeword field by field. The boundary blocks
+are test inputs for the unrank, shared with ``tools/rank_curve.py``.
 """
 
 import math
@@ -490,6 +491,29 @@ def reference_decode_leaf(num, den, err, counts, out, limit):
         out.append(j)
         limit -= 1
     return p, q, t
+
+
+# -- blocks on symbol boundaries ----------------------------------------------
+#
+# Blocks whose ranks put the unrank's value on or next to the boundary between
+# two symbols, where no bound short of the exact one tells them apart.
+
+
+def boundary_aligned(seq):
+    """Blocks whose ranks sit on or next to symbol boundaries of the unrank."""
+    half = len(seq) // 2
+    kinds = sorted(set(seq))
+    runs = {
+        size: [x for start in range(0, len(seq), size) for x in sorted(seq[start : start + size])]
+        for size in (64, 512)
+    }
+    return {
+        "ascending tail": list(seq[:half]) + sorted(seq[half:]),
+        "descending tail": list(seq[:half]) + sorted(seq[half:], reverse=True),
+        "sorted runs of 64": runs[64],
+        "sorted runs of 512": runs[512],
+        "periodic": kinds * (len(seq) // max(len(kinds), 1)),
+    }
 
 
 # -- reference Elias-delta writer and reader ----------------------------------

@@ -11,11 +11,14 @@ from enumcode import permutation_codec
 from enumcode.combinatorics import multinomial
 from enumcode.permutation_codec import (
     _CHUNK,
+    _FLOAT_SYMBOL_BITS,
     _RANK_WALK_BITS,
     _WALK_BITS,
     _decode_leaf,
+    _float_stretch,
     _rank_chunks,
     _rank_walk,
+    _stretch,
     _unrank_chunks,
     _unrank_walk,
     enumerate_perms,
@@ -27,6 +30,7 @@ from enumcode.permutation_codec import (
 
 from conftest import PERMS_2110
 from oracles import (
+    boundary_aligned,
     reference_decode_leaf,
     reference_rank_chunks,
     reference_rank_incremental,
@@ -447,32 +451,15 @@ def test_unrank_emits_final_run():
     assert perm_index_to_sequence(0, (2**20,), b"a") == b"a" * 2**20
 
 
-def boundary_aligned(seq):
-    """Blocks whose ranks sit on or next to symbol boundaries of the unrank."""
-    half = len(seq) // 2
-    kinds = sorted(set(seq))
-    runs = {
-        size: [x for start in range(0, len(seq), size) for x in sorted(seq[start : start + size])]
-        for size in (64, 512)
-    }
-    return {
-        "ascending tail": list(seq[:half]) + sorted(seq[half:]),
-        "descending tail": list(seq[:half]) + sorted(seq[half:], reverse=True),
-        "sorted runs of 64": runs[64],
-        "sorted runs of 512": runs[512],
-        "periodic": kinds * (len(seq) // max(len(kinds), 1)),
-    }
-
-
 def ranks_to_try(counts, rng):
     arrangements = multinomial(counts)
     return {0, min(1, arrangements - 1), arrangements - 1, arrangements // 2, rng.randrange(arrangements)}
 
 
-def check_unrank_chunks(rank, counts):
+def check_unrank_chunks(rank, counts, expected=None):
     """The chunked unrank of ``rank``, handing over to the walk at its own
-    threshold and at the narrowest counts, checked against the oracle walk;
-    fails if any refresh rejected a decoded chunk."""
+    threshold and at the narrowest counts, checked against ``expected`` or
+    else the oracle walk; fails if any refresh rejected a decoded chunk."""
     refresh = permutation_codec._refresh
     rejected = 0
 
@@ -483,7 +470,8 @@ def check_unrank_chunks(rank, counts):
         return state
 
     arrangements = multinomial(counts)
-    expected = reference_unrank_incremental(rank, arrangements, list(counts))
+    if expected is None:
+        expected = reference_unrank_incremental(rank, arrangements, list(counts))
     for walk_bits in (_WALK_BITS, 1):
         with mock.patch.object(permutation_codec, "_refresh", counting_refresh):
             with mock.patch.object(permutation_codec, "_WALK_BITS", walk_bits):
@@ -526,6 +514,23 @@ def test_split_unrank_long_blocks(length):
         assert check_unrank_chunks(reference_rank_split(ids, list(counts)), counts) == ids, name
 
 
+@pytest.mark.parametrize(
+    "sigma, shape, length", [(2, "1000:1", 32768), (20, "uniform", 1500), (256, "uniform", 3000)]
+)
+def test_wide_blocks_unrank_through_both_stretches(sigma, shape, length):
+    # Each block down to the narrowest counts, its symbols read by float
+    # stretches and by the integer leaf's chunks in turn: the 2-kind block
+    # carries about 0.01 bits a symbol, so its windows end on their Q, and
+    # the 256-kind block about 8, past _FLOAT_SYMBOL_BITS.
+    alphabet = bytes(range(sigma))
+    seq = skewed_block(random.Random(length), sigma, length, shape)
+    ids, counts = symbol_ids(seq, alphabet)
+    rank = sequence_to_perm_index(seq, alphabet)
+    for symbol_bits in (0, _FLOAT_SYMBOL_BITS, float("inf")):
+        with mock.patch.object(permutation_codec, "_FLOAT_SYMBOL_BITS", symbol_bits):
+            assert check_unrank_chunks(rank, counts, ids) == ids, symbol_bits
+
+
 @pytest.mark.parametrize("name", list(boundary_aligned(b"acgt")))
 def test_boundary_aligned_blocks_unrank_fast(name):
     # A decoder that guessed near symbol boundaries and threw its work away
@@ -543,7 +548,7 @@ def test_boundary_aligned_blocks_unrank_fast(name):
 @st.composite
 def leaf_windows(draw):
     """(num, den, err, counts, limit) with |num/den - x| <= err/den for an x in [0, 1)."""
-    sigma = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 256]))
+    sigma = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 20, 256]))
     rng = random.Random(draw(st.integers(0, 2**32)))
     counts = [rng.choice([0, 0, 1, 2, 7, 60, 1000]) for _ in range(sigma)]
     den = draw(st.integers(1, 2 ** draw(st.integers(1, 320))))
@@ -578,6 +583,26 @@ def test_leaf_matches_the_oracle_leaf(window):
     triple = _decode_leaf(num, den, err, got_counts, got, limit)
     assert triple == reference_decode_leaf(num, den, err, expected_counts, expected, limit)
     assert (got, got_counts) == (expected, expected_counts)
+
+
+@settings(deadline=None, max_examples=300)
+@given(leaf_windows())
+def test_float_stretch_decodes_only_what_every_x_in_the_window_does(window):
+    num, den, err, counts, _ = window
+    remaining = sum(counts)
+    got, got_counts = [], list(counts)
+    p, q, t = _float_stretch(num, den, err, got_counts, remaining, got)
+    assert len(got) <= _CHUNK
+    # the triple is the one _stretch builds for the symbols decoded
+    expected_counts = list(counts)
+    assert (p, q, t) == _stretch(got, expected_counts, remaining)
+    assert got_counts == expected_counts
+    # Every x the window allows, in [num - err, num + err] / den and in
+    # [0, 1), lies in the prefix's interval [T / Q, (T + P) / Q), so the
+    # exact walk from any of them decodes these symbols first.
+    low, high = max(num - err, 0), min(num + err, den)
+    assert low * q >= t * den
+    assert high * q < (t + p) * den or (high == den and t + p == q)
 
 
 def test_leaf_matches_the_oracle_leaf_on_unrank_states():
