@@ -307,6 +307,8 @@ def _unrank_walk(pid: int, arrangements: int, counts: list[int]) -> list[int]:
 
 
 # Up to this many bits of arrangement count the walk beats the chunked unrank
+# on DNA and over 20 kinds; over 256 kinds the chunks win by 2-3 % from about
+# 512 bits, since the walk's scan of the counts costs more per kind
 # (tools/rank_curve.py measures both).
 _WALK_BITS = 1024
 # Leading bits of (rank, arrangement count) each window or leaf chunk decodes
@@ -384,9 +386,9 @@ def _decode_window(num: int, den: int, counts: list[int], out: list[int]) -> tup
     stretch or step moves the window on by its triple, as the leaf moves its
     own state: num, den, err turn into Q * num - T * den, P * den and
     Q * err, shortened as :func:`_decode_leaf` shortens them. The window ends
-    where a leaf step decodes nothing or the combined Q has passed
-    ``_WINDOW_Q_BITS`` bits. Appends the symbol ids to ``out`` and consumes
-    ``counts``.
+    where a leaf step decodes nothing, where its bound reaches 1, or where
+    the combined Q has passed ``_WINDOW_Q_BITS`` bits. Appends the symbol ids
+    to ``out`` and consumes ``counts``.
     """
     err = 1
     p = q = 1

@@ -521,7 +521,7 @@ def test_wide_blocks_unrank_through_both_stretches(sigma, shape, length):
     # Each block down to the narrowest counts, its symbols read by float
     # stretches and by the integer leaf's chunks in turn: the 2-kind block
     # carries about 0.01 bits a symbol, so its windows end on their Q, and
-    # the 256-kind block about 8, past _FLOAT_SYMBOL_BITS.
+    # the 256-kind block about 7.6, past _FLOAT_SYMBOL_BITS.
     alphabet = bytes(range(sigma))
     seq = skewed_block(random.Random(length), sigma, length, shape)
     ids, counts = symbol_ids(seq, alphabet)
