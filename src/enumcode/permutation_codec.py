@@ -56,10 +56,7 @@ symbol the double cannot separate takes one step of the integer leaf
 update applies its combined triple, in lowest terms, to the full-width
 state: one long division by the small Q and two products by small P and T.
 The update's range check certifies the window; should it reject one, one
-exact step is taken instead. Where the count holds more than
-``_FLOAT_SYMBOL_BITS`` bits per symbol, as over 256 kinds, a stretch holds
-too few symbols to pay for its window, and the integer leaf decodes each
-chunk straight from the top bits. Every output is exact. Each update costs
+exact step is taken instead. Every output is exact. Each update costs
 time in proportion to the count's width, so a block unranks in time
 quadratic in that width. A rank at or beyond the count is rejected before
 any symbol is decoded.
@@ -133,8 +130,7 @@ def frequency_vector(seq: Symbols, alphabet: Symbols) -> tuple[int, ...]:
 # by the bound n * ceil(log2 sigma), ranks by the walk; a longer one ranks in
 # chunks of _CHUNK symbols (tools/rank_curve.py measures both).
 _RANK_WALK_BITS = 512
-# Symbols per rank chunk, and the most an unrank chunk decodes, before one
-# exact update of the full-width state.
+# Symbols per rank chunk, and the most a float stretch of the unrank decodes.
 _CHUNK = 64
 
 
@@ -311,18 +307,13 @@ def _unrank_walk(pid: int, arrangements: int, counts: list[int]) -> list[int]:
 # 512 bits, since the walk's scan of the counts costs more per kind
 # (tools/rank_curve.py measures both).
 _WALK_BITS = 1024
-# Leading bits of (rank, arrangement count) each window or leaf chunk decodes
-# from.
+# Leading bits of (rank, arrangement count) each window decodes from.
 _WINDOW = 384
 # A window ends once the Q of its combined triple is this wide, so that P, Q
 # and T stay small where each symbol carries little information.
 _WINDOW_Q_BITS = 2048
-# Past this many bits of count per symbol a float stretch holds too few
-# symbols to pay for its step of the window, and the integer leaf decodes each
-# chunk instead (tools/rank_curve.py measures both).
-_FLOAT_SYMBOL_BITS = 7.5
 # Bits of the error bound the integer leaf and the window keep when they drop
-# their low bits, which they do once the bound has twice as many.
+# their low bits (_shorten), which they do once the bound has twice as many.
 _GUARD_BITS = 16
 # A float stretch starts while the window's bound is below 2**-_FLOAT_BITS,
 # and stops once its own bound passes it.
@@ -343,10 +334,8 @@ def _unrank_chunks(pid: int, arrangements: int, counts: list[int]) -> list[int]:
     symbols below j, m all of them) and continues with (x * m - cum_j) / c_j.
     While the arrangement count has more than ``_WALK_BITS`` bits, symbols
     are decoded from the top ``_WINDOW`` bits of (pid, arrangements), whose
-    error bound is one unit of the shortened count: by :func:`_decode_window`,
-    or, where the count holds more than ``_FLOAT_SYMBOL_BITS`` bits per
-    symbol, a chunk of up to ``_CHUNK`` symbols by :func:`_decode_leaf`. Their
-    small (p, q, t) triple then updates the full-width state once
+    error bound is one unit of the shortened count, by :func:`_decode_window`.
+    Their small (p, q, t) triple then updates the full-width state once
     (:func:`_refresh`). The refresh's range check is the exact certificate:
     if nothing was decoded, or the refresh rejects the symbols, they are
     undone and one exact step is taken instead: with a zero error bound a
@@ -356,15 +345,11 @@ def _unrank_chunks(pid: int, arrangements: int, counts: list[int]) -> list[int]:
     bits.
     """
     out: list[int] = []
-    dense = arrangements.bit_length() > _FLOAT_SYMBOL_BITS * sum(counts)
     while arrangements.bit_length() > _WALK_BITS:
         shift = max(arrangements.bit_length() - _WINDOW, 0)
         num, den = pid >> shift, arrangements >> shift
         before, saved = len(out), counts[:]
-        if dense:
-            triple = _decode_leaf(num, den, 1, counts, out, _CHUNK)
-        else:
-            triple = _decode_window(num, den, counts, out)
+        triple = _decode_window(num, den, counts, out)
         state = _refresh(pid, arrangements, *triple) if len(out) > before else None
         if state is None:
             counts[:] = saved
@@ -385,7 +370,7 @@ def _decode_window(num: int, den: int, counts: list[int], out: list[int]) -> tup
     grown, is decoded by one step of the integer leaf on the window. Each
     stretch or step moves the window on by its triple, as the leaf moves its
     own state: num, den, err turn into Q * num - T * den, P * den and
-    Q * err, shortened as :func:`_decode_leaf` shortens them. The window ends
+    Q * err, shortened by :func:`_shorten` as the leaf's are. The window ends
     where a leaf step decodes nothing, where its bound reaches 1, or where
     the combined Q has passed ``_WINDOW_Q_BITS`` bits. Appends the symbol ids
     to ``out`` and consumes ``counts``.
@@ -394,8 +379,7 @@ def _decode_window(num: int, den: int, counts: list[int], out: list[int]) -> tup
     p = q = 1
     t = 0
     remaining = sum(counts)
-    keep = _GUARD_BITS
-    guard = 2 * keep
+    guard = 2 * _GUARD_BITS
     while den > err and q.bit_length() <= _WINDOW_Q_BITS:
         before = len(out)
         if den >> _FLOAT_BITS > err:
@@ -407,14 +391,7 @@ def _decode_window(num: int, den: int, counts: list[int], out: list[int]) -> tup
         remaining -= len(out) - before
         num, den, err = sq * num - st * den, sp * den, sq * err
         if err >> guard:
-            shift = err.bit_length() - keep
-            if num < 0:
-                num = 0
-            elif num > den:
-                num = den
-            num >>= shift
-            den >>= shift
-            err = ((err - 1) >> shift) + 2
+            num, den, err = _shorten(num, den, err)
         p, q, t = p * sp, q * sq, t * sq + p * st
     # in lowest terms, which on DNA takes about 40% off the divisor and the
     # factors of the refresh
@@ -433,8 +410,10 @@ def _float_stretch(
     while e stays below ``_FLOAT_BOUND``. That spare covers the roundings of
     x * m - e * m and x * m + e * m, so a symbol j is decoded only where the
     first, floored, and the second both lie in [cum_j, cum_j + c_j): a scan
-    from the floor checks the low end, and the largest kind needs no check
-    of the high end, since x * m < m. Then x turns into (x * m - cum_j) / c_j,
+    of the counts for the floor checks the low end, and the largest kind
+    needs no check of the high end, since x * m < m. The scan starts from
+    the end of the counts nearer the floor, which over 256 kinds halves its
+    length. Then x turns into (x * m - cum_j) / c_j,
     whose subtraction is exact, and e into e * m / c_j + ``_FLOAT_SLACK``,
     which covers the rest of the step's roundings. This stops at the first
     symbol the bound does not separate, and once e passes ``_FLOAT_BOUND``.
@@ -451,6 +430,7 @@ def _float_stretch(
     p = 1
     t = 0
     start = remaining
+    last = len(counts) - 1
     append = out.append
     for _ in range(min(_CHUNK, remaining)):
         if e > bound:
@@ -460,15 +440,26 @@ def _float_stretch(
         low = int(y - spread)
         if low < 0:
             low = 0
-        j = 0
-        top = counts[0]
-        while low >= top:
-            j += 1
-            top += counts[j]
+        if low + low < remaining:
+            j = 0
+            top = counts[0]
+            while low >= top:
+                j += 1
+                top += counts[j]
+            c = counts[j]
+            below = top - c
+        else:
+            j = last
+            top = remaining
+            c = counts[j]
+            below = top - c
+            while low < below:
+                j -= 1
+                top = below
+                c = counts[j]
+                below -= c
         if top < remaining and y + spread >= top:
             break
-        c = counts[j]
-        below = top - c
         x = (y - below) / c
         e = spread / c + slack
         t = t * remaining + p * below
@@ -502,11 +493,9 @@ def _decode_leaf(num: int, den: int, err: int, counts: list[int], out: list[int]
     ``counts`` and returns the (P, Q, T) triple of the decoded stretch,
     as :func:`_stretch` builds it: x = (T + P * x') / Q.
 
-    The state drops its low bits whenever the bound outgrows
-    ``2 * _GUARD_BITS`` bits, so its numbers stay small. Clamping num to
-    [0, den] only tightens the bound, since x lies in [0, 1); dropping
-    ``shift`` bits then moves num/den by less than 1 / (den >> shift), so the
-    bound becomes ceil(err / 2**shift) + 1. A symbol j is decoded when
+    The state drops its low bits (:func:`_shorten`) whenever the bound
+    outgrows ``2 * _GUARD_BITS`` bits, so its numbers stay small. A symbol j
+    is decoded when
     floor(x * m) provably lies in [cum_j, cum_j + c_j): one floor division
     gives the low end, and one product compares the high end against
     cum_j + c_j.
@@ -515,20 +504,12 @@ def _decode_leaf(num: int, den: int, err: int, counts: list[int], out: list[int]
     t = 0
     remaining = sum(counts)
     append = out.append
-    keep = _GUARD_BITS
-    guard = 2 * keep
+    guard = 2 * _GUARD_BITS
     while limit and remaining:
         if err >> guard:
-            shift = err.bit_length() - keep
-            if num < 0:
-                num = 0
-            elif num > den:
-                num = den
-            den >>= shift
+            num, den, err = _shorten(num, den, err)
             if not den:
                 break  # the bound no longer tells any symbols apart
-            num >>= shift
-            err = ((err - 1) >> shift) + 2
         scaled = num * remaining
         spread = err * remaining
         low = (scaled - spread) // den
@@ -554,6 +535,22 @@ def _decode_leaf(num: int, den: int, err: int, counts: list[int], out: list[int]
         append(j)
         limit -= 1
     return p, q, t
+
+
+def _shorten(num: int, den: int, err: int) -> tuple[int, int, int]:
+    """(num, den, err) of an x known as |num/den - x| <= err/den, with the
+    bound cut to ``_GUARD_BITS`` bits.
+
+    Clamping num to [0, den] only tightens the bound, since x lies in [0, 1);
+    dropping ``shift`` bits then moves num/den by less than 1 / (den >> shift),
+    so the bound becomes ceil(err / 2**shift) + 1.
+    """
+    shift = err.bit_length() - _GUARD_BITS
+    if num < 0:
+        num = 0
+    elif num > den:
+        num = den
+    return num >> shift, den >> shift, ((err - 1) >> shift) + 2
 
 
 def enumerate_perms(

@@ -11,7 +11,6 @@ from enumcode import permutation_codec
 from enumcode.combinatorics import multinomial
 from enumcode.permutation_codec import (
     _CHUNK,
-    _FLOAT_SYMBOL_BITS,
     _RANK_WALK_BITS,
     _WALK_BITS,
     _decode_leaf,
@@ -517,18 +516,15 @@ def test_split_unrank_long_blocks(length):
 @pytest.mark.parametrize(
     "sigma, shape, length", [(2, "1000:1", 32768), (20, "uniform", 1500), (256, "uniform", 3000)]
 )
-def test_wide_blocks_unrank_through_both_stretches(sigma, shape, length):
-    # Each block down to the narrowest counts, its symbols read by float
-    # stretches and by the integer leaf's chunks in turn: the 2-kind block
-    # carries about 0.01 bits a symbol, so its windows end on their Q, and
-    # the 256-kind block about 7.6, past _FLOAT_SYMBOL_BITS.
+def test_wide_blocks_unrank_through_the_windows(sigma, shape, length):
+    # Each block down to the narrowest counts: the 2-kind block carries about
+    # 0.01 bits a symbol, so its windows end on their Q, and the 256-kind
+    # block about 7.6, so its float stretches hold a few symbols each.
     alphabet = bytes(range(sigma))
     seq = skewed_block(random.Random(length), sigma, length, shape)
     ids, counts = symbol_ids(seq, alphabet)
     rank = sequence_to_perm_index(seq, alphabet)
-    for symbol_bits in (0, _FLOAT_SYMBOL_BITS, float("inf")):
-        with mock.patch.object(permutation_codec, "_FLOAT_SYMBOL_BITS", symbol_bits):
-            assert check_unrank_chunks(rank, counts, ids) == ids, symbol_bits
+    assert check_unrank_chunks(rank, counts, ids) == ids
 
 
 @pytest.mark.parametrize("name", list(boundary_aligned(b"acgt")))

@@ -16,9 +16,8 @@ library does. The walk, the chunks and ``perm_rank_and_count`` must also
 give the block's arrangement count. The oracles take the ids and counts of
 ``symbol_ids`` (``tests/oracles.py``). The rank is unranked with the walk
 (``_unrank_walk``), the oracle walk (``reference_unrank_incremental``), the
-chunked unrank alone, run down to a one-run count instead of handing over
-to the walk, its symbols read by float stretches (``chunk_unrank_s``) or by
-the integer leaf's chunks (``leaf_unrank_s``), and the dispatching
+chunked unrank alone (``chunk_unrank_s``: ``_unrank_chunks`` run down to a
+one-run count instead of handing over to the walk) and the dispatching
 ``perm_index_to_sequence`` (``unrank_s``), and written with
 ``BitWriter.write`` as a field of its real width. ``count_s`` builds the
 block's arrangement count alone with ``multinomial``, as ``decode`` and the
@@ -43,15 +42,12 @@ The rows:
   put the unrank on or next to symbol boundaries.
 
 The output is one JSON object keyed by row; ``width_bits`` is the width of
-the block's arrangement count. Three thresholds pick the paths:
+the block's arrangement count. Two thresholds pick the paths:
 ``_RANK_WALK_BITS`` (rank by walk while length * ceil(log2 sigma), a bound
 on that width, is at most this, in chunks above it), read against
-``walk_rank_s`` and ``chunk_rank_s``; ``_WALK_BITS`` (unrank by walk up
+``walk_rank_s`` and ``chunk_rank_s``, and ``_WALK_BITS`` (unrank by walk up
 to this count width, in chunks above it), read against
-``walk_unrank_s`` and the chunk column the row's block takes; and
-``_FLOAT_SYMBOL_BITS`` (the integer leaf's chunks past this many bits of
-count per symbol, ``width_bits / length``, float stretches below it), read
-against ``chunk_unrank_s`` and ``leaf_unrank_s``. ``split_rank_s`` against
+``walk_unrank_s`` and ``chunk_unrank_s``. ``split_rank_s`` against
 ``chunk_rank_s`` shows what a product tree would win on the widest counts.
 The ``skew`` rows are long blocks with narrow counts, where the walk and the
 chunks beat the tree. The whole curve takes a few minutes, most of it at
@@ -105,10 +101,7 @@ def seconds(fn) -> float:
 
 
 # column -> the permutation_codec thresholds it runs under
-THRESHOLDS = {
-    "chunk_unrank_s": {"_WALK_BITS": 1, "_FLOAT_SYMBOL_BITS": float("inf")},
-    "leaf_unrank_s": {"_WALK_BITS": 1, "_FLOAT_SYMBOL_BITS": 0},
-}
+THRESHOLDS = {"chunk_unrank_s": {"_WALK_BITS": 1}}
 
 
 def alternating(columns: dict, rounds: int = 3) -> dict[str, float]:
@@ -158,7 +151,6 @@ def measure(name: str, block: bytes, alphabet: bytes) -> dict:
             rank, arrangements, list(counts)
         ),
         "chunk_unrank_s": lambda: _unrank_chunks(rank, arrangements, list(counts)),
-        "leaf_unrank_s": lambda: _unrank_chunks(rank, arrangements, list(counts)),
         "unrank_s": lambda: perm_index_to_sequence(rank, counts, alphabet),
     }
     # the walk, the chunks and perm_rank_and_count give the arrangement count too
