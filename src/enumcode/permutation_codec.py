@@ -303,9 +303,10 @@ def _unrank_walk(pid: int, arrangements: int, counts: list[int]) -> list[int]:
 
 
 # Up to this many bits of arrangement count the walk beats the chunked unrank
-# on DNA and over 20 kinds; over 256 kinds the chunks win by 2-3 % from about
-# 512 bits, since the walk's scan of the counts costs more per kind
-# (tools/rank_curve.py measures both).
+# on DNA and over 20 kinds, where a hand-over at 768-1024 bits measured
+# fastest; over 256 kinds, where the walk's scan of the counts costs more per
+# symbol, one at 128-256 bits would be 1.1-1.7x faster (tools/rank_curve.py
+# measures both).
 _WALK_BITS = 1024
 # Leading bits of (rank, arrangement count) each window decodes from.
 _WINDOW = 384
@@ -413,11 +414,11 @@ def _float_stretch(
     of the counts for the floor checks the low end, and the largest kind
     needs no check of the high end, since x * m < m. The scan starts from
     the end of the counts nearer the floor, which over 256 kinds halves its
-    length. Then x turns into (x * m - cum_j) / c_j,
-    whose subtraction is exact, and e into e * m / c_j + ``_FLOAT_SLACK``,
-    which covers the rest of the step's roundings. This stops at the first
-    symbol the bound does not separate, and once e passes ``_FLOAT_BOUND``.
-    Appends the symbol ids to ``out`` and consumes ``counts``.
+    length. Then x turns into (x * m - cum_j) / c_j, whose subtraction is
+    exact, and e into e * m / c_j + ``_FLOAT_SLACK``, which covers the rest
+    of the step's roundings. This stops at the first symbol the bound does
+    not separate, and once e passes ``_FLOAT_BOUND``. Appends the symbol ids
+    to ``out`` and consumes ``counts``.
     """
     x = num / den
     if x < 0.0:
@@ -495,10 +496,9 @@ def _decode_leaf(num: int, den: int, err: int, counts: list[int], out: list[int]
 
     The state drops its low bits (:func:`_shorten`) whenever the bound
     outgrows ``2 * _GUARD_BITS`` bits, so its numbers stay small. A symbol j
-    is decoded when
-    floor(x * m) provably lies in [cum_j, cum_j + c_j): one floor division
-    gives the low end, and one product compares the high end against
-    cum_j + c_j.
+    is decoded when floor(x * m) provably lies in [cum_j, cum_j + c_j): one
+    floor division gives the low end, and one product compares the high end
+    against cum_j + c_j.
     """
     p = q = 1
     t = 0
