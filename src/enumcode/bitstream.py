@@ -44,9 +44,8 @@ class BitWriter:
         """Append the Elias delta codeword for ``value`` (>= 1) as one field:
         the zero run is the field's leading zeros, then the bit count, then
         the value below its top bit."""
-        width = elias_delta_bit_length(value)
-        nbits = value.bit_length()
-        self.write((nbits << (nbits - 1)) | (value & ((1 << (nbits - 1)) - 1)), width)
+        width = elias_delta_bit_length(value)  # rejects value < 1
+        self.write(elias_delta_codeword(value), width)
 
     @property
     def bit_length(self) -> int:
@@ -119,6 +118,14 @@ class BitReader:
     @property
     def bits_remaining(self) -> int:
         return len(self._data) * 8 - self._pos
+
+
+def elias_delta_codeword(value: int) -> int:
+    """The Elias delta codeword of ``value`` (>= 1) as one number. Written in
+    :func:`elias_delta_bit_length` bits, its leading zeros are the zero run,
+    then come the bit count of ``value`` and ``value`` below its top bit."""
+    nbits = value.bit_length()
+    return (nbits << (nbits - 1)) | (value & ((1 << (nbits - 1)) - 1))
 
 
 def elias_delta_bit_length(value: int) -> int:

@@ -4,9 +4,11 @@ The variable-length scheme picks a delimiter symbol and a repeat count r,
 then factors the input into blocks that each contain the delimiter exactly
 r times; the occurrence that would be the (r+1)-th ends the block and is
 consumed without being stored, because the decoder knows it must follow.
-The tail of the input is padded with delimiters up to r occurrences (the
-stored original length lets the decoder strip them); if the input ends
-exactly on a consumed delimiter, no tail block is emitted at all.
+The tail of the input is padded with delimiters up to r occurrences; if the
+input ends exactly on a consumed delimiter, no tail block is emitted at all.
+The stored original length tells the decoder how many symbols the final
+block still owes: it unranks only those and checks that the rest of the
+block is delimiters.
 
 Each block is serialized as
 
@@ -25,6 +27,11 @@ the length codewords but ranking the full count vector.
 
 All field widths are computable from the container header plus previously
 decoded fields, so the payload carries no other framing.
+
+Both directions work in symbol ids, alphabet positions as bytes, from edge
+to edge. :func:`encode` checks its input against the alphabet once and maps
+each block to ids through one table; :func:`decode` appends every block's
+ids and renders them as the alphabet's bytes once, at the end.
 """
 
 from __future__ import annotations
@@ -49,12 +56,14 @@ from .bitstream import (
     BitstreamError,
     BitWriter,
     elias_delta_bit_length,
+    elias_delta_codeword,
 )
 from .combinatorics import ceil_log2, k_count, multinomial
 from .composition_codec import index_to_vector, vector_to_index
 from .permutation_codec import (
-    perm_index_to_sequence,
-    perm_rank_and_count,
+    _rank_ids,
+    _unrank_chunks,
+    perm_index_to_sequence,  # unused; perfbench/tracer.py traces this name until ROADMAP item 2
     sequence_to_perm_index,  # unused; perfbench/tracer.py traces this name until ROADMAP item 2
 )
 
@@ -342,34 +351,44 @@ def _vector_count(length: int, params: CodecParams) -> int:
 def encode(data: bytes, params: CodecParams) -> "EncodedContainer":
     """Serialize every block :func:`_cut` cuts into a container.
 
-    Each block's rank yields its arrangement count, which gives the
-    permutation field's width; the block is priced as :func:`vector_bits`
-    prices it, logarithms included. The container carries that accounting
-    and the pad.
+    The input is checked against the alphabet once. Each block is mapped to
+    symbol ids through one table and ranked as ids, and its rank yields its
+    arrangement count, which gives the permutation field's width; the block
+    is priced as :func:`vector_bits` prices it, logarithms included. Its
+    length codeword, frequency rank and permutation rank go out as one
+    field. The container carries that accounting and the pad.
     """
     _check_input(data, params)
     contents, columns, pad = _cut(data, params)
     writer = BitWriter()
+    sigma = params.sigma
+    to_ids = bytes.maketrans(params.alphabet, bytes(range(sigma)))
     variable = params.mode == MODE_VARIABLE
     if variable:
-        # the delimiter's count is always r; _decode_block_fields puts it back
+        # the delimiter's count is always r; decode puts it back
         apos = params.alpha_index - 1
     costs = []
-    lengths: dict[int, tuple[int, int, int, float]] = {}
+    # length -> (its _length_terms, its length codeword)
+    lengths: dict[int, tuple[tuple[int, int, int, float], int]] = {}
     for content, freq in zip(contents, zip(*columns)):
-        rank, arrangements = perm_rank_and_count(content, params.alphabet)
+        rank, arrangements = _rank_ids(content.translate(to_ids), sigma)
         length = len(content)
         if length not in lengths:
-            lengths[length] = _length_terms(length, params)
-        cost = _block_cost(freq, length, lengths[length], arrangements)
+            code = elias_delta_codeword(length) if variable else 0
+            lengths[length] = _length_terms(length, params), code
+        terms, code = lengths[length]
+        cost = _block_cost(freq, length, terms, arrangements)
         costs.append(cost)
-        _, _, freq_width, perm_width, _ = cost
-        vector = freq
-        if variable:
-            writer.write_elias_delta(length)
-            vector = freq[:apos] + freq[apos + 1 :]
-        writer.write(vector_to_index(vector) if vector else 0, freq_width)
-        writer.write(rank, perm_width)
+        _, delta_width, freq_width, perm_width, _ = cost
+        vector = freq[:apos] + freq[apos + 1 :] if variable else freq
+        index = vector_to_index(vector) if vector else 0
+        if index >> freq_width or rank >> perm_width:
+            raise ValueError(
+                f"block ranks {index} and {rank} do not fit in {freq_width} and {perm_width} bits"
+            )
+        writer.write(
+            (code << freq_width | index) << perm_width | rank, delta_width + freq_width + perm_width
+        )
     return EncodedContainer(
         params=params,
         payload=writer.getvalue(),
@@ -388,47 +407,20 @@ def _check_room(reader: BitReader, min_width: int, what: str) -> None:
         )
 
 
-def _decode_block_fields(
-    reader: BitReader, length: int, params: CodecParams
-) -> tuple[tuple[int, ...], int, int]:
-    """Read (frequency vector, permutation rank, arrangement count) for a block
-    of known length.
-
-    Each count is checked against a lower bound first: C(N, j) >=
-    2**min(j, N - j), so a width that cannot fit the remaining bits is
-    rejected without building its count.
-    """
-    dims, inner = _vector_shape(length, params)
-    if not dims and inner:
-        raise ValueError(f"length {length} exceeds r over a 1-symbol alphabet")
-    # K(dims, inner) = C(inner + dims - 1, dims - 1)
-    _check_room(reader, min(dims - 1, inner), "frequency rank")
-    # index_to_vector rejects a rank at or beyond the count
-    rank = reader.read(ceil_log2(_vector_count(length, params)))
-    freq = index_to_vector(rank, inner, dims) if dims else ()
-    if dims < params.sigma:
-        # the dropped delimiter dimension, whose count is always r
-        apos = params.alpha_index - 1
-        freq = freq[:apos] + (params.r,) + freq[apos:]
-
-    # arrangements = multinomial(freq) >= C(length, max(freq))
-    most = max(freq)
-    _check_room(reader, min(length - most, most), "permutation rank")
-    arrangements = multinomial(freq)
-    pid = reader.read(ceil_log2(arrangements))
-    if pid >= arrangements:
-        raise ValueError(f"permutation rank {pid} out of range (< {arrangements})")
-    return freq, pid, arrangements
-
-
 def decode(container: "EncodedContainer", max_output: int = DEFAULT_MAX_OUTPUT) -> bytes:
     """Reconstruct the exact original byte sequence from a container.
 
     A header that declares more than ``max_output`` symbols is rejected
-    before any payload bit is read. The output grows the way :func:`_cut`
-    cut the input: each block's symbols, then in variable mode the
-    delimiter it consumed. So only the final block's padding and its
-    delimiter can lie past n.
+    before any payload bit is read. Blocks decode to symbol ids, which are
+    rendered as the alphabet's bytes once, at the end. Each block reads its
+    frequency rank and permutation rank, each count checked against a lower
+    bound before it is built: C(N, j) >= 2**min(j, N - j), so a width that
+    cannot fit the remaining bits is rejected first. The frequency field's
+    shape is worked out once per block length. The output grows the way
+    :func:`_cut` cut the input: each block's symbols, then in variable mode
+    the delimiter it consumed. Only the symbols still owed are unranked, so
+    the padded final block costs what its owed symbols cost; it is valid
+    exactly when they hold all of its symbols but delimiters.
     """
     params = container.params
     n = params.n
@@ -437,29 +429,64 @@ def decode(container: "EncodedContainer", max_output: int = DEFAULT_MAX_OUTPUT) 
             f"header declares n={n} symbols, more than the output cap of {max_output}"
         )
     reader = BitReader(container.payload)
-    out = bytearray()
+    ids = bytearray()
     blocks = 0
     start = 0  # payload bit at which the current block starts
+    padded = True  # the final block holds nothing but delimiters past n
     variable = params.mode == MODE_VARIABLE
-    delimiter = bytes([params.alpha_byte]) if variable else b""
-    while len(out) < n:
+    if variable:
+        r = params.r
+        apos = params.alpha_index - 1
+    # length -> (dims, inner, least width, width) of its frequency field
+    shapes: dict[int, tuple[int, int, int, int]] = {}
+    while len(ids) < n:
         start = reader.position
         blocks += 1
+        owed = n - len(ids)
         try:
             if variable:
                 length = reader.read_elias_delta()
-                if length < params.r:
-                    raise ValueError(f"block length {length} is below r={params.r}")
+                if length < r:
+                    raise ValueError(f"block length {length} is below r={r}")
                 # a block is at most the rest of the sequence plus r padding delimiters
-                if length > n - len(out) + params.r:
+                if length > owed + r:
                     raise ValueError(f"block length {length} exceeds the sequence length")
             else:
-                length = min(params.fixed_len, n - len(out))
-            freq, pid, arrangements = _decode_block_fields(reader, length, params)
-            out += perm_index_to_sequence(pid, freq, params.alphabet, arrangements)
+                length = min(params.fixed_len, owed)
+            shape = shapes.get(length)
+            if shape is None:
+                dims, inner = _vector_shape(length, params)
+                if not dims and inner:
+                    raise ValueError(f"length {length} exceeds r over a 1-symbol alphabet")
+                # K(dims, inner) = C(inner + dims - 1, dims - 1), which at most
+                # 255 free dimensions keep cheap to build at any length
+                width = ceil_log2(_vector_count(length, params))
+                shape = shapes[length] = dims, inner, min(dims - 1, inner), width
+            dims, inner, least, width = shape
+            _check_room(reader, least, "frequency rank")
+            # index_to_vector rejects a rank at or beyond the count
+            counts = [*index_to_vector(reader.read(width), inner, dims)] if dims else []
+            if variable:
+                # the dropped delimiter dimension, whose count is always r
+                counts.insert(apos, r)
+            # arrangements = multinomial(counts) >= C(length, max(counts))
+            most = max(counts)
+            _check_room(reader, min(length - most, most), "permutation rank")
+            arrangements = multinomial(counts)
+            pid = reader.read(ceil_log2(arrangements))
+            if pid >= arrangements:
+                raise ValueError(f"permutation rank {pid} out of range (< {arrangements})")
+            block = _unrank_chunks(pid, arrangements, counts, owed)
         except (BitstreamError, ValueError) as exc:
             raise CorruptContainerError(str(exc), block=blocks, bit_offset=start) from None
-        out += delimiter
+        if length > owed:
+            # the final block, padded: what is left past n is delimiters
+            # exactly when the owed symbols hold all its length - r others
+            del block[owed:]
+            padded = owed - block.count(apos) == length - r
+        ids.extend(block)
+        if variable and len(ids) < n:
+            ids.append(apos)
 
     if reader.bits_remaining >= 8 or (
         reader.bits_remaining and reader.read(reader.bits_remaining)
@@ -467,12 +494,11 @@ def decode(container: "EncodedContainer", max_output: int = DEFAULT_MAX_OUTPUT) 
         raise CorruptContainerError(
             "trailing garbage after the final block", block=blocks, bit_offset=start
         )
-    if out[n:].strip(delimiter):
+    if not padded:
         raise CorruptContainerError(
             "padding differs from the delimiter symbol", block=blocks, bit_offset=start
         )
-    del out[n:]
-    return bytes(out)
+    return bytes(ids).translate(params.alphabet.ljust(256, b"\0"))
 
 
 class EncodedContainer(

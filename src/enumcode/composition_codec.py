@@ -11,7 +11,8 @@ adds the count of vectors that hold a smaller value there:
 sum_{v<x} C(R-v+f-1, f-1), which the hockey-stick identity closes to
 C(R+f, f) - C(R-x+f, f). Ranking is therefore O(sigma) ``math.comb``
 calls, and unranking binary-searches each x on the same identity,
-O(sigma log inner_sum) calls, whatever the inner sum. Passing ``trace=``
+O(sigma log inner_sum) calls, whatever the inner sum; the last free
+dimension's x is the index left, in closed form. Passing ``trace=``
 to :func:`vector_to_index` walks the sum one unit at a time instead and
 records every addend.
 """
@@ -55,14 +56,19 @@ def vector_to_index(counts: Iterable[int], *, trace: list[int] | None = None) ->
 
 
 def index_to_vector(index: int, inner_sum: int, sigma: int) -> tuple[int, ...]:
-    """The unique vector of ``sigma`` counts summing to ``inner_sum`` with this rank."""
+    """The unique vector of ``sigma`` counts summing to ``inner_sum`` with this rank.
+
+    Each free dimension but the last is binary-searched. The last free
+    dimension has f = 1, where every value below x adds C(R - v, 0) = 1, so
+    its value is the index left.
+    """
     if not 0 <= index < k_count(sigma, inner_sum):
         raise ValueError(
             f"frequency rank {index} out of range for {sigma} dimensions summing to {inner_sum}"
         )
     counts = [0] * sigma
     remaining = inner_sum
-    for dim in range(sigma - 1):
+    for dim in range(sigma - 2):
         free = sigma - 1 - dim
         # The value here is the largest x with C(R+f, f) - C(R-x+f, f) <= index,
         # so the rest, y = R - x, is the smallest y with
@@ -78,6 +84,9 @@ def index_to_vector(index: int, inner_sum: int, sigma: int) -> tuple[int, ...]:
         index = comb(lo + free, free) - target
         counts[dim] = remaining - lo
         remaining = lo
+    if sigma > 1:
+        counts[sigma - 2] = index
+        remaining -= index
     counts[sigma - 1] = remaining
     return tuple(counts)
 

@@ -36,7 +36,9 @@ faster, but by at most 2.4x where measured (1.1x at 131072 DNA symbols, 2x
 at 32768 symbols over 256 kinds), and only on blocks whose unrank is
 slower still, so the rank does without one. ``tools/rank_curve.py``
 measures both paths and the tree. Every sequence becomes symbol ids in one
-step, :func:`_ids`: two ``bytes.translate`` calls check and map it.
+step, :func:`_ids`: two ``bytes.translate`` calls check and map it. The
+block codec, which checks its input once, ranks ids through
+:func:`_rank_ids` and unranks them through :func:`_unrank_chunks` itself.
 
 Unranking decodes from the left. While the arrangement count is narrow, the
 greedy walk (:func:`_unrank_walk`) reads each symbol off v = pid * m_i // A_i
@@ -59,7 +61,9 @@ The update's range check certifies the window; should it reject one, one
 exact step is taken instead. Every output is exact. Each update costs
 time in proportion to the count's width, so a block unranks in time
 quadratic in that width. A rank at or beyond the count is rejected before
-any symbol is decoded.
+any symbol is decoded. An unrank can stop early, after a limit on the
+symbols it emits, which bounds the work for a padded final block by the
+symbols it still owes.
 
 The older walks, which take a big-int step for every smaller symbol kind,
 and the left-to-right rank, which needs the count before it starts, are
@@ -141,8 +145,12 @@ def perm_rank_and_count(seq: Symbols, alphabet: Symbols) -> tuple[int, int]:
     The empty sequence ranks 0 of 1. Only a block that may be wide is
     counted, for the chunked rank: one ``bytes.count`` per alphabet entry.
     """
-    ids = _ids(seq, alphabet)
-    sigma = len(alphabet)
+    return _rank_ids(_ids(seq, alphabet), len(alphabet))
+
+
+def _rank_ids(ids: bytes, sigma: int) -> tuple[int, int]:
+    """(rank, arrangement count) of a sequence of symbol ids below ``sigma``,
+    by the walk or in chunks, picked from its length alone."""
     # sigma ** n bounds the count, so a block this short is narrow
     if len(ids) * (sigma - 1).bit_length() <= _RANK_WALK_BITS:
         return _rank_walk(ids, sigma)
@@ -271,20 +279,24 @@ def perm_index_to_sequence(
     return _render(alphabet, table, _unrank_chunks(pid, arrangements, remaining_counts))
 
 
-def _unrank_walk(pid: int, arrangements: int, counts: list[int]) -> list[int]:
-    """The rank-``pid`` symbol ids by the greedy walk; consumes ``counts``.
+def _unrank_walk(
+    pid: int, arrangements: int, counts: list[int], limit: int | None = None
+) -> list[int]:
+    """The first ``limit`` (default: all) rank-``pid`` symbol ids by the
+    greedy walk; consumes ``counts``.
 
     ``arrangements`` is the multinomial of the counts. The symbol at each
     step is the j with cum_j <= pid * m // A < cum_j + c_j, read off by a
     scan of the small counts.
     """
     remaining = sum(counts)
+    stop = 0 if limit is None else max(remaining - limit, 0)
     out: list[int] = []
-    while remaining:
+    while remaining > stop:
         if arrangements == 1:
-            # one symbol kind is left: the rest is a single run of it
-            for j, c in enumerate(counts):
-                out += [j] * c
+            # one symbol kind is left, all the remaining symbols: the rest,
+            # up to the limit, is a single run of it
+            out += [counts.index(remaining)] * (remaining - stop)
             break
         v = pid * remaining // arrangements
         j = below = 0
@@ -327,8 +339,14 @@ _FLOAT_SLACK = 2.0**-49
 _BELOW_ONE = 1.0 - 2.0**-53
 
 
-def _unrank_chunks(pid: int, arrangements: int, counts: list[int]) -> list[int]:
+def _unrank_chunks(
+    pid: int, arrangements: int, counts: list[int], limit: int | None = None
+) -> list[int]:
     """The rank-``pid`` symbol ids, a window of symbols at a time; consumes ``counts``.
+
+    With a ``limit``, no window starts once that many ids are out, and the
+    walk stops at the limit: the ids past it number at most what one window
+    decodes, which its ``_WINDOW_Q_BITS`` bound caps.
 
     x = pid / arrangements is an exact arithmetic-code value: the walk picks
     the symbol j with cum_j <= x * m < cum_j + c_j (cum_j counts the remaining
@@ -345,8 +363,10 @@ def _unrank_chunks(pid: int, arrangements: int, counts: list[int]) -> list[int]:
     squared. The walk takes over once the count has at most ``_WALK_BITS``
     bits.
     """
+    if limit is None:
+        limit = sum(counts)
     out: list[int] = []
-    while arrangements.bit_length() > _WALK_BITS:
+    while arrangements.bit_length() > _WALK_BITS and len(out) < limit:
         shift = max(arrangements.bit_length() - _WINDOW, 0)
         num, den = pid >> shift, arrangements >> shift
         before, saved = len(out), counts[:]
@@ -358,7 +378,7 @@ def _unrank_chunks(pid: int, arrangements: int, counts: list[int]) -> list[int]:
             triple = _decode_leaf(pid, arrangements, 0, counts, out, 1)
             state = _refresh(pid, arrangements, *triple)
         pid, arrangements = state
-    return out + _unrank_walk(pid, arrangements, counts)
+    return out + _unrank_walk(pid, arrangements, counts, limit - len(out))
 
 
 def _decode_window(num: int, den: int, counts: list[int], out: list[int]) -> tuple[int, int, int]:

@@ -21,7 +21,9 @@ arrangement count. The split oracle is the product tree the rank used for
 its widest counts, fast enough to check blocks of 64k symbols. The leaf
 oracle is the permutation unrank's first leaf decoder, and the reader and
 writer oracles read and write a codeword field by field. The boundary blocks
-are test inputs for the unrank, shared with ``tools/rank_curve.py``.
+are test inputs for the unrank, shared with ``tools/rank_curve.py``. The
+block decoder oracle is the per-block decode loop that ran before decode
+worked in symbol ids and unranked only the symbols still owed.
 """
 
 import math
@@ -29,10 +31,23 @@ from typing import NamedTuple
 
 from enumcode.analysis import log2_int
 from enumcode.bitstream import BitReader, BitstreamError, BitWriter, elias_delta_bit_length
-from enumcode.block_codec import _LF_BOUND, AccountedBits, AlphabetError, EncodedContainer
+from enumcode.block_codec import (
+    _LF_BOUND,
+    DEFAULT_MAX_OUTPUT,
+    AccountedBits,
+    AlphabetError,
+    CorruptContainerError,
+    EncodedContainer,
+)
 from enumcode.combinatorics import ceil_log2, k_count, multinomial
-from enumcode.composition_codec import vector_to_index
-from enumcode.permutation_codec import _CHUNK, _GUARD_BITS, _advance, _stretch
+from enumcode.composition_codec import index_to_vector, vector_to_index
+from enumcode.permutation_codec import (
+    _CHUNK,
+    _GUARD_BITS,
+    _advance,
+    _stretch,
+    perm_index_to_sequence,
+)
 
 
 class ReferenceBlock(NamedTuple):
@@ -363,6 +378,90 @@ def reference_encode(data, params):
             ceil_log2(multinomial(block.freq)),
         )
     return EncodedContainer(params=params, payload=writer.getvalue(), payload_bits=writer.bit_length)
+
+
+# -- reference block decoder ---------------------------------------------------
+#
+# The per-block loop decode() ran before it worked in symbol ids: each block's
+# fields read with their shape worked out afresh, then the symbol-level
+# unrank, which checks the alphabet and the rank again and renders the block,
+# every block unranked whole, the padded final one included, and the padding
+# checked by stripping what lies past n.
+
+
+def _check_room(reader, min_width, what):
+    if min_width > reader.bits_remaining:
+        raise ValueError(
+            f"{what} needs at least {min_width} bits, only {reader.bits_remaining} remain"
+        )
+
+
+def _reference_block_fields(reader, length, params):
+    """(frequency vector, permutation rank, arrangement count) of a block of known length."""
+    if params.mode == "fixed":
+        dims, inner = params.sigma, length
+    else:
+        dims, inner = params.sigma - 1, length - params.r
+    if not dims and inner:
+        raise ValueError(f"length {length} exceeds r over a 1-symbol alphabet")
+    _check_room(reader, min(dims - 1, inner), "frequency rank")
+    rank = reader.read(ceil_log2(reference_vector_count(length, params)))
+    freq = index_to_vector(rank, inner, dims) if dims else ()
+    if dims < params.sigma:
+        apos = params.alpha_index - 1
+        freq = freq[:apos] + (params.r,) + freq[apos:]
+    most = max(freq)
+    _check_room(reader, min(length - most, most), "permutation rank")
+    arrangements = multinomial(freq)
+    pid = reader.read(ceil_log2(arrangements))
+    if pid >= arrangements:
+        raise ValueError(f"permutation rank {pid} out of range (< {arrangements})")
+    return freq, pid, arrangements
+
+
+def reference_block_decode(container, max_output=DEFAULT_MAX_OUTPUT):
+    """The bytes ``decode`` returns for ``container``, or the error it raises."""
+    params = container.params
+    n = params.n
+    if n > max_output:
+        raise CorruptContainerError(
+            f"header declares n={n} symbols, more than the output cap of {max_output}"
+        )
+    reader = BitReader(container.payload)
+    out = bytearray()
+    blocks = 0
+    start = 0
+    variable = params.mode == "variable"
+    delimiter = bytes([params.alpha_byte]) if variable else b""
+    while len(out) < n:
+        start = reader.position
+        blocks += 1
+        try:
+            if variable:
+                length = reader.read_elias_delta()
+                if length < params.r:
+                    raise ValueError(f"block length {length} is below r={params.r}")
+                if length > n - len(out) + params.r:
+                    raise ValueError(f"block length {length} exceeds the sequence length")
+            else:
+                length = min(params.fixed_len, n - len(out))
+            freq, pid, arrangements = _reference_block_fields(reader, length, params)
+            out += perm_index_to_sequence(pid, freq, params.alphabet, arrangements)
+        except (BitstreamError, ValueError) as exc:
+            raise CorruptContainerError(str(exc), block=blocks, bit_offset=start) from None
+        out += delimiter
+    if reader.bits_remaining >= 8 or (
+        reader.bits_remaining and reader.read(reader.bits_remaining)
+    ):
+        raise CorruptContainerError(
+            "trailing garbage after the final block", block=blocks, bit_offset=start
+        )
+    if out[n:].strip(delimiter):
+        raise CorruptContainerError(
+            "padding differs from the delimiter symbol", block=blocks, bit_offset=start
+        )
+    del out[n:]
+    return bytes(out)
 
 
 # -- reference product-tree rank ----------------------------------------------

@@ -1,8 +1,10 @@
+import importlib
 import math
 import random
 import statistics
 import struct
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -38,6 +40,7 @@ from conftest import FIG_ALPHABET, FIG_BLOCKS, FIG_FREQS, FIG_LENGTHS, FIG_PAD, 
 from oracles import (
     real_bits_tolerance,
     reference_accounted_bits,
+    reference_block_decode,
     reference_encode,
     reference_factorize,
     reference_header_bytes,
@@ -544,14 +547,14 @@ class TestCorruptPayloads:
     def test_final_block_past_r_padding_is_rejected_before_its_fields(self, monkeypatch):
         # length 4 = 2 symbols left + r + 1, then fields that would unrank to
         # "abbb"; the length alone rejects the block, so it is never unranked
-        unrank = block_codec.perm_index_to_sequence
+        unrank = block_codec._unrank_chunks
 
-        def unrank_block_1_only(pid, freq, alphabet, arrangements):
-            if len(freq) == 2 and sum(freq) == 4:
+        def unrank_block_1_only(pid, arrangements, counts, limit):
+            if len(counts) == 2 and sum(counts) == 4:
                 raise AssertionError("the final block was unranked")
-            return unrank(pid, freq, alphabet, arrangements)
+            return unrank(pid, arrangements, counts, limit)
 
-        monkeypatch.setattr(block_codec, "perm_index_to_sequence", unrank_block_1_only)
+        monkeypatch.setattr(block_codec, "_unrank_chunks", unrank_block_1_only)
         container = self._container(self.BAABB, [*self.BLOCK_1, (4, None), (0, 2)])
         match = "payload bit 5, block 2: block length 4 exceeds the sequence length"
         with pytest.raises(CorruptContainerError, match=match) as exc:
@@ -588,19 +591,44 @@ class TestCorruptPayloads:
     def test_error_in_the_unrank_names_the_block(self, monkeypatch):
         # the unrank runs inside the block's error context, so whatever it
         # rejects is a corrupt container at that block's offset
-        unrank = block_codec.perm_index_to_sequence
+        unrank = block_codec._unrank_chunks
 
-        def fail_on_the_final_block(pid, freq, alphabet, arrangements):
-            if sum(freq) == 3:
+        def fail_on_the_final_block(pid, arrangements, counts, limit):
+            if sum(counts) == 3:
                 raise ValueError("unrank failed")
-            return unrank(pid, freq, alphabet, arrangements)
+            return unrank(pid, arrangements, counts, limit)
 
-        monkeypatch.setattr(block_codec, "perm_index_to_sequence", fail_on_the_final_block)
+        monkeypatch.setattr(block_codec, "_unrank_chunks", fail_on_the_final_block)
         container = encode(b"baabb", self.BAABB)
         match = "payload bit 5, block 2: unrank failed"
         with pytest.raises(CorruptContainerError, match=match) as exc:
             decode(container)
         assert (exc.value.block, exc.value.bit_offset) == (2, 5)
+
+    @pytest.mark.parametrize("r", [2**10, 2**22])
+    def test_padded_final_block_unranks_only_the_owed_symbols(self, monkeypatch, r):
+        # "ab" five times is one block of r + 5 symbols, all but its first
+        # 10 padding; its rank sums, over each b, the arrangements that hold
+        # an a there instead
+        params = CodecParams.variable(b"ab", b"a", r, 10)
+        length = r + 5
+        rank = sum(math.comb(length - 1 - at, 5 - k) for k, at in enumerate(range(1, 10, 2)))
+        container = self._container(
+            params, [(length, None), (rank, ceil_log2(math.comb(length, 5)))]
+        )
+        if r < 2**16:
+            assert container == encode(b"ab" * 5, params)
+        unrank = block_codec._unrank_chunks
+        lengths = []
+
+        def counted_unrank(*args):
+            ids = unrank(*args)
+            lengths.append(len(ids))
+            return ids
+
+        monkeypatch.setattr(block_codec, "_unrank_chunks", counted_unrank)
+        assert decode(container, max_output=16) == b"ab" * 5
+        assert lengths == [10]
 
     def test_padding_that_holds_another_symbol_is_rejected(self):
         # the final block "bab" (rank 1 of 3) leaves "b" where only delimiters may follow n
@@ -1264,3 +1292,93 @@ def test_mutated_containers_decode_whole_or_raise_a_codec_error():
     assert decoded and rejected
     # each case takes a few milliseconds; the bound leaves room for a loaded host
     assert time.perf_counter() - start < 60.0
+
+
+def decode_outcome(decoder, container, max_output=DEFAULT_MAX_OUTPUT):
+    """What ``decoder`` makes of ``container``: its bytes, or its error's
+    type, message, block and bit offset."""
+    try:
+        return decoder(container, max_output)
+    except CorruptContainerError as exc:
+        return type(exc), str(exc), exc.block, exc.bit_offset
+
+
+def test_decode_matches_the_block_decode_oracle_on_the_fuzz():
+    # the seeded fuzz above, each case decoded by both
+    rng = random.Random(19)
+    outcomes = 0
+    for data, params, raw in fuzz_containers():
+        header_size = reference_header_bytes(params)
+        for _ in range(500):
+            try:
+                container = EncodedContainer.from_bytes(mutate(rng, raw, header_size))
+            except FormatError:
+                continue
+            got = decode_outcome(decode, container, 1 << 16)
+            assert got == decode_outcome(reference_block_decode, container, 1 << 16)
+            outcomes += isinstance(got, bytes)
+    assert outcomes == 663
+
+
+@st.composite
+def oracle_cases(draw):
+    """A container over 1-8 or 20 kinds, either mode, as encoded or with a
+    flipped bit, a cut, appended bytes or another n."""
+    sigma = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 20]))
+    alphabet = bytes(range(65, 65 + sigma))
+    data = bytes(draw(st.lists(st.sampled_from(alphabet), max_size=120)))
+    if draw(st.booleans()):
+        alpha, r = draw(st.sampled_from(alphabet)), draw(st.integers(1, 8))
+        params = CodecParams.variable(alphabet, alpha, r, len(data))
+        # ending on the delimiter leaves the final block unpadded more often
+        if draw(st.booleans()):
+            data += bytes([alpha])
+            params = params._replace(n=len(data))
+    else:
+        params = CodecParams.fixed(alphabet, draw(st.integers(1, 40)), len(data))
+    payload = encode(data, params).payload
+    kind = draw(st.integers(0, 4))
+    if kind == 1 and payload:
+        at = draw(st.integers(0, 8 * len(payload) - 1))
+        flipped = payload[at >> 3] ^ 0x80 >> (at & 7)
+        payload = payload[: at >> 3] + bytes([flipped]) + payload[(at >> 3) + 1 :]
+    elif kind == 2:
+        payload = payload[: draw(st.integers(0, len(payload)))]
+    elif kind == 3:
+        payload += draw(st.binary(min_size=1, max_size=3))
+    elif kind == 4:
+        params = params._replace(n=max(params.n + draw(st.integers(-3, 3)), 0))
+    return EncodedContainer(params=params, payload=payload)
+
+
+@given(oracle_cases())
+@settings(deadline=None, max_examples=300)
+def test_decode_matches_the_block_decode_oracle(container):
+    assert decode_outcome(decode, container) == decode_outcome(reference_block_decode, container)
+
+
+# Headers of tools/bijection_check.py's family: sigma 2-4, both modes, r and L
+# at their edges, final blocks padded (r = n + 1) and not.
+BIJECTION_SAMPLE = [
+    CodecParams.variable(b"ab", b"a", 1, 6),
+    CodecParams.variable(b"abc", b"a", 4, 3),
+    CodecParams.variable(b"abcd", b"a", 1, 4),
+    CodecParams.fixed(b"ab", 7, 6),
+    CodecParams.fixed(b"abc", 2, 5),
+    CodecParams.fixed(b"abcd", 1, 3),
+]
+
+
+@pytest.mark.parametrize(
+    "params",
+    BIJECTION_SAMPLE,
+    ids=lambda p: f"{p.mode}-sigma{p.sigma}-n{p.n}-{f'r{p.r}' if p.r else f'L{p.fixed_len}'}",
+)
+def test_the_container_code_is_a_bijection(monkeypatch, params):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "tools"))
+    bijection_check = importlib.import_module("bijection_check")
+    assert params in bijection_check.headers()
+    assert max(map(len, bijection_check.encodings(params))) <= 2
+    # exits unless exactly sigma**n payloads of 0-2 bytes decode, each to
+    # the input that encodes to it, and every other one is a corrupt container
+    assert bijection_check.check(params) == params.sigma**params.n

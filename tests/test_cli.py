@@ -196,6 +196,7 @@ TRACER_ONLY = [
     (cli, "average_block_length"),
     (cli, "frequency_vector"),
     (block_codec, "sequence_to_perm_index"),
+    (block_codec, "perm_index_to_sequence"),
     (CombinatoricsContext, "k_count"),
     (analysis, "multinomial"),
 ]

@@ -132,3 +132,14 @@ def test_closed_form_matches_enumeration(sigma, inner_sum):
         assert vector_to_index(vec) == rank
         assert vector_to_index(vec, trace=[]) == rank
         assert index_to_vector(rank, inner_sum, sigma) == vec
+
+
+@given(st.integers(1, 8), st.integers(0, 2**20), st.data())
+def test_round_trip_up_to_a_million_units(sigma, inner_sum, data):
+    # the last free dimension is read off in closed form, the others searched
+    count = k_count(sigma, inner_sum)
+    rank = data.draw(st.sampled_from([0, count - 1]) | st.integers(0, count - 1))
+    vec = index_to_vector(rank, inner_sum, sigma)
+    assert len(vec) == sigma and sum(vec) == inner_sum and min(vec) >= 0
+    assert vector_to_index(vec) == rank
+    assert index_to_vector(vector_to_index(vec[::-1]), inner_sum, sigma) == vec[::-1]

@@ -13,6 +13,7 @@ from enumcode.permutation_codec import (
     _CHUNK,
     _RANK_WALK_BITS,
     _WALK_BITS,
+    _WINDOW_Q_BITS,
     _decode_leaf,
     _float_stretch,
     _rank_chunks,
@@ -525,6 +526,25 @@ def test_wide_blocks_unrank_through_the_windows(sigma, shape, length):
     ids, counts = symbol_ids(seq, alphabet)
     rank = sequence_to_perm_index(seq, alphabet)
     assert check_unrank_chunks(rank, counts, ids) == ids
+
+
+@pytest.mark.parametrize(
+    "sigma, shape, length", [(4, "uniform", 40), (4, "3:1", 3000), (2, "1000:1", 32768)]
+)
+def test_a_limited_unrank_stops_within_a_window_of_the_limit(sigma, shape, length):
+    # decode unranks only the symbols a padded final block still owes: the
+    # walk stops at the limit, its closing run too, and a window at most one
+    # window's symbols past it
+    seq = skewed_block(random.Random(length), sigma, length, shape)
+    ids, counts = symbol_ids(seq, bytes(range(sigma)))
+    rank, arrangements = perm_rank_and_count(seq, bytes(range(sigma)))
+    for limit in (0, 1, length // 3, length - 1, length, length + 5):
+        got = _unrank_chunks(rank, arrangements, list(counts), limit)
+        assert got == ids[: len(got)], limit
+        assert min(limit, length) <= len(got) <= limit + _WINDOW_Q_BITS + _CHUNK, limit
+        if arrangements.bit_length() <= _WALK_BITS:
+            assert len(got) == min(limit, length)
+        assert _unrank_walk(rank, arrangements, list(counts), limit) == ids[:limit]
 
 
 @pytest.mark.parametrize("name", list(boundary_aligned(b"acgt")))

@@ -5,6 +5,7 @@ they miss would otherwise only show when someone runs them.
 """
 
 import importlib
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -69,3 +70,42 @@ def test_lf_check_passes_to_the_table_cap(monkeypatch):
     # exits non-zero on any k whose log2_factorial lies past _LF_ERROR
     worst, k = lf_check.check(4096)
     assert 0 < worst and 2 <= k <= 4096
+
+
+def canned_run(decode_mbps, failed=0, probe=0.013):
+    """What perfbench/run.py prints, cut to the lines bench_snapshot reads."""
+    machine = {"python": "3.11.7", "implementation": "CPython", "nproc": 2, "cpu_model": "x"}
+    machine["host_probe_s"] = {"before": probe, "after": probe}
+    metrics = {"decode_MBps": {"value": decode_mbps, "unit": "MB/s"}}
+    metrics["setup_s"] = {"value": 0.005, "unit": "s"}
+    result = {"correct": not failed, "attempted": 100, "failed": failed, "metrics": metrics}
+    return f"workload: w  seed: 1  trace: 0\nmachine: {json.dumps(machine)}\n{json.dumps(result)}\n"
+
+
+def test_bench_snapshot_summarises_canned_pairs(monkeypatch):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    bench_snapshot = importlib.import_module("bench_snapshot")
+    parent = [1.0, 1.1, 1.2, 1.3, 1.4]
+    change = [1.2, 1.1, 1.5, 1.2, 1.6]
+    pairs = [
+        (bench_snapshot.parse_run(canned_run(p)), bench_snapshot.parse_run(canned_run(c, failed=i == 4)))
+        for i, (p, c) in enumerate(zip(parent, change))
+    ]
+    better = {"decode_MBps": "higher", "setup_s": "lower"}
+    out = bench_snapshot.snapshot({"w": pairs}, {"w": list(range(5))}, better)
+    assert out["machine"] == {"python": "3.11.7", "implementation": "CPython", "nproc": 2, "cpu_model": "x"}
+    assert out["host_probe_s"]["parent"]["median"] == 0.013
+    entry = out["workloads"]["w"]
+    assert entry["pairs"] == 5 and entry["seeds"] == [0, 1, 2, 3, 4]
+    assert entry["failed"] == {"parent": 0, "change": 1}
+    assert entry["attempted"] == {"parent": 500, "change": 500}
+    decode = entry["metrics"]["decode_MBps"]
+    assert decode["parent"] == {"median": 1.2, "q1": 1.1, "q3": 1.3, "min": 1.0, "max": 1.4}
+    assert decode["change"]["median"] == 1.2 and decode["change"]["q3"] == 1.5
+    # one pair tied, one lost: ties count for neither side
+    assert (decode["change_wins"], decode["change_losses"]) == (3, 1)
+    assert decode["ratio_of_medians"] == 1.0
+    assert not decode["median_gap_exceeds_parent_iqr"]
+    assert decode["pair_ratios"][0] == 1.2
+    setup = entry["metrics"]["setup_s"]
+    assert setup["better"] == "lower" and setup["change_wins"] == setup["change_losses"] == 0
