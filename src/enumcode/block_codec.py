@@ -6,7 +6,8 @@ r times; the occurrence that would be the (r+1)-th ends the block and is
 consumed without being stored, because the decoder knows it must follow.
 The tail of the input is padded with delimiters up to r occurrences; if the
 input ends exactly on a consumed delimiter, no tail block is emitted at all.
-The stored original length tells the decoder how many symbols the final
+The padding is never built: the encoder ranks the final block from the
+state after its pad run. The stored original length tells the decoder how many symbols the final
 block still owes: it unranks only those and checks that the rest of the
 block is delimiters.
 
@@ -273,14 +274,15 @@ def factorize(data: bytes, params: CodecParams) -> list[Block]:
     contents, columns, pad = _cut(data, params)
     blocks = [Block(content, len(content), freq) for content, freq in zip(contents, zip(*columns))]
     if pad:
-        blocks[-1] = blocks[-1]._replace(pad_count=pad)
+        content = blocks[-1].content + bytes([params.alpha_byte]) * pad
+        blocks[-1] = Block(content, len(content), blocks[-1].freq, pad)
     return blocks
 
 
 def _cut(
     data: bytes, params: CodecParams, positions: list[int] | None = None
 ) -> tuple[Iterator[bytes], list[list[int]], int]:
-    """(contents, columns, pad): every block's symbols, sliced lazily, and its counts.
+    """(contents, columns, pad): every block's symbols in ``data``, sliced lazily, and its counts.
 
     ``columns`` holds one list per alphabet symbol, that symbol's count in
     every block; ``zip(*columns)`` gives the blocks' count vectors. The
@@ -291,9 +293,9 @@ def _cut(
     them. In variable mode
     every block holds the delimiter exactly r times and the (r+1)-th ends
     it; the final block ends ``pad`` delimiters past the end of ``data``,
-    which it owes to padding and which its content carries, and an input
-    ending on a consumed delimiter has no final block. The last fixed-mode
-    block may be short.
+    which it owes to padding and which its counts include but its content
+    does not, and an input ending on a consumed delimiter has no final
+    block. The last fixed-mode block may be short.
     """
     n = len(data)
     pad = 0
@@ -319,11 +321,7 @@ def _cut(
         [r] * len(ends) if symbol == alpha else list(map(data.count, repeat(symbol), starts, ends))
         for symbol in params.alphabet
     ]
-    owed = bytes([alpha]) * pad if pad else b""
-    contents = (
-        data[start:end] + owed if end > n else data[start:end]
-        for start, end in zip(starts, ends)
-    )
+    contents = (data[start:end] for start, end in zip(starts, ends))
     return contents, columns, pad
 
 
@@ -356,7 +354,9 @@ def encode(data: bytes, params: CodecParams) -> "EncodedContainer":
     arrangement count, which gives the permutation field's width; the block
     is priced as :func:`vector_bits` prices it, logarithms included. Its
     length codeword, frequency rank and permutation rank go out as one
-    field. The container carries that accounting and the pad.
+    field. The padded final block is ranked from the state after its pad
+    run, so only its symbols in ``data`` are ranked. The container carries
+    that accounting and the pad.
     """
     _check_input(data, params)
     contents, columns, pad = _cut(data, params)
@@ -364,15 +364,16 @@ def encode(data: bytes, params: CodecParams) -> "EncodedContainer":
     sigma = params.sigma
     to_ids = bytes.maketrans(params.alphabet, bytes(range(sigma)))
     variable = params.mode == MODE_VARIABLE
-    if variable:
-        # the delimiter's count is always r; decode puts it back
-        apos = params.alpha_index - 1
+    # the delimiter's count is always r; decode puts it back
+    apos = params.alpha_index - 1 if variable else 0
+    final = len(columns[0])
     costs = []
     # length -> (its _length_terms, its length codeword)
     lengths: dict[int, tuple[tuple[int, int, int, float], int]] = {}
-    for content, freq in zip(contents, zip(*columns)):
-        rank, arrangements = _rank_ids(content.translate(to_ids), sigma)
-        length = len(content)
+    for block, (content, freq) in enumerate(zip(contents, zip(*columns)), 1):
+        owed = pad if block == final else 0
+        rank, arrangements = _rank_ids(content.translate(to_ids), sigma, owed, apos)
+        length = len(content) + owed
         if length not in lengths:
             code = elias_delta_codeword(length) if variable else 0
             lengths[length] = _length_terms(length, params), code

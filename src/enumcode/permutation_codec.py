@@ -52,13 +52,14 @@ guessed. A window holds the top ``_WINDOW`` bits of rank and count exactly,
 as small ints (:func:`_decode_window`), and seeds a double x ~ rank /
 arrangements from them: a float stretch (:func:`_float_stretch`) reads up to
 ``_CHUNK`` symbols off x while its error bound stays below
-2**-``_FLOAT_BITS``, and its small (P, Q, T) triple moves the window on. A
-symbol the double cannot separate takes one step of the integer leaf
-(:func:`_decode_leaf`) on the window. Once the window runs out, one exact
-update applies its combined triple, in lowest terms, to the full-width
-state: one long division by the small Q and two products by small P and T.
-The update's range check certifies the window; should it reject one, one
-exact step is taken instead. Every output is exact. Each update costs
+2**-``_FLOAT_BITS``, and its small (P, Q, T) triple moves the window on.
+A window ends where a stretch decodes nothing, at a symbol the double
+cannot separate, or once its bound or its combined Q has grown too wide.
+Then one exact update applies its combined triple, in lowest terms, to the
+full-width state: one long division by the small Q and two products by
+small P and T. The update's range check certifies the window; where a
+window decodes nothing, or the check rejects it, the walk takes one exact
+step instead. Every output is exact. Each update costs
 time in proportion to the count's width, so a block unranks in time
 quadratic in that width. A rank at or beyond the count is rejected before
 any symbol is decoded. An unrank can stop early, after a limit on the
@@ -148,13 +149,21 @@ def perm_rank_and_count(seq: Symbols, alphabet: Symbols) -> tuple[int, int]:
     return _rank_ids(_ids(seq, alphabet), len(alphabet))
 
 
-def _rank_ids(ids: bytes, sigma: int) -> tuple[int, int]:
-    """(rank, arrangement count) of a sequence of symbol ids below ``sigma``,
-    by the walk or in chunks, picked from its length alone."""
-    # sigma ** n bounds the count, so a block this short is narrow
+def _rank_ids(ids: bytes, sigma: int, pad: int = 0, kind: int = 0) -> tuple[int, int]:
+    """(rank, arrangement count) of a sequence of symbol ids below ``sigma``
+    followed by ``pad`` more of ``kind``, by the walk or in chunks, picked
+    from the length of ``ids`` alone.
+
+    The run of ``pad`` adds nothing to a right-to-left rank and leaves the
+    count at 1, so both paths start from the state after it and rank only
+    ``ids``: a padded final block costs what its real symbols cost.
+    """
+    # sigma ** n bounds the count of n symbols, so a block this short is narrow
     if len(ids) * (sigma - 1).bit_length() <= _RANK_WALK_BITS:
-        return _rank_walk(ids, sigma)
-    return _rank_chunks(ids, list(map(ids.count, range(sigma))))
+        return _rank_walk(ids, sigma, pad, kind)
+    counts = list(map(ids.count, range(sigma)))
+    counts[kind] += pad
+    return _rank_chunks(ids, counts)
 
 
 def sequence_to_perm_index(seq: Symbols, alphabet: Symbols) -> int:
@@ -165,18 +174,21 @@ def sequence_to_perm_index(seq: Symbols, alphabet: Symbols) -> int:
     return perm_rank_and_count(seq, alphabet)[0]
 
 
-def _rank_walk(ids: Sequence[int], sigma: int) -> tuple[int, int]:
-    """(rank, arrangement count) by the right-to-left walk at two big-int steps per symbol.
+def _rank_walk(ids: Sequence[int], sigma: int, pad: int = 0, kind: int = 0) -> tuple[int, int]:
+    """(rank, arrangement count) by the right-to-left walk at two big-int steps
+    per symbol, of ``ids`` followed by ``pad`` more of ``kind``.
 
     A is the count of the suffix after the symbol, and m is the length of
     the suffix from the symbol on, b the symbol's count in it, itself
     included, and a the count of smaller symbols in it. The symbol adds
     A * a / b to the rank and turns A into A * m / b, both exact quotients.
+    The walk starts after the run of ``pad``, whose count is 1.
     """
     rank = 0
     arrangements = 1
     suffix = [0] * sigma
-    m = 0
+    suffix[kind] = pad
+    m = pad
     for k in reversed(ids):
         m += 1
         b = suffix[k] + 1
@@ -192,18 +204,20 @@ def _rank_walk(ids: Sequence[int], sigma: int) -> tuple[int, int]:
 def _rank_chunks(ids: Sequence[int], counts: list[int]) -> tuple[int, int]:
     """(rank, arrangement count) a chunk of ``_CHUNK`` symbols at a time; consumes ``counts``.
 
-    Each chunk's (P, Q, T) triple comes left to right from :func:`_stretch`,
-    which needs the counts of the suffix from the chunk on. The fold then
-    runs from the last chunk to the first: with A the count after a chunk,
-    the chunk adds A * T / P to the rank and turns A into A * Q / P
-    (:func:`_advance` with P and Q swapped), one long division of the wide
-    count by the small P and products by the small T and Q, where the walk
-    takes two big-int steps per symbol. After the first chunk A is the count
-    of the whole block.
+    ``counts`` are those of ``ids`` and of the run of one kind, if any, that
+    follows them. Each chunk's (P, Q, T) triple comes left to right from
+    :func:`_stretch`, which needs the counts of the suffix from the chunk
+    on. The fold then runs from the last chunk to the first, starting from
+    the run's count, 1: with A the count after a chunk, the chunk adds
+    A * T / P to the rank and turns A into A * Q / P (:func:`_advance` with
+    P and Q swapped), one long division of the wide count by the small P and
+    products by the small T and Q, where the walk takes two big-int steps
+    per symbol. After the first chunk A is the count of the whole block.
     """
-    n = len(ids)
+    n = sum(counts)
     triples = [
-        _stretch(ids[start : start + _CHUNK], counts, n - start) for start in range(0, n, _CHUNK)
+        _stretch(ids[start : start + _CHUNK], counts, n - start)
+        for start in range(0, len(ids), _CHUNK)
     ]
     rank = 0
     arrangements = 1
@@ -281,13 +295,15 @@ def perm_index_to_sequence(
 
 def _unrank_walk(
     pid: int, arrangements: int, counts: list[int], limit: int | None = None
-) -> list[int]:
-    """The first ``limit`` (default: all) rank-``pid`` symbol ids by the
-    greedy walk; consumes ``counts``.
+) -> tuple[list[int], int, int]:
+    """(ids, rank, count): the first ``limit`` (default: all) rank-``pid``
+    symbol ids by the greedy walk, and the rank and arrangement count of the
+    symbols after them; consumes ``counts``.
 
     ``arrangements`` is the multinomial of the counts. The symbol at each
     step is the j with cum_j <= pid * m // A < cum_j + c_j, read off by a
-    scan of the small counts.
+    scan of the small counts. A closing run of one kind leaves its counts
+    as they were.
     """
     remaining = sum(counts)
     stop = 0 if limit is None else max(remaining - limit, 0)
@@ -311,7 +327,7 @@ def _unrank_walk(
         counts[j] = c - 1
         remaining -= 1
         out.append(j)
-    return out
+    return out, pid, arrangements
 
 
 # Up to this many bits of arrangement count the walk beats the chunked unrank
@@ -325,8 +341,8 @@ _WINDOW = 384
 # A window ends once the Q of its combined triple is this wide, so that P, Q
 # and T stay small where each symbol carries little information.
 _WINDOW_Q_BITS = 2048
-# Bits of the error bound the integer leaf and the window keep when they drop
-# their low bits (_shorten), which they do once the bound has twice as many.
+# Bits of the error bound the window keeps when it drops its low bits
+# (_shorten), which it does once the bound has twice as many.
 _GUARD_BITS = 16
 # A float stretch starts while the window's bound is below 2**-_FLOAT_BITS,
 # and stops once its own bound passes it.
@@ -357,58 +373,52 @@ def _unrank_chunks(
     Their small (p, q, t) triple then updates the full-width state once
     (:func:`_refresh`). The refresh's range check is the exact certificate:
     if nothing was decoded, or the refresh rejects the symbols, they are
-    undone and one exact step is taken instead: with a zero error bound a
-    leaf step is the walk's step. Each refresh costs time in proportion to
-    the count's width, so a block costs time in proportion to its width
-    squared. The walk takes over once the count has at most ``_WALK_BITS``
-    bits.
+    undone and the walk takes one exact step instead. Each refresh costs
+    time in proportion to the count's width, so a block costs time in
+    proportion to its width squared. The walk takes over once the count has
+    at most ``_WALK_BITS`` bits.
     """
     if limit is None:
         limit = sum(counts)
     out: list[int] = []
     while arrangements.bit_length() > _WALK_BITS and len(out) < limit:
         shift = max(arrangements.bit_length() - _WINDOW, 0)
-        num, den = pid >> shift, arrangements >> shift
         before, saved = len(out), counts[:]
-        triple = _decode_window(num, den, counts, out)
+        triple = _decode_window(pid >> shift, arrangements >> shift, counts, out)
         state = _refresh(pid, arrangements, *triple) if len(out) > before else None
         if state is None:
             counts[:] = saved
             del out[before:]
-            triple = _decode_leaf(pid, arrangements, 0, counts, out, 1)
-            state = _refresh(pid, arrangements, *triple)
+            step, *state = _unrank_walk(pid, arrangements, counts, 1)
+            out += step
         pid, arrangements = state
-    return out + _unrank_walk(pid, arrangements, counts, limit - len(out))
+    return out + _unrank_walk(pid, arrangements, counts, limit - len(out))[0]
 
 
 def _decode_window(num: int, den: int, counts: list[int], out: list[int]) -> tuple[int, int, int]:
     """Decode symbols of an x known as |num/den - x| <= 1/den; returns their
     (P, Q, T) triple in lowest terms.
 
-    While the window's bound err/den is below 2**-_FLOAT_BITS, a float
-    stretch (:func:`_float_stretch`) reads symbols off num/den. A symbol it
-    cannot tell from its neighbour, and every symbol once the bound has
-    grown, is decoded by one step of the integer leaf on the window. Each
-    stretch or step moves the window on by its triple, as the leaf moves its
-    own state: num, den, err turn into Q * num - T * den, P * den and
-    Q * err, shortened by :func:`_shorten` as the leaf's are. The window ends
-    where a leaf step decodes nothing, where its bound reaches 1, or where
-    the combined Q has passed ``_WINDOW_Q_BITS`` bits. Appends the symbol ids
-    to ``out`` and consumes ``counts``.
+    The window is a run of float stretches (:func:`_float_stretch`), each
+    reading symbols off num/den while the window's bound err/den is below
+    2**-_FLOAT_BITS. Each stretch moves the window on by its triple: num,
+    den, err turn into Q * num - T * den, P * den and Q * err, and once the
+    bound has twice ``_GUARD_BITS`` bits, :func:`_shorten` drops their low
+    bits. The window ends where its bound passes 2**-_FLOAT_BITS, where a
+    stretch decodes nothing, or where the combined Q has passed
+    ``_WINDOW_Q_BITS`` bits. Appends the symbol ids to ``out`` and consumes
+    ``counts``.
     """
     err = 1
     p = q = 1
     t = 0
     remaining = sum(counts)
     guard = 2 * _GUARD_BITS
-    while den > err and q.bit_length() <= _WINDOW_Q_BITS:
+    while den >> _FLOAT_BITS > err and q.bit_length() <= _WINDOW_Q_BITS:
         before = len(out)
-        if den >> _FLOAT_BITS > err:
-            sp, sq, st = _float_stretch(num, den, err, counts, remaining, out)
+        sp, sq, st = _float_stretch(num, den, err, counts, remaining, out)
         if len(out) == before:
-            sp, sq, st = _decode_leaf(num, den, err, counts, out, 1)
-            if len(out) == before:
-                break
+            break
         remaining -= len(out) - before
         num, den, err = sq * num - st * den, sp * den, sq * err
         if err >> guard:
@@ -501,60 +511,6 @@ def _refresh(pid: int, arrangements: int, p: int, q: int, t: int) -> tuple[int, 
     offset, arrangements = _advance(arrangements, p, q, t)
     pid -= offset
     return (pid, arrangements) if 0 <= pid < arrangements else None
-
-
-def _decode_leaf(num: int, den: int, err: int, counts: list[int], out: list[int], limit: int):
-    """Decode up to ``limit`` symbols of an x known only as |num/den - x| <= err/den.
-
-    A symbol is decoded only when both ends of the bound pick it, so this
-    stops at the first ambiguous symbol and never guesses; it also stops
-    where a single symbol kind is left, whose run the walk emits at once.
-    Moving past symbol j turns num, den, err into num * m - cum_j * den,
-    den * c_j and err * m. Appends the symbol ids to ``out``, consumes
-    ``counts`` and returns the (P, Q, T) triple of the decoded stretch,
-    as :func:`_stretch` builds it: x = (T + P * x') / Q.
-
-    The state drops its low bits (:func:`_shorten`) whenever the bound
-    outgrows ``2 * _GUARD_BITS`` bits, so its numbers stay small. A symbol j
-    is decoded when floor(x * m) provably lies in [cum_j, cum_j + c_j): one
-    floor division gives the low end, and one product compares the high end
-    against cum_j + c_j.
-    """
-    p = q = 1
-    t = 0
-    remaining = sum(counts)
-    append = out.append
-    guard = 2 * _GUARD_BITS
-    while limit and remaining:
-        if err >> guard:
-            num, den, err = _shorten(num, den, err)
-            if not den:
-                break  # the bound no longer tells any symbols apart
-        scaled = num * remaining
-        spread = err * remaining
-        low = (scaled - spread) // den
-        if low < 0:
-            low = 0
-        j = 0
-        top = counts[0]
-        while low >= top:
-            j += 1
-            top += counts[j]
-        c = counts[j]
-        if c == remaining or (top < remaining and scaled + spread >= top * den):
-            break
-        below = top - c
-        num = scaled - below * den
-        den *= c
-        err = spread
-        t = t * remaining + p * below
-        p *= c
-        q *= remaining
-        counts[j] = c - 1
-        remaining -= 1
-        append(j)
-        limit -= 1
-    return p, q, t
 
 
 def _shorten(num: int, den: int, err: int) -> tuple[int, int, int]:

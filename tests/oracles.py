@@ -1,5 +1,5 @@
 """Slow, independent oracles for the vector count, the block codec, the
-permutation rank and unrank, the unrank's leaf and the Elias-delta reader.
+permutation rank and unrank and the Elias-delta reader.
 
 The count oracles are the paper's sum form of the vector count, which
 ``k_count``'s closed form replaced, and two forms of the multinomial: the
@@ -18,9 +18,8 @@ unrank with a big-int step for every smaller symbol kind, as the library's
 walks did before they summed the small counts first. The left-to-right rank
 oracles are the rank before it ran from the right and yielded the
 arrangement count. The split oracle is the product tree the rank used for
-its widest counts, fast enough to check blocks of 64k symbols. The leaf
-oracle is the permutation unrank's first leaf decoder, and the reader and
-writer oracles read and write a codeword field by field. The boundary blocks
+its widest counts, fast enough to check blocks of 64k symbols. The reader
+and writer oracles read and write a codeword field by field. The boundary blocks
 are test inputs for the unrank, shared with ``tools/rank_curve.py``. The
 block decoder oracle is the per-block decode loop that ran before decode
 worked in symbol ids and unranked only the symbols still owed.
@@ -43,7 +42,6 @@ from enumcode.combinatorics import ceil_log2, k_count, multinomial
 from enumcode.composition_codec import index_to_vector, vector_to_index
 from enumcode.permutation_codec import (
     _CHUNK,
-    _GUARD_BITS,
     _advance,
     _stretch,
     perm_index_to_sequence,
@@ -529,67 +527,6 @@ def _exact_quotient(t, p):
         inverse = inverse * (2 - (p & mask) * inverse) & mask
     mask = (1 << k) - 1
     return (t & mask) * inverse & mask
-
-
-# -- reference leaf decoder ----------------------------------------------------
-#
-# The unrank's first leaf decoder, before it was made leaner: it shortens the
-# state through ``_shorten`` and computes both ends of floor(x * m) by floor
-# division, clamping each to [0, m).
-
-
-def _shorten(num, den, err, shift):
-    """(num, den, err) without ``shift`` low bits, keeping |num/den - x| <= err/den.
-
-    Clamping num to [0, den] only tightens the bound, since x lies in [0, 1).
-    Dropping the bits then moves num/den by less than 1 / (den >> shift), so
-    the bound becomes ceil(err / 2**shift) + 1.
-    """
-    num = min(max(num, 0), den)
-    return num >> shift, den >> shift, ((err - 1) >> shift) + 2
-
-
-def reference_decode_leaf(num, den, err, counts, out, limit):
-    """Decode up to ``limit`` symbols of an x known as |num/den - x| <= err/den.
-
-    Appends the symbol ids to ``out``, consumes ``counts`` and returns the
-    (P, Q, T) triple of the decoded stretch, as ``_decode_leaf`` does.
-    """
-    p = q = 1
-    t = 0
-    remaining = sum(counts)
-    while limit and remaining:
-        if err.bit_length() > 2 * _GUARD_BITS:
-            shift = err.bit_length() - _GUARD_BITS
-            if shift >= den.bit_length():
-                break
-            num, den, err = _shorten(num, den, err, shift)
-        # floor(x * remaining) lies in [low, high]; 0 <= x < 1 bounds both
-        scaled, spread = num * remaining, err * remaining
-        low = (scaled - spread) // den
-        high = (scaled + spread) // den
-        if low < 0:
-            low = 0
-        if high >= remaining:
-            high = remaining - 1
-            if low > high:
-                low = high
-        below = 0
-        for j, c in enumerate(counts):
-            if low < below + c:
-                break
-            below += c
-        if high >= below + c or c == remaining:
-            break
-        num, den, err = scaled - below * den, den * c, spread
-        t = t * remaining + p * below
-        p *= c
-        q *= remaining
-        counts[j] = c - 1
-        remaining -= 1
-        out.append(j)
-        limit -= 1
-    return p, q, t
 
 
 # -- blocks on symbol boundaries ----------------------------------------------

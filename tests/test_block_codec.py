@@ -3,8 +3,11 @@ import math
 import random
 import statistics
 import struct
+import subprocess
+import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -1223,6 +1226,65 @@ def test_encode_carries_the_accounting_of_its_blocks(case):
     )
 
 
+@st.composite
+def padded_cases(draw):
+    """Up to 40 symbols over 2 or 4 kinds, variable mode at r up to 2**12, so
+    that the final block owes its padding far more symbols than it holds."""
+    alphabet = draw(alphabets)
+    data = bytes(draw(st.lists(st.sampled_from(alphabet), max_size=40)))
+    r = draw(st.one_of(st.integers(1, 8), st.integers(1, 2**12)))
+    return data, CodecParams.variable(alphabet, draw(st.sampled_from(alphabet)), r, len(data))
+
+
+@given(padded_cases())
+@settings(deadline=None, max_examples=100)
+@example((b"ab" * 5, CodecParams.variable(b"ab", b"a", 2**12, 10)))
+@example((b"cccc", CodecParams.variable(b"acgt", b"a", 2**12, 4)))
+def test_padded_containers_match_the_reference(case):
+    # the reference ranks the padded block whole; encode ranks its symbols
+    # from the state after the pad run, by the walk and in chunks
+    data, params = case
+    expected = reference_encode(data, params).to_bytes()
+    for walk_bits in (1, 10**9):
+        with mock.patch.object(permutation_codec, "_RANK_WALK_BITS", walk_bits):
+            assert encode(data, params).to_bytes() == expected, walk_bits
+
+
+# Encodes 10 symbols at the given r in a child under a 1 GiB address-space
+# limit, decodes them back under max_output=16, and prints the encode's
+# seconds and the child's peak RSS in KiB.
+PADDED_ENCODE = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from enumcode.block_codec import CodecParams, EncodedContainer, decode, encode
+params = CodecParams.variable(b"ab", b"a", int(sys.argv[1]), 10)
+start = time.perf_counter()
+raw = encode(b"ab" * 5, params).to_bytes()
+elapsed = time.perf_counter() - start
+assert decode(EncodedContainer.from_bytes(raw), max_output=16) == b"ab" * 5
+print(elapsed, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_padding_to_the_largest_r_costs_what_the_symbols_cost():
+    # r = 2**32 - 1 once meant a 4 GiB final block; the encode takes about
+    # 3 ms, and the bound leaves room for a loaded host
+    src = str(Path(block_codec.__file__).resolve().parent.parent)
+    peaks = {}
+    for r in (4, 2**32 - 1):
+        done = subprocess.run(
+            [sys.executable, "-c", PADDED_ENCODE, str(r)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={"PYTHONPATH": src},
+        )
+        assert done.returncode == 0, done.stderr
+        elapsed, peaks[r] = map(float, done.stdout.split())
+        assert elapsed < 2.0, (r, elapsed)
+    assert peaks[2**32 - 1] < peaks[4] + 8 * 1024
+
+
 def test_encode_builds_no_multinomial(monkeypatch):
     # each block's rank yields its arrangement count, which prices the block too
     def refuse(counts):
@@ -1253,6 +1315,34 @@ def fuzz_containers():
         (skewed, CodecParams.fixed(b"ab", 100, len(skewed))),
     ]
     return [(data, params, encode(data, params).to_bytes()) for data, params in cases]
+
+
+def padded_fuzz_containers():
+    """Padded variable-mode containers, DNA-like and over 20 kinds at r from 2
+    to 64, each with the offset, width and count of its final block's
+    permutation field, as encode wrote it: the last field of the payload."""
+    rng = random.Random(30)
+    dna = _dna_like(30, n=900)
+    twenty = bytes(rng.choices(bytes(range(65, 85)), k=400))
+    rank_ids = block_codec._rank_ids
+    ranked = []
+
+    def recording_rank(*args):
+        ranked.append(rank_ids(*args))
+        return ranked[-1]
+
+    cases = []
+    for r in (2, 5, 16, 64):
+        for data, alphabet, alpha in ((dna, b"acgt", b"g"), (twenty, bytes(range(65, 85)), b"A")):
+            params = CodecParams.variable(alphabet, alpha, r, len(data))
+            with mock.patch.object(block_codec, "_rank_ids", recording_rank):
+                container = encode(data, params)
+            if container.pad:
+                _, arrangements = ranked[-1]
+                width = ceil_log2(arrangements)
+                cases.append((data, container, container.payload_bits - width, width, arrangements))
+    assert len(cases) >= 6
+    return cases
 
 
 def mutate(rng, raw, header_size):
@@ -1318,6 +1408,32 @@ def test_decode_matches_the_block_decode_oracle_on_the_fuzz():
             assert got == decode_outcome(reference_block_decode, container, 1 << 16)
             outcomes += isinstance(got, bytes)
     assert outcomes == 663
+
+
+def test_padded_final_blocks_with_any_rank_decode_to_their_encoding_or_raise():
+    # every final block's permutation field rewritten to in-range ranks: a
+    # rank decodes only to the input whose encoding it is, and most put
+    # another symbol into the padding
+    rng = random.Random(30)
+    padding_errors = decoded = 0
+    for data, container, offset, width, arrangements in padded_fuzz_containers():
+        raw = container.to_bytes()
+        header = len(raw) - len(container.payload)
+        spare = 8 * len(container.payload) - offset - width
+        payload = int.from_bytes(container.payload, "big")
+        for _ in range(60):
+            field = ((1 << width) - 1) << spare
+            rewritten = payload & ~field | rng.randrange(arrangements) << spare
+            mutated = raw[:header] + rewritten.to_bytes(len(container.payload), "big")
+            try:
+                out = decode(EncodedContainer.from_bytes(mutated), max_output=1 << 16)
+            except CorruptContainerError as exc:
+                padding_errors += "padding differs from the delimiter symbol" in str(exc)
+                continue
+            assert encode(out, container.params).to_bytes() == mutated
+            decoded += 1
+        assert decode(EncodedContainer.from_bytes(raw)) == data
+    assert padding_errors and decoded
 
 
 @st.composite

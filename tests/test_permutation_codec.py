@@ -14,7 +14,6 @@ from enumcode.permutation_codec import (
     _RANK_WALK_BITS,
     _WALK_BITS,
     _WINDOW_Q_BITS,
-    _decode_leaf,
     _float_stretch,
     _rank_chunks,
     _rank_walk,
@@ -31,7 +30,6 @@ from enumcode.permutation_codec import (
 from conftest import PERMS_2110
 from oracles import (
     boundary_aligned,
-    reference_decode_leaf,
     reference_rank_chunks,
     reference_rank_incremental,
     reference_rank_split,
@@ -528,6 +526,25 @@ def test_wide_blocks_unrank_through_the_windows(sigma, shape, length):
     assert check_unrank_chunks(rank, counts, ids) == ids
 
 
+def moved_blocks():
+    """4096 DNA symbols, their five boundary-aligned shapes and 600 symbols
+    over 256 kinds, by name."""
+    rng = random.Random(5)
+    dna = rng.choices(b"acgt", k=4096)
+    blocks = {"dna": bytes(dna), "256 kinds": bytes(rng.choices(range(256), k=600))}
+    return blocks | {name: bytes(block) for name, block in boundary_aligned(dna).items()}
+
+
+@pytest.mark.parametrize("name", list(moved_blocks()))
+def test_window_states_unrank_down_to_the_narrowest_counts(name):
+    # each block through the windows, handing over to the walk at its own
+    # threshold and at one bit, with no refresh rejected
+    block = moved_blocks()[name]
+    alphabet = bytes(sorted(set(block)))
+    ids, counts = symbol_ids(block, alphabet)
+    assert check_unrank_chunks(reference_rank_split(ids, list(counts)), counts, ids) == ids
+
+
 @pytest.mark.parametrize(
     "sigma, shape, length", [(4, "uniform", 40), (4, "3:1", 3000), (2, "1000:1", 32768)]
 )
@@ -544,7 +561,10 @@ def test_a_limited_unrank_stops_within_a_window_of_the_limit(sigma, shape, lengt
         assert min(limit, length) <= len(got) <= limit + _WINDOW_Q_BITS + _CHUNK, limit
         if arrangements.bit_length() <= _WALK_BITS:
             assert len(got) == min(limit, length)
-        assert _unrank_walk(rank, arrangements, list(counts), limit) == ids[:limit]
+        walked, left, count = _unrank_walk(rank, arrangements, list(counts), limit)
+        assert walked == ids[:limit]
+        # the rank and count the walk hands back are those of the rest
+        assert (left, count) == _rank_walk(bytes(ids[limit:]), sigma)
 
 
 @pytest.mark.parametrize("name", list(boundary_aligned(b"acgt")))
@@ -592,17 +612,6 @@ def leaf_windows(draw):
 
 @settings(deadline=None, max_examples=300)
 @given(leaf_windows())
-def test_leaf_matches_the_oracle_leaf(window):
-    num, den, err, counts, limit = window
-    got, expected = [], []
-    got_counts, expected_counts = list(counts), list(counts)
-    triple = _decode_leaf(num, den, err, got_counts, got, limit)
-    assert triple == reference_decode_leaf(num, den, err, expected_counts, expected, limit)
-    assert (got, got_counts) == (expected, expected_counts)
-
-
-@settings(deadline=None, max_examples=300)
-@given(leaf_windows())
 def test_float_stretch_decodes_only_what_every_x_in_the_window_does(window):
     num, den, err, counts, _ = window
     remaining = sum(counts)
@@ -619,35 +628,6 @@ def test_float_stretch_decodes_only_what_every_x_in_the_window_does(window):
     low, high = max(num - err, 0), min(num + err, den)
     assert low * q >= t * den
     assert high * q < (t + p) * den or (high == den and t + p == q)
-
-
-def test_leaf_matches_the_oracle_leaf_on_unrank_states():
-    # every state the unrank hands its leaf, down to the narrowest counts
-    calls = 0
-
-    def checked_leaf(num, den, err, counts, out, limit):
-        nonlocal calls
-        calls += 1
-        expected, expected_counts = [], list(counts)
-        triple = reference_decode_leaf(num, den, err, expected_counts, expected, limit)
-        before = len(out)
-        assert _decode_leaf(num, den, err, counts, out, limit) == triple
-        assert (out[before:], counts) == (expected, expected_counts)
-        return triple
-
-    rng = random.Random(5)
-    dna = rng.choices(b"acgt", k=4096)
-    blocks = [bytes(dna), bytes(rng.choices(range(256), k=600))]
-    blocks += [bytes(block) for block in boundary_aligned(dna).values()]
-    with mock.patch.object(permutation_codec, "_decode_leaf", checked_leaf):
-        with mock.patch.object(permutation_codec, "_WALK_BITS", 1):
-            for block in blocks:
-                alphabet = bytes(sorted(set(block)))
-                ids, counts = symbol_ids(block, alphabet)
-                arrangements = multinomial(counts)
-                rank = reference_rank_split(ids, list(counts))
-                assert _unrank_chunks(rank, arrangements, list(counts)) == ids
-    assert calls > 200
 
 
 @st.composite
@@ -680,7 +660,7 @@ def test_walks_match_the_oracle_walks(case, data):
     # encode hands the walk the block's ids as bytes
     assert _rank_walk(bytes(ids), sigma) == (rank, arrangements)
     assert reference_rank_walk(bytes(ids), list(counts), arrangements) == rank
-    assert _unrank_walk(rank, arrangements, list(counts)) == ids
+    assert _unrank_walk(rank, arrangements, list(counts))[0] == ids
     other = data.draw(st.integers(0, arrangements - 1))
     expected = reference_unrank_incremental(other, arrangements, list(counts))
-    assert _unrank_walk(other, arrangements, list(counts)) == expected
+    assert _unrank_walk(other, arrangements, list(counts))[0] == expected

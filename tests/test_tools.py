@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from test_acceptance import _dna_like
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -109,3 +111,68 @@ def test_bench_snapshot_summarises_canned_pairs(monkeypatch):
     assert decode["pair_ratios"][0] == 1.2
     setup = entry["metrics"]["setup_s"]
     assert setup["better"] == "lower" and setup["change_wins"] == setup["change_losses"] == 0
+
+
+def canned_bench(pr, ratios, gaps=()):
+    """A BENCH_*.json body with one workload whose metrics have these ratios."""
+    metrics = {
+        name: {"ratio_of_medians": ratio, "median_gap_exceeds_parent_iqr": name in gaps}
+        for name, ratio in ratios.items()
+    }
+    return json.dumps({"pr": pr, "workloads": {"w": {"pairs": 10, "metrics": metrics}}})
+
+
+def test_bench_compare_chains_canned_files_in_pr_order(monkeypatch, tmp_path, capsys):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    bench_compare = importlib.import_module("bench_compare")
+    # named against their PR order, which the pr key decides
+    (tmp_path / "BENCH_9.json").write_text(canned_bench(12, {"decode_MBps": 1.5, "setup_s": 0.5}))
+    (tmp_path / "BENCH_10.json").write_text(
+        canned_bench(3, {"decode_MBps": 1.25, "setup_s": 2.0}, gaps=("decode_MBps",))
+    )
+    assert bench_compare.main(tmp_path) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0].split() == ["workload", "metric", "3", "12", "gap", "past", "parent", "IQR"]
+    assert lines[1].split() == ["w", "decode_MBps", "1.250", "1.875", "3"]
+    assert lines[2].split() == ["w", "setup_s", "2.000", "1.000", "-"]
+    result = json.loads(lines[-1])
+    assert result["prs"] == [3, 12]
+    decode = result["chained"]["w"]["decode_MBps"]
+    assert decode == {"running": {"3": 1.25, "12": 1.875}, "product": 1.875, "gap_prs": [3]}
+
+
+def test_bench_compare_names_a_file_it_cannot_use(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    bench_compare = importlib.import_module("bench_compare")
+    good = tmp_path / "BENCH_1.json"
+    good.write_text(canned_bench(1, {"decode_MBps": 1.0}))
+    bad = tmp_path / "BENCH_2.json"
+    for body in (
+        "{not json",
+        canned_bench(2, {"decode_MBps": None}),
+        json.dumps({"pr": 2, "workloads": {"w": {"metrics": {"decode_MBps": {}}}}}),
+        json.dumps({"workloads": {}}),
+        json.dumps({"pr": 2, "workloads": {"w": {"metrics": {}}}}),  # lacks BENCH_1's metric
+    ):
+        bad.write_text(body)
+        with pytest.raises(SystemExit) as exc:
+            bench_compare.main(tmp_path)
+        assert str(bad) in str(exc.value.code)
+
+
+def test_bench_compare_reproduces_the_hand_chained_ratios(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    bench_compare = importlib.import_module("bench_compare")
+    bench_compare.main()
+    chained = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["chained"]
+    # ROADMAP's ratios chained by hand over PRs 17-25
+    after_25 = {
+        ("dna-var-r16", "sweep_kbase_per_s"): 2.07,
+        ("dna-var-r16", "encode_MBps"): 1.35,
+        ("dna-fixed-8k", "encode_MBps"): 1.57,
+        ("dna-fixed-8k", "sweep_kbase_per_s"): 1.68,
+        ("dna-sweep-5k", "sweep_kbase_per_s"): 0.99,
+    }
+    for (workload, metric), ratio in after_25.items():
+        assert round(chained[workload][metric]["running"]["25"], 2) == ratio, (workload, metric)
+    assert chained["dna-fixed-8k"]["decode_MBps"]["gap_prs"][:2] == [26, 28]

@@ -146,7 +146,7 @@ def measure(name: str, block: bytes, alphabet: bytes) -> dict:
         "rank_s": lambda: perm_rank_and_count(block, alphabet),
     }
     unranks = {
-        "walk_unrank_s": lambda: _unrank_walk(rank, arrangements, list(counts)),
+        "walk_unrank_s": lambda: _unrank_walk(rank, arrangements, list(counts))[0],
         "incremental_unrank_s": lambda: reference_unrank_incremental(
             rank, arrangements, list(counts)
         ),
