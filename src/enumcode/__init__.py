@@ -15,7 +15,6 @@ from .block_codec import (
     FormatError,
     MODE_FIXED,
     MODE_VARIABLE,
-    block_vectors,
     decode,
     encode,
     factorize,
@@ -43,7 +42,6 @@ __all__ = [
     "FormatError",
     "MODE_FIXED",
     "MODE_VARIABLE",
-    "block_vectors",
     "ceil_log2",
     "decode",
     "encode",

@@ -226,24 +226,14 @@ def delimiter_positions(data: bytes, byte: int) -> list[int]:
     return list(compress(range(len(data)), data.translate(indicator)))
 
 
-def block_vectors(data: bytes, params: CodecParams) -> tuple[list[tuple[int, ...]], int]:
-    """The count vector of every block, and the final block's padding.
-
-    Counts are read between :func:`_cut`'s bounds in ``data`` itself, so no
-    block is sliced or built.
-    """
-    _check_input(data, params)
-    _, columns, pad = _cut(data, params)
-    return list(zip(*columns)), pad
-
-
 def grid_vectors(data: bytes, grid: list[CodecParams]) -> Iterator[list[tuple[int, ...]]]:
-    """The :func:`block_vectors` vectors of ``data`` under each params of ``grid``, in turn.
+    """The count vector of every block of ``data`` under each params of ``grid``, in turn.
 
-    The grid shares one alphabet, and ``data`` is checked against it once.
-    Each delimiter's offsets are found once and serve every r. A fixed
-    length whose half came earlier in the grid cuts nothing: it adds that
-    cut's adjacent blocks in pairs.
+    The grid, of one params or more, shares one alphabet, and ``data`` is
+    checked against it once. Counts are read between :func:`_cut`'s bounds
+    in ``data`` itself, slicing nothing. Each delimiter's offsets are found
+    once and serve every r. A fixed length whose half came earlier in the
+    grid cuts nothing: it adds that cut's adjacent blocks in pairs.
     """
     if grid:
         check_alphabet(data, grid[0].alphabet)
@@ -325,25 +315,16 @@ def _cut(
     return contents, columns, pad
 
 
-def _vector_shape(length: int, params: CodecParams) -> tuple[int, int]:
-    """(dims, inner): the frequency field of a ``length``-symbol block ranks a
-    vector of ``dims`` counts that sum to ``inner``.
+def _vector_shape(length: int, params: CodecParams) -> tuple[int, int, int]:
+    """(dims, inner, count): the frequency field of a ``length``-symbol block
+    ranks one of ``count`` vectors of ``dims`` counts that sum to ``inner``.
 
     Fixed mode ranks the full vector. Variable mode drops the delimiter
-    dimension, whose count is always r.
+    dimension, whose count is always r; with sigma = 1 no dimension is left.
     """
-    if params.mode == MODE_FIXED:
-        return params.sigma, length
-    return params.sigma - 1, length - params.r
-
-
-def _vector_count(length: int, params: CodecParams) -> int:
-    """How many count vectors the frequency field of a ``length``-symbol block
-    chooses from: K(dims, inner) of :func:`_vector_shape`, and one vector of no
-    dimensions. The field is ceil(log2(count)) bits wide.
-    """
-    dims, inner = _vector_shape(length, params)
-    return k_count(dims, inner) if dims else 1
+    fixed = params.mode == MODE_FIXED
+    dims, inner = (params.sigma, length) if fixed else (params.sigma - 1, length - params.r)
+    return dims, inner, k_count(dims, inner) if dims else 1
 
 
 def encode(data: bytes, params: CodecParams) -> "EncodedContainer":
@@ -456,13 +437,12 @@ def decode(container: "EncodedContainer", max_output: int = DEFAULT_MAX_OUTPUT) 
                 length = min(params.fixed_len, owed)
             shape = shapes.get(length)
             if shape is None:
-                dims, inner = _vector_shape(length, params)
-                if not dims and inner:
-                    raise ValueError(f"length {length} exceeds r over a 1-symbol alphabet")
                 # K(dims, inner) = C(inner + dims - 1, dims - 1), which at most
                 # 255 free dimensions keep cheap to build at any length
-                width = ceil_log2(_vector_count(length, params))
-                shape = shapes[length] = dims, inner, min(dims - 1, inner), width
+                dims, inner, count = _vector_shape(length, params)
+                if not dims and inner:
+                    raise ValueError(f"length {length} exceeds r over a 1-symbol alphabet")
+                shape = shapes[length] = dims, inner, min(dims - 1, inner), ceil_log2(count)
             dims, inner, least, width = shape
             _check_room(reader, least, "frequency rank")
             # index_to_vector rejects a rank at or beyond the count
@@ -550,7 +530,7 @@ class EncodedContainer(
             raise FormatError(f"unknown mode byte {code}")
         mode, fields, names = _MODES[code]
         pos = _PREFIX.size + sigma
-        if sigma < 1 or len(raw) < pos + fields.size:
+        if len(raw) < pos + fields.size:
             raise FormatError("truncated header")
         values = dict(zip(names, fields.unpack_from(raw, pos)))
         try:
@@ -623,7 +603,7 @@ def _length_terms(length: int, params: CodecParams) -> tuple[int, int, int, floa
         length_bits = ceil_log2(length)
         delta_bits = elias_delta_bit_length(length)
         log_length = math.log2(length)
-    count = _vector_count(length, params)
+    count = _vector_shape(length, params)[2]
     return length_bits, delta_bits, ceil_log2(count), log_length + log2_int(count)
 
 
@@ -726,7 +706,6 @@ __all__ = [
     "FormatError",
     "MODE_FIXED",
     "MODE_VARIABLE",
-    "block_vectors",
     "check_alphabet",
     "decode",
     "delimiter_positions",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import os
 import sys
 from collections import namedtuple
@@ -199,11 +200,12 @@ def cmd_tables(args) -> int:
 
 
 def cmd_figure1(args) -> int:
+    table = io.StringIO()  # built whole, its arguments checked, before a line is written
+    write_comparison_csv(table, args.sigma, args.nmax)
     if args.out:
-        with open(args.out, "w", newline="") as handle:
-            write_comparison_csv(handle, args.sigma, args.nmax)
+        _write_bytes(args.out, table.getvalue().encode())
     else:
-        write_comparison_csv(sys.stdout, args.sigma, args.nmax)
+        sys.stdout.write(table.getvalue())
     return EXIT_OK
 
 
@@ -421,7 +423,10 @@ def cmd_sweep(args) -> int:
     alphas = None
     if args.alphas:
         alphas = _distinct(_symbols(args.alphas, args), "--alphas")
-    # checked once, before any file is read: a bad option is a usage error
+    # checked once, before any file is read: a bad option is a usage error; the
+    # largest r and L raise as encode does on an --r or --L past its u32 field
+    CodecParams.variable(b"a", b"a", max(r_set), 0)
+    CodecParams.fixed(b"a", max(l_set), 0)
     alphabet = _explicit_alphabet(args)
     if alphabet and alphas:
         for alpha in alphas:  # raises as encode does on an --alpha outside --alphabet

@@ -270,22 +270,17 @@ def _advance(arrangements: int, p: int, q: int, t: int) -> tuple[int, int]:
     return whole * t + part * t // q, whole * p + part * p // q
 
 
-def perm_index_to_sequence(
-    pid: int, counts: Iterable[int], alphabet: Symbols, arrangements: int | None = None
-) -> Symbols:
+def perm_index_to_sequence(pid: int, counts: Iterable[int], alphabet: Symbols) -> Symbols:
     """The rank-``pid`` arrangement of the multiset described by ``counts``.
 
     Inverse of :func:`sequence_to_perm_index`; a rank at or beyond the
     arrangement count is rejected (it signals a corrupt stream upstream).
-    A caller that already has the multinomial of ``counts`` may pass it as
-    ``arrangements``.
     """
     table = _validate_alphabet(alphabet)
     remaining_counts = list(counts)
     if len(remaining_counts) != len(table):
         raise ValueError("counts and alphabet must have the same length")
-    if arrangements is None:
-        arrangements = multinomial(remaining_counts)
+    arrangements = multinomial(remaining_counts)
     if not 0 <= pid < arrangements:
         raise ValueError(
             f"permutation rank {pid} out of range (multiset has {arrangements} arrangements)"

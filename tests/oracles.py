@@ -395,7 +395,7 @@ def _check_room(reader, min_width, what):
 
 
 def _reference_block_fields(reader, length, params):
-    """(frequency vector, permutation rank, arrangement count) of a block of known length."""
+    """(frequency vector, permutation rank) of a block of known length."""
     if params.mode == "fixed":
         dims, inner = params.sigma, length
     else:
@@ -414,7 +414,7 @@ def _reference_block_fields(reader, length, params):
     pid = reader.read(ceil_log2(arrangements))
     if pid >= arrangements:
         raise ValueError(f"permutation rank {pid} out of range (< {arrangements})")
-    return freq, pid, arrangements
+    return freq, pid
 
 
 def reference_block_decode(container, max_output=DEFAULT_MAX_OUTPUT):
@@ -443,8 +443,8 @@ def reference_block_decode(container, max_output=DEFAULT_MAX_OUTPUT):
                     raise ValueError(f"block length {length} exceeds the sequence length")
             else:
                 length = min(params.fixed_len, n - len(out))
-            freq, pid, arrangements = _reference_block_fields(reader, length, params)
-            out += perm_index_to_sequence(pid, freq, params.alphabet, arrangements)
+            freq, pid = _reference_block_fields(reader, length, params)
+            out += perm_index_to_sequence(pid, freq, params.alphabet)
         except (BitstreamError, ValueError) as exc:
             raise CorruptContainerError(str(exc), block=blocks, bit_offset=start) from None
         out += delimiter

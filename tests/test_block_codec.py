@@ -25,7 +25,6 @@ from enumcode.block_codec import (
     FormatError,
     accounted_bits,
     average_block_length,
-    block_vectors,
     container_bits,
     decode,
     delimiter_positions,
@@ -47,6 +46,7 @@ from oracles import (
     reference_encode,
     reference_factorize,
     reference_header_bytes,
+    reference_vector_count,
 )
 from test_acceptance import _dna_like
 
@@ -450,6 +450,13 @@ class TestContainerFormat:
     def test_header_size_matches_the_format_table(self, params):
         assert len(block_codec._header(params)) == reference_header_bytes(params)
 
+    def test_empty_alphabet_is_an_invalid_field_not_a_truncation(self):
+        # a complete 20-byte fixed-mode header that declares sigma = 0
+        raw = b"ENUM" + bytes([1, 0]) + struct.pack(">H", 0) + struct.pack(">QI", 0, 4)
+        assert len(raw) == 20
+        with pytest.raises(FormatError, match="^invalid header field: alphabet must hold"):
+            EncodedContainer.from_bytes(raw)
+
     def test_invalid_header_field(self):
         raw = (
             b"ENUM"
@@ -729,9 +736,27 @@ class TestCorruptPayloads:
             decode(container, max_output=2**40)
 
 
+@pytest.mark.parametrize("mode", ["fixed", "variable"])
+@pytest.mark.parametrize("sigma", [1, 2, 4, 256])
+def test_vector_shape_matches_the_reference_count(mode, sigma):
+    alphabet, r = bytes(range(sigma)), 5
+    if mode == "fixed":
+        params = CodecParams.fixed(alphabet, r, 0)
+    else:
+        params = CodecParams.variable(alphabet, 0, r, 0)
+    for length in [*range(r, r + 4), 2**17]:
+        dims, inner, count = block_codec._vector_shape(length, params)
+        assert count == reference_vector_count(length, params), length
+        # variable mode drops the delimiter's dimension: sigma = 1 leaves none
+        assert (dims, inner) == (
+            (sigma, length) if mode == "fixed" else (sigma - 1, length - r)
+        )
+
+
 def accounting(data, params):
     """What :func:`vector_bits` prices the blocks of ``data`` at."""
-    return vector_bits(block_vectors(data, params)[0], params)
+    (vectors,) = grid_vectors(data, [params])
+    return vector_bits(vectors, params)
 
 
 class TestAccounting:
@@ -945,17 +970,18 @@ DNA_LIKE = _dna_like(1, n=3000)
 # long inputs with many repeated vectors, where a reordered bits_real sum shows
 @example((DNA_LIKE, CodecParams.variable(b"acgt", b"a", 2, len(DNA_LIKE))))
 @example((DNA_LIKE, CodecParams.fixed(b"acgt", 16, len(DNA_LIKE))))
-def test_block_vectors_match_factorize(case):
+def test_grid_vectors_match_factorize(case):
     data, params = case
     try:
         blocks = reference_factorize(data, params)
     except AlphabetError as exc:
         with pytest.raises(AlphabetError) as raised:
-            block_vectors(data, params)
+            list(grid_vectors(data, [params]))
         assert (raised.value.byte, raised.value.offset) == (exc.byte, exc.offset)
         return
     expected = ([b.freq for b in blocks], blocks[-1].pad_count if blocks else 0)
-    assert block_vectors(data, params) == expected
+    got = factorize(data, params)
+    assert ([b.freq for b in got], got[-1].pad_count if got else 0) == expected
     assert list(grid_vectors(data, [params])) == [expected[0]]
     assert [sum(freq) for freq in expected[0]] == [b.length for b in blocks]
     # every int field exact; the oracle counts the blocks it cut. bits_real
@@ -970,11 +996,13 @@ def test_block_vectors_match_factorize(case):
 
 
 class TestGridVectors:
-    def test_default_grid_matches_block_vectors(self):
+    def test_default_grid_matches_one_point_grids(self):
         n = len(DNA_LIKE)
         grid = [CodecParams.variable(b"acgt", a, r, n) for a in b"acgt" for r in R_SET_DEFAULT]
         grid += [CodecParams.fixed(b"acgt", fixed_len, n) for fixed_len in L_SET_DEFAULT]
-        assert list(grid_vectors(DNA_LIKE, grid)) == [block_vectors(DNA_LIKE, p)[0] for p in grid]
+        assert list(grid_vectors(DNA_LIKE, grid)) == [
+            vectors for p in grid for vectors in grid_vectors(DNA_LIKE, [p])
+        ]
 
     @pytest.mark.parametrize(
         "lengths",
@@ -987,7 +1015,10 @@ class TestGridVectors:
     def test_fixed_lengths_pair_their_halves(self, lengths):
         data = _dna_like(4, n=999)
         grid = [CodecParams.fixed(b"acgt", fixed_len, len(data)) for fixed_len in lengths]
-        assert list(grid_vectors(data, grid)) == [block_vectors(data, p)[0] for p in grid]
+        # a one-point grid has no earlier half, so it cuts its own length
+        assert list(grid_vectors(data, grid)) == [
+            vectors for p in grid for vectors in grid_vectors(data, [p])
+        ]
 
     def test_checks_the_input_once(self, monkeypatch):
         calls = []
@@ -1214,7 +1245,9 @@ def test_encode_matches_reference(case):
 def test_encode_carries_the_accounting_of_its_blocks(case):
     data, params = case
     container = encode(data, params)
-    vectors, pad = block_vectors(data, params)
+    (vectors,) = grid_vectors(data, [params])
+    blocks = factorize(data, params)
+    pad = blocks[-1].pad_count if blocks else 0
     # exact, bits_real included: encode prices its blocks in block order
     assert container.accounting == vector_bits(vectors, params)
     assert (container.accounting.blocks, container.pad) == (len(vectors), pad)

@@ -278,6 +278,16 @@ class TestFigure1:
         assert len(rows) == 5
         assert all(abs(float(r["gap"])) < 1e-9 for r in rows)
 
+    @pytest.mark.parametrize("sigma,nmax", [(1, 3), (4, 0)])
+    def test_bad_arguments_write_nothing(self, tmp_path, capsys, sigma, nmax):
+        out = tmp_path / "fig.csv"
+        for to in (["--out", str(out)], []):
+            assert main(["figure1", "--sigma", str(sigma), "--nmax", str(nmax), *to]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+        assert not out.exists()
+
 
 def make_corpus(tmp_path, count=2, n=4000):
     rng = random.Random(11)
@@ -436,6 +446,29 @@ class TestSweep:
         assert captured.out == ""
         assert main(["encode", paths[0], "--alphabet", "acgt", "--alpha", "x", "--r", "2"]) == 2
         assert capsys.readouterr().err == "error: delimiter symbol 0x78 is not in the alphabet\n"
+
+    @pytest.mark.parametrize(
+        "option,message",
+        [
+            ("--r-set", "variable mode needs 1 <= r <= 4294967295"),
+            ("--L-set", "fixed mode needs 1 <= fixed_len <= 4294967295"),
+        ],
+    )
+    def test_entry_past_its_header_field_is_one_usage_error(self, tmp_path, capsys, option, message):
+        # checked once, before any file is read, as encode checks --r and --L
+        paths = [str(p) for p in make_corpus(tmp_path)]
+        report = tmp_path / "report.csv"
+        assert main(["sweep", *paths, option, "4,4294967296", "--out", str(report)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not report.exists()
+        if option == "--r-set":
+            encode_options = ["--alpha", "a", "--r", "4294967296"]
+        else:
+            encode_options = ["--mode", "fixed", "--L", "4294967296"]
+        assert main(["encode", paths[0], *encode_options]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_alphas_outside_a_file_alphabet_skips_that_file(self, tmp_path, capsys):
         # without --alphabet each file has its own alphabet, so the check is per file

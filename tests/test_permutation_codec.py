@@ -91,9 +91,6 @@ class TestRanking:
                 with mock.patch.object(permutation_codec, "_RANK_WALK_BITS", walk_bits):
                     assert perm_rank_and_count(b"gcaa", b"acgt") == (11, 12)
                     assert perm_rank_and_count("gcaa", "acgt") == (11, 12)
-            assert perm_index_to_sequence(11, (2, 1, 1, 0), b"acgt", 12) == b"gcaa"
-            with pytest.raises(ValueError, match="out of range"):
-                perm_index_to_sequence(12, (2, 1, 1, 0), b"acgt", 12)
 
     def test_counts_only_when_the_block_may_be_wide(self, monkeypatch):
         counted = []
