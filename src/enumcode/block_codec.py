@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 import struct
 from collections import namedtuple
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from itertools import compress, repeat
 from operator import add
 
@@ -331,43 +331,38 @@ def encode(data: bytes, params: CodecParams) -> "EncodedContainer":
     """Serialize every block :func:`_cut` cuts into a container.
 
     The input is checked against the alphabet once. Each block is mapped to
-    symbol ids through one table and ranked as ids, and its rank yields its
-    arrangement count, which gives the permutation field's width; the block
-    is priced as :func:`vector_bits` prices it, logarithms included. Its
-    length codeword, frequency rank and permutation rank go out as one
-    field. The padded final block is ranked from the state after its pad
+    symbol ids through one table and ranked as ids, which yields its
+    arrangement count. Its length codeword, frequency rank and permutation
+    rank go out as one field, at the widths :func:`decode` reads, from exact
+    counts. The padded final block is ranked from the state after its pad
     run, so only its symbols in ``data`` are ranked. The container carries
-    that accounting and the pad.
+    the pad and :func:`vector_bits`' accounting of the blocks' vectors.
     """
     _check_input(data, params)
     contents, columns, pad = _cut(data, params)
+    vectors = list(zip(*columns))
     writer = BitWriter()
     sigma = params.sigma
     to_ids = bytes.maketrans(params.alphabet, bytes(range(sigma)))
     variable = params.mode == MODE_VARIABLE
     # the delimiter's count is always r; decode puts it back
     apos = params.alpha_index - 1 if variable else 0
-    final = len(columns[0])
-    costs = []
-    # length -> (its _length_terms, its length codeword)
-    lengths: dict[int, tuple[tuple[int, int, int, float], int]] = {}
-    for block, (content, freq) in enumerate(zip(contents, zip(*columns)), 1):
+    final = len(vectors)
+    # length -> (its length codeword, that codeword's width, the frequency field's width)
+    lengths: dict[int, tuple[int, int, int]] = {}
+    for block, (content, freq) in enumerate(zip(contents, vectors), 1):
         owed = pad if block == final else 0
         rank, arrangements = _rank_ids(content.translate(to_ids), sigma, owed, apos)
         length = len(content) + owed
         if length not in lengths:
-            code = elias_delta_codeword(length) if variable else 0
-            lengths[length] = _length_terms(length, params), code
-        terms, code = lengths[length]
-        cost = _block_cost(freq, length, terms, arrangements)
-        costs.append(cost)
-        _, delta_width, freq_width, perm_width, _ = cost
+            code, delta_width = (
+                (elias_delta_codeword(length), elias_delta_bit_length(length)) if variable else (0, 0)
+            )
+            lengths[length] = code, delta_width, ceil_log2(_vector_shape(length, params)[2])
+        code, delta_width, freq_width = lengths[length]
+        perm_width = ceil_log2(arrangements)
         vector = freq[:apos] + freq[apos + 1 :] if variable else freq
         index = vector_to_index(vector) if vector else 0
-        if index >> freq_width or rank >> perm_width:
-            raise ValueError(
-                f"block ranks {index} and {rank} do not fit in {freq_width} and {perm_width} bits"
-            )
         writer.write(
             (code << freq_width | index) << perm_width | rank, delta_width + freq_width + perm_width
         )
@@ -375,7 +370,7 @@ def encode(data: bytes, params: CodecParams) -> "EncodedContainer":
         params=params,
         payload=writer.getvalue(),
         payload_bits=writer.bit_length,
-        accounting=_accounted(costs, params),
+        accounting=vector_bits(vectors, params),
         pad=pad,
     )
 
@@ -490,9 +485,10 @@ class EncodedContainer(
     ``payload_bits`` is the used bit count before byte padding, by default
     all of ``payload``. It and the fields after it are encoder-side
     metadata, which the wire does not carry, so they do not participate in
-    equality or the hash: :func:`encode` sets ``accounting`` (its blocks
-    priced as :func:`vector_bits` prices them) and ``pad`` (the delimiters
-    appended to the final block), which :meth:`from_bytes` leaves None.
+    equality or the hash: :func:`encode` sets ``accounting`` (what
+    :func:`vector_bits` gives its blocks' count vectors) and ``pad`` (the
+    delimiters appended to the final block), which :meth:`from_bytes`
+    leaves None.
     """
 
     __slots__ = ()
@@ -560,13 +556,17 @@ class AccountedBits(
     length in variable mode; ``bits_real`` is the same sum with real-valued
     logarithms, i.e. the information-content lower bound of this block
     structure. Every block takes log2 of its arrangement count from log2 k!
-    = lgamma(k + 1) / ln 2 (:func:`_block_cost`), within ``_LF_BOUND``
+    = lgamma(k + 1) / ln 2 (:func:`vector_bits`), within ``_LF_BOUND``
     (about 7e-12) times log2 n! of the exact logarithm for n <=
     ``_LF_CHECKED`` symbols, so ``bits_real`` can differ from the exact sum
     in its last bits.
-    ``container_bits`` is the exact size of the container :func:`encode`
-    emits: the header, then the payload with its Elias-delta length
-    codewords, rounded up to whole bytes. Every field is an int but
+    ``container_bits`` is the size of the container :func:`encode` emits:
+    the header, then the payload with its Elias-delta length codewords,
+    rounded up to whole bytes. :func:`encode` writes its fields at widths
+    taken from exact counts, while the widths here come from log2 k!, and
+    from the exact count only where :func:`vector_bits` falls back; the
+    tests tie the two together by checking that ``container_bits`` is
+    eight times the container's byte count. Every field is an int but
     ``bits_real``.
     """
 
@@ -590,95 +590,58 @@ _LF_BOUND = 2 * (_LF_ERROR + 2**-52) + 2**16 * 2**-53
 _LF_MARGIN = 2**-27
 
 
-def _length_terms(length: int, params: CodecParams) -> tuple[int, int, int, float]:
-    """What the length and frequency fields of a ``length``-symbol block cost.
-
-    In order: the length's ceil(log2) and Elias-delta widths, the frequency
-    field's width, and the exact log2 of the length times the vector count.
-    Fixed mode stores no length, so its terms are 0.
-    """
-    length_bits = delta_bits = 0
-    log_length = 0.0
-    if params.mode == MODE_VARIABLE:
-        length_bits = ceil_log2(length)
-        delta_bits = elias_delta_bit_length(length)
-        log_length = math.log2(length)
-    count = _vector_shape(length, params)[2]
-    return length_bits, delta_bits, ceil_log2(count), log_length + log2_int(count)
-
-
-def _block_cost(
-    freq: tuple[int, ...],
-    length: int,
-    length_terms: tuple[int, int, int, float],
-    arrangements: int | None = None,
-) -> tuple[int, int, int, int, float]:
-    """What a ``length``-symbol block with count vector ``freq`` costs.
-
-    In order: its length, Elias-delta, frequency and permutation widths in
-    bits, then the real-valued bits of all its fields. ``length_terms`` are
-    :func:`_length_terms`' for the block. The log2 of the arrangement count
-    is x = LF(length) - sum(LF(c_i)), LF being :func:`log2_factorial`, read
-    from its table up to ``_LF_CAP`` symbols. The permutation width is
-    floor(x) + 1, unless x lies within the margin of an integer
-    (single-kind vectors and counts that are powers of two do) or the block
-    is longer than ``_LF_CHECKED`` symbols. There the exact count gives the
-    width: ``arrangements`` when the caller has it, as :func:`encode` does.
-    """
-    length_bits, delta_bits, freq_width, log = length_terms
-    if length <= _LF_CAP:
-        lf = _log2_factorials()
-        lf_n = lf[length]
-        x = lf_n - sum(map(lf.__getitem__, freq))
-    else:
-        lf_n = log2_factorial(length)
-        x = lf_n - sum(map(log2_factorial, freq))
-    margin = _LF_MARGIN * lf_n
-    if arrangements is None and length <= _LF_CHECKED and margin < x % 1.0 < 1.0 - margin:
-        return length_bits, delta_bits, freq_width, int(x) + 1, log + x
-    perm_width = ceil_log2(arrangements or multinomial(freq))
-    return length_bits, delta_bits, freq_width, perm_width, log + x
-
-
-def _accounted(
-    costs: Iterable[tuple[int, int, int, int, float]], params: CodecParams
-) -> AccountedBits:
-    """The budget of blocks with these :func:`_block_cost` costs, in block order.
-
-    ``bits_real`` adds the blocks' real-valued bits in that order, so two
-    callers that price the same blocks get the same float.
-    """
-    lengths, deltas, widths, perms, reals = list(zip(*costs)) or [()] * 5
-    length_bits, freq_bits, perm_bits = sum(lengths), sum(widths), sum(perms)
-    payload = sum(deltas) + freq_bits + perm_bits
-    header = len(_header(params))
-    return AccountedBits(
-        blocks=len(reals),
-        bits_ceiled=length_bits + freq_bits + perm_bits,
-        bits_real=sum(reals, 0.0),
-        length_bits=length_bits,
-        freq_bits=freq_bits,
-        perm_bits=perm_bits,
-        container_bits=header * 8 + 8 * (-(-payload // 8)),
-    )
-
-
 def vector_bits(vectors: list[tuple[int, ...]], params: CodecParams) -> AccountedBits:
     """Price blocks from their count vectors alone; widths come from ``params``.
 
     Each distinct length is priced once per call, and so is each distinct
-    vector, mostly without building its arrangement count. :func:`_accounted`
-    adds the costs up in block order, so ``bits_real`` does not depend on
-    the memo.
+    vector, mostly without building its arrangement count: its log2 is x =
+    LF(length) - sum(LF(c_i)), LF being :func:`log2_factorial`, read from
+    its table up to ``_LF_CAP`` symbols. The permutation width is floor(x) +
+    1, unless x lies within the margin of an integer (single-kind vectors
+    and counts that are powers of two do) or the block is longer than
+    ``_LF_CHECKED`` symbols; there the exact count gives it. The costs are
+    added up in block order, so ``bits_real`` does not depend on the memo.
     """
+    variable = params.mode == MODE_VARIABLE
+    # length -> (ceil_log2, Elias-delta and frequency widths, real bits) of its fields
     lengths: dict[int, tuple[int, int, int, float]] = {}
     costs = dict.fromkeys(vectors)
     for freq in costs:
         length = sum(freq)
         if length not in lengths:
-            lengths[length] = _length_terms(length, params)
-        costs[freq] = _block_cost(freq, length, lengths[length])
-    return _accounted(map(costs.__getitem__, vectors), params)
+            count = _vector_shape(length, params)[2]
+            length_bits, delta_bits, log = (
+                (ceil_log2(length), elias_delta_bit_length(length), math.log2(length))
+                if variable
+                else (0, 0, 0.0)
+            )
+            lengths[length] = length_bits, delta_bits, ceil_log2(count), log + log2_int(count)
+        length_bits, delta_bits, freq_width, log = lengths[length]
+        if length <= _LF_CAP:
+            lf = _log2_factorials()
+            lf_n = lf[length]
+            x = lf_n - sum(map(lf.__getitem__, freq))
+        else:
+            lf_n = log2_factorial(length)
+            x = lf_n - sum(map(log2_factorial, freq))
+        margin = _LF_MARGIN * lf_n
+        if length <= _LF_CHECKED and margin < x % 1.0 < 1.0 - margin:
+            perm_width = int(x) + 1
+        else:
+            perm_width = ceil_log2(multinomial(freq))
+        costs[freq] = length_bits, delta_bits, freq_width, perm_width, log + x
+    columns = list(zip(*map(costs.__getitem__, vectors))) or [()] * 5
+    length_bits, delta_bits, freq_bits, perm_bits = map(sum, columns[:4])
+    payload = delta_bits + freq_bits + perm_bits
+    return AccountedBits(
+        blocks=len(vectors),
+        bits_ceiled=length_bits + freq_bits + perm_bits,
+        bits_real=sum(columns[4], 0.0),
+        length_bits=length_bits,
+        freq_bits=freq_bits,
+        perm_bits=perm_bits,
+        container_bits=8 * len(_header(params)) + 8 * (-(-payload // 8)),
+    )
 
 
 # perfbench/tracer.py looks these three names up in cli until ROADMAP item 2;

@@ -1056,6 +1056,20 @@ class TestLog2FactorialPricing:
         assert acct.perm_bits == 28
         assert len(block_codec._log2_factorials()) == block_codec._LF_CAP + 1
 
+    def test_a_block_past_the_checked_range_encodes_at_its_exact_width(self):
+        # one fixed-mode block of 2**17 + 1 symbols over 2 kinds at about
+        # 1000:1, whose accounting takes the exact count's width
+        n = block_codec._LF_CHECKED + 1
+        data = bytearray(b"a" * n)
+        data[::1000] = b"b" * len(range(0, n, 1000))
+        data = bytes(data)
+        counts = (data.count(b"a"), data.count(b"b"))
+        container = encode(data, CodecParams.fixed(b"ab", n, n))
+        raw = container.to_bytes()
+        assert decode(EncodedContainer.from_bytes(raw)) == data
+        assert container.accounting.container_bits == 8 * len(raw)
+        assert container.accounting.perm_bits == ceil_log2(multinomial(counts))
+
 
 @st.composite
 def priced_vectors(draw):
